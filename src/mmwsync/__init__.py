@@ -1,7 +1,10 @@
 """Link-level simulator for directional frame-timing synchronization in
 quantized wideband mmWave OFDM systems."""
 
-from . import (
+# the one version literal: the submodules, the CLI and the package metadata read it
+__version__ = "0.1.0"
+
+from . import (  # noqa: E402  (the submodules import __version__)
     beamforming,
     channel,
     cli,
@@ -12,8 +15,6 @@ from . import (
     sqnr,
     waveform,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "beamforming",

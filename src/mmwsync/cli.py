@@ -19,10 +19,9 @@ from pathlib import Path
 
 import yaml
 
+from . import __version__ as _VERSION
 from . import montecarlo, optimizer
 from .montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig, StatSummary
-
-_VERSION = montecarlo._VERSION
 
 EXPERIMENTS = ("sqnr", "timing", "cfo", "multicell", "complexity")
 

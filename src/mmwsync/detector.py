@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .waveform import OfdmGrid
 
@@ -45,6 +46,11 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
 
     ``received`` is (m_tot, window) or a single-antenna (window,) vector with
     window >= len(reference); lags run 0 .. window - n.
+
+    The products come from one circular correlation of length
+    ``nfft = next_fast_len(window)``.  It is exact, not an approximation: at a
+    lag nu <= window - n the reference spans samples nu .. nu + n - 1 <=
+    window - 1 < nfft, so no product wraps around the end of the FFT frame.
     """
     received = np.atleast_2d(np.asarray(received))
     reference = np.asarray(reference)
@@ -52,9 +58,10 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
     window = received.shape[1]
     if window < n:
         raise ValueError(f"received window {window} shorter than reference {n}")
-    nfft = 1 << int(np.ceil(np.log2(window + n)))
-    f_ref = np.conj(np.fft.fft(reference, nfft))
-    corr = np.fft.ifft(np.fft.fft(received, nfft, axis=1) * f_ref[None, :], axis=1)
+    nfft = scipy.fft.next_fast_len(window)
+    spectrum = scipy.fft.fft(received, nfft, axis=1)
+    spectrum *= np.conj(scipy.fft.fft(reference, nfft))
+    corr = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
     return CorrelationProfile(values=corr[:, : window - n + 1], reference=reference)
 
 

@@ -26,9 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import __version__ as _VERSION
 from . import beamforming, channel, detector, optimizer, quantization, sqnr, waveform
-
-_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +305,55 @@ def _clean_burst(scenario: Scenario, ch: channel.BeamSpaceChannel, wf: waveform.
     )
 
 
+def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """CN(0, 1) samples; the real parts are drawn before the imaginary ones."""
+    shape = (rows, cols)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+class _Correlated:
+    """Samples of one trial and their correlation against the reference.
+
+    The correlation is computed on first use and then shared by every arm
+    that sees the same samples.  ``pad`` zeros on both sides extend it to
+    every lag at which the samples overlap the reference: a burst of n
+    samples gets lags -(n - 1) .. n - 1.
+    """
+
+    def __init__(self, samples: np.ndarray, reference: np.ndarray, pad: int = 0):
+        self.samples = samples
+        self.reference = reference
+        self._pad = pad
+        self._values: np.ndarray | None = None
+
+    def correlation(self) -> np.ndarray:
+        if self._values is None:
+            # the finiteness check quantization.apply makes on the window
+            if not np.all(np.isfinite(self.samples.view(np.float64))):
+                raise ValueError("samples must be finite")
+            x = self.samples
+            if self._pad:
+                x = np.zeros((x.shape[0], x.shape[1] + 2 * self._pad), dtype=np.complex128)
+                x[:, self._pad : -self._pad] = self.samples
+            self._values = detector.correlate(x, self.reference).values
+        return self._values
+
+
+def _burst_cache(reference: np.ndarray, synthesize):
+    """Per-trial memo of clean bursts: ``get(tx_vec, *rest)`` calls
+    ``synthesize(tx_vec, *rest)`` once per distinct transmit vector and rest."""
+    cache: dict = {}
+    n = reference.shape[0]
+
+    def get(tx_vec: np.ndarray, *rest) -> _Correlated:
+        key = (tx_vec.tobytes(), *rest)
+        if key not in cache:
+            cache[key] = _Correlated(synthesize(tx_vec, *rest), reference, pad=n - 1)
+        return cache[key]
+
+    return get
+
+
 # ---------------------------------------------------------------------------
 # SQNR experiment
 # ---------------------------------------------------------------------------
@@ -349,14 +397,12 @@ def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list
         paths = _draw_paths(scenario, rng, ue_az)
         ch = _build_channel(scenario, paths)
         slot = serving_slot(grid, ue_az)
-        noise_unit = (
-            rng.standard_normal((scenario.inner_repeats, scenario.n_subcarriers))
-            + 1j * rng.standard_normal((scenario.inner_repeats, scenario.n_subcarriers))
-        ) / math.sqrt(2.0)
+        noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
+        bursts = _burst_cache(wf.time_samples, lambda tx: _clean_burst(scenario, ch, wf, tx))
         for snr_db in scenario.snr_db_grid:
             sigma2 = noise_variance(scenario, snr_db)
             for (method, bits), plan in plans.items():
-                burst = _clean_burst(scenario, ch, wf, plan.tx_vectors[slot])
+                burst = bursts(plan.tx_vectors[slot]).samples
                 adc = quantization.AdcModel(bits=bits)
                 g = empirical_zero_lag_sqnr(burst, wf.time_samples, sigma2, adc, noise_unit)
                 rows.append(
@@ -409,21 +455,38 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 
 def _detect_window(
-    scenario: Scenario,
-    burst: np.ndarray,
-    noise_unit: np.ndarray,
+    burst: _Correlated,
+    noise: _Correlated,
     sigma2: float,
     t: int,
     adc: quantization.AdcModel,
-    reference: np.ndarray,
 ) -> detector.TrialOutcome:
-    n = scenario.n_subcarriers
-    y = math.sqrt(sigma2) * noise_unit.copy()
-    y[:, t : t + n] += burst
-    agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-    q = quantization.apply(adc, y, agc)
-    profile = detector.correlate(q, reference)
-    return detector.detect(profile, nu_true=t)
+    """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
+
+    At infinite resolution detection is linear, so the profile is assembled
+    as sqrt(sigma2) * C(noise) + C(burst) from correlations each computed once
+    per trial, skipping the window, the AGC and the ADC copy.
+    """
+    reference = noise.reference
+    n = reference.shape[0]
+    scale = math.sqrt(sigma2)
+    if not adc.is_infinite:
+        y = scale * noise.samples
+        y[:, t : t + n] += burst.samples
+        agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+        q = quantization.apply(adc, y, agc)
+        return detector.detect(detector.correlate(q, reference), nu_true=t)
+    # the input checks quantization.apply makes on the window
+    if not math.isfinite(scale):
+        raise ValueError("samples must be finite")
+    if sigma2 == 0 and not np.all(np.any(burst.samples != 0, axis=1)):
+        raise ValueError("agc_rms must be positive")
+    values = scale * noise.correlation()
+    # C(burst) column j is the window lag t - (n - 1) + j
+    lo = max(t - (n - 1), 0)
+    hi = min(t + n, values.shape[1])
+    values[:, lo:hi] += burst.correlation()[:, lo - t + n - 1 : hi - t + n - 1]
+    return detector.detect(detector.CorrelationProfile(values, reference), nu_true=t)
 
 
 def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
@@ -455,17 +518,17 @@ def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> li
         ch = _build_channel(scenario, paths)
         slot = serving_slot(grid, ue_az)
         t = int(rng.integers(1, max_t, endpoint=True))
-        noise_unit = (
-            rng.standard_normal((scenario.m_tot, window))
-            + 1j * rng.standard_normal((scenario.m_tot, window))
-        ) / math.sqrt(2.0)
+        noise = _Correlated(_unit_noise(rng, scenario.m_tot, window), wf.time_samples)
+        bursts = _burst_cache(
+            wf.time_samples, lambda tx, cfo: _clean_burst(scenario, ch, wf, tx, cfo=cfo)
+        )
         for (method, bits), plan in plans.items():
             adc = quantization.AdcModel(bits=bits)
             for cfo in scenario.cfo_grid:
-                burst = _clean_burst(scenario, ch, wf, plan.tx_vectors[slot], cfo=cfo)
+                burst = bursts(plan.tx_vectors[slot], cfo)
                 for snr_db in scenario.snr_db_grid:
                     sigma2 = noise_variance(scenario, snr_db)
-                    out = _detect_window(scenario, burst, noise_unit, sigma2, t, adc, wf.time_samples)
+                    out = _detect_window(burst, noise, sigma2, t, adc)
                     rows.append(
                         {
                             "method": method,
@@ -558,6 +621,17 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
             interferers.append((_build_channel(scenario, ipaths), layout.roots[i]))
         slot0 = serving_slot(grid, serving_az)
         t = int(rng.integers(1, max_t, endpoint=True))
+        serving_wf = wf_by_root[layout.roots[0]]
+        reference = serving_wf.time_samples
+
+        def slot_burst(tx_vec):
+            # serving burst plus every interferer's, all on the slot's beams
+            burst = _clean_burst(scenario, serving_ch, serving_wf, tx_vec)
+            for ich, root in interferers:
+                burst = burst + _clean_burst(scenario, ich, wf_by_root[root], tx_vec)
+            return burst
+
+        bursts = _burst_cache(reference, slot_burst)
         for (method, bits), plan in plans.items():
             adc = quantization.AdcModel(bits=bits)
             for snr_idx, snr_db in enumerate(scenario.snr_db_grid):
@@ -569,19 +643,8 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
                     rng_slot = np.random.default_rng(
                         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial, tau, snr_idx))
                     )
-                    burst = _clean_burst(
-                        scenario, serving_ch, wf_by_root[layout.roots[0]], plan.tx_vectors[tau]
-                    )
-                    for ich, root in interferers:
-                        burst = burst + _clean_burst(scenario, ich, wf_by_root[root], plan.tx_vectors[tau])
-                    noise_unit = (
-                        rng_slot.standard_normal((scenario.m_tot, window))
-                        + 1j * rng_slot.standard_normal((scenario.m_tot, window))
-                    ) / math.sqrt(2.0)
-                    out = _detect_window(
-                        scenario, burst, noise_unit, sigma2, t, adc,
-                        wf_by_root[layout.roots[0]].time_samples,
-                    )
+                    noise = _Correlated(_unit_noise(rng_slot, scenario.m_tot, window), reference)
+                    out = _detect_window(bursts(plan.tx_vectors[tau]), noise, sigma2, t, adc)
                     if tau == slot0:
                         serving_success = bool(out.success)
                     if out.success and first_slot < 0:

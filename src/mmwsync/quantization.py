@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
@@ -50,30 +51,81 @@ def _validate_bits(bits: float) -> int:
     return int(bits)
 
 
+def _lloyd_cells(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probability and first moment of every cell of a quantizer.
+
+    ``thresholds`` are the m - 1 finite cell edges; the outer cells are
+    unbounded.  Both integrals keep full relative precision in narrow cells
+    and in the tails, without which a 14-16-bit table stalls short of its
+    tolerance: upper-tail probabilities are ndtr(-a) - ndtr(-b), and
+    phi(a) - phi(b) is the larger of the two densities times
+    expm1(-|a^2 - b^2| / 2), signed.  The uniform quantizer keeps the plain
+    ``_cell_prob`` and ``_cell_mean``: its optimal clip points, and with them
+    every ADC step, follow their rounding.
+    """
+    a = np.concatenate(([-np.inf], thresholds))
+    b = np.concatenate((thresholds, [np.inf]))
+    p = np.where(a > 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+    dens = _phi(thresholds)
+    lo, hi = thresholds[:-1], thresholds[1:]
+    half_gap = 0.5 * (lo - hi) * (lo + hi)
+    inner = np.where(half_gap >= 0, dens[1:], -dens[:-1]) * np.expm1(-np.abs(half_gap))
+    mu = np.concatenate(([-dens[0]], inner, [dens[-1]]))
+    return p, mu
+
+
+def _lloyd_state(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cell probabilities and moments at midpoint thresholds, and the norm of
+    the centroid residual levels - mu / p."""
+    p, mu = _lloyd_cells(0.5 * (levels[:-1] + levels[1:]))
+    residual = levels - mu / p
+    return p, mu, math.sqrt(np.sum(residual * residual))
+
+
 @lru_cache(maxsize=None)
 def xi_for_bits(bits: int) -> float:
     """Minimum MSE of the b-bit scalar quantizer for a unit-variance Gaussian.
 
-    Lloyd-Max fixed point: levels at cell centroids, thresholds at level
-    midpoints; cell integrals evaluated in closed form.
+    Solves the Lloyd-Max conditions (levels at cell centroids, thresholds at
+    level midpoints) y_i p_i - mu_i = 0 by damped Newton steps on their
+    tridiagonal Jacobian.  The start is the centroids of the companded cells,
+    thresholds sqrt(3) ndtri(i/m), the high-resolution optimum (Panter & Dite
+    1951).  A step is taken at the largest length 2^-k that shrinks the
+    centroid residual by a factor 1 - 2^-(k+1); when none does, a Lloyd step
+    (every level to its centroid) is taken instead.  The iteration stops when
+    no level moves by more than 1e-11.
     """
     b = _validate_bits(bits)
     m = 2**b
-    levels = ndtri((np.arange(m) + 0.5) / m)
-    prev = np.inf
-    mse = np.inf
-    for _ in range(5000):
-        edges = np.concatenate(([-np.inf], 0.5 * (levels[:-1] + levels[1:]), [np.inf]))
-        a, bb = edges[:-1], edges[1:]
-        p = _cell_prob(a, bb)
-        mu = _cell_mean(a, bb)
-        occupied = p > 1e-300
-        levels = np.where(occupied, mu / np.where(occupied, p, 1.0), levels)
-        mse = float(1.0 - 2.0 * np.sum(levels * mu) + np.sum(levels**2 * p))
-        if abs(prev - mse) < 1e-15:
-            break
-        prev = mse
-    return mse
+    p, mu = _lloyd_cells(math.sqrt(3.0) * ndtri(np.arange(1, m) / m))
+    levels = mu / p
+    p, mu, residual = _lloyd_state(levels)
+    for _ in range(100):  # a guard: 1-16 bits converge within 9 iterations
+        off = 0.25 * (levels[:-1] - levels[1:]) * _phi(0.5 * (levels[:-1] + levels[1:]))
+        band = np.zeros((3, m))
+        band[0, 1:] = off
+        band[1] = p
+        band[1, :-1] += off
+        band[1, 1:] += off
+        band[2, :-1] = off
+        step = solve_banded((1, 1), band, mu - levels * p)
+        alpha = 1.0
+        while alpha >= 2.0**-10:
+            trial = levels + alpha * step
+            if np.all(np.diff(trial) > 0):
+                trial_state = _lloyd_state(trial)
+                if trial_state[2] <= (1.0 - 0.5 * alpha) * residual:
+                    break
+            alpha *= 0.5
+        else:
+            trial = mu / p
+            trial_state = _lloyd_state(trial)
+        moved = float(np.max(np.abs(trial - levels)))
+        levels = trial
+        p, mu, residual = trial_state
+        if moved < 1e-11:
+            return float(1.0 - 2.0 * np.sum(levels * mu) + np.sum(levels**2 * p))
+    raise RuntimeError(f"Lloyd-Max iteration at {b} bits did not converge")
 
 
 def _uniform_midrise_mse(bits: int, clip: float) -> float:
@@ -153,6 +205,7 @@ def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np
 
     ``agc_rms`` is the per-rail rms the AGC normalizes to (scalar or
     broadcastable).  An infinite-resolution model returns the input unchanged.
+    The input array is never modified.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if not np.all(np.isfinite(samples.view(np.float64))):
@@ -162,13 +215,16 @@ def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np
     if adc.is_infinite:
         return samples.copy()
     half = 2 ** (int(adc.bits) - 1)
-    scaled = samples / agc_rms
-
-    def rail(v):
-        idx = np.clip(np.floor(v / adc.step), -half, half - 1)
-        return (idx + 0.5) * adc.step
-
-    return (rail(scaled.real) + 1j * rail(scaled.imag)) * agc_rms
+    out = np.divide(samples, agc_rms, order="C")
+    # both rails at once, in place on the interleaved float view
+    rails = out.reshape(-1).view(np.float64)
+    rails /= adc.step
+    np.floor(rails, out=rails)
+    np.clip(rails, -half, half - 1, out=rails)
+    rails += 0.5
+    rails *= adc.step
+    out *= agc_rms
+    return out
 
 
 def distortion_factor(quantized: np.ndarray, analog: np.ndarray) -> float:

@@ -51,6 +51,18 @@ class TestXiForBits:
         xis = [quantization.xi_for_bits(b) for b in range(1, 17)]
         assert all(xis[i + 1] < xis[i] for i in range(15))
 
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_not_above_optimal_uniform_quantizer(self, bits):
+        # the Lloyd-Max optimum over all quantizers cannot lose to the best uniform one
+        uniform = quantization._uniform_midrise_mse(bits, quantization.optimal_clip_scale(bits))
+        assert quantization.xi_for_bits(bits) <= uniform
+
+    def test_normalized_mse_increases_to_panter_dite(self):
+        scaled = [quantization.xi_for_bits(b) * 4.0**b for b in range(1, 17)]
+        assert all(scaled[i + 1] > scaled[i] for i in range(15))
+        # high-resolution limit pi * sqrt(3) / 2 (Panter & Dite 1951)
+        assert abs(scaled[-1] - math.pi * math.sqrt(3.0) / 2.0) < 1e-3
+
     @pytest.mark.parametrize("bits", [0, 17, 2.5])
     def test_out_of_range(self, bits):
         with pytest.raises(ValueError):
