@@ -1,4 +1,4 @@
-"""Analog beam codebooks, block-diagonal subarray precoding, composite beams.
+"""Analog beam codebooks, subarray beam sets and their composite beams.
 
 Each RF chain drives a contiguous subarray of ``n_a`` elements through one
 codeword; transmitting a common signal on all chains synthesizes a composite
@@ -64,15 +64,6 @@ class BeamSet:
         return self.codebook.codewords[list(self.indices)]
 
 
-@dataclass(frozen=True)
-class PrecodingMatrix:
-    """Block-diagonal analog precoder, one codeword per subarray column."""
-
-    matrix: np.ndarray  # (n_rf * n_a, n_rf)
-    n_a: int
-    n_rf: int
-
-
 def composite_beam_gain(beam_set: BeamSet, tx_steering: np.ndarray, n_a: int | None = None) -> complex:
     """Sum of per-subarray inner products conj(a_tx)[block_j] . p_j.
 
@@ -91,17 +82,7 @@ def composite_beam_gain(beam_set: BeamSet, tx_steering: np.ndarray, n_a: int | N
     return complex(np.sum(blocks * beam_set.vectors))
 
 
-def assemble_precoder(beam_set: BeamSet) -> PrecodingMatrix:
-    """Place codeword j on the j-th diagonal block; off-block entries exactly zero."""
-    n_rf, n_a = beam_set.n_rf, beam_set.codebook.n_a
-    p = np.zeros((n_rf * n_a, n_rf), dtype=np.complex128)
-    vecs = beam_set.vectors
-    for j in range(n_rf):
-        p[j * n_a : (j + 1) * n_a, j] = vecs[j]
-    return PrecodingMatrix(matrix=p, n_a=n_a, n_rf=n_rf)
-
-
 def effective_tx_vector(beam_set: BeamSet) -> np.ndarray:
-    """Common-signal transmit vector P @ 1 / sqrt(n_rf); unit total power."""
-    p = assemble_precoder(beam_set)
-    return p.matrix.sum(axis=1) / np.sqrt(beam_set.n_rf)
+    """Common-signal transmit vector: codeword j on subarray j, scaled by
+    1/sqrt(n_rf) for unit total power."""
+    return beam_set.vectors.reshape(-1) / np.sqrt(beam_set.n_rf)

@@ -177,7 +177,7 @@ def propagate(
     cfo: float,
     start_index: int,
     window_len: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Received per-antenna window: circular-convolution burst plus noise.
 
@@ -185,9 +185,8 @@ def propagate(
     tap filter (cyclic in the symbol, the effect of the discarded CP) and a
     per-sample phase ramp exp(j*2*pi*cfo*n/N); every other sample is a pure
     CN(0, noise_var) draw, as is the additive noise on the burst itself.
-
-    ``tx_vector`` is the common per-sample transmit vector; a (n, n_tot)
-    array gives a per-sample map instead.
+    ``tx_vector`` is the common transmit vector of every sample; ``rng``
+    draws the noise and is needed only when noise_var > 0.
     """
     waveform = np.asarray(waveform)
     n = waveform.shape[0]
@@ -198,23 +197,16 @@ def propagate(
     m_tot = ch.taps.shape[1]
     y = np.zeros((m_tot, window_len), dtype=np.complex128)
     if noise_var > 0:
+        if rng is None:
+            raise ValueError("noise_var > 0 needs an rng")
         scale = math.sqrt(noise_var / 2.0)
         y += scale * (
             rng.standard_normal((m_tot, window_len)) + 1j * rng.standard_normal((m_tot, window_len))
         )
-    tx_vector = np.asarray(tx_vector)
-    if tx_vector.ndim == 1:
-        h_vec = ch.taps @ tx_vector  # (L, m_tot)
-        burst = np.zeros((m_tot, n), dtype=np.complex128)
-        for l in range(ch.tap_count):
-            burst += np.outer(h_vec[l], np.roll(waveform, l))
-    else:
-        if tx_vector.shape != (n, ch.taps.shape[2]):
-            raise ValueError("per-sample transmit map must have shape (n, n_tot)")
-        burst = np.zeros((m_tot, n), dtype=np.complex128)
-        for l in range(ch.tap_count):
-            contrib = np.einsum("mn,xn->mx", ch.taps[l], tx_vector)  # (m_tot, n) per-sample
-            burst += contrib * np.roll(waveform, l)[None, :]
+    h_vec = ch.taps @ np.asarray(tx_vector)  # (L, m_tot)
+    burst = np.zeros((m_tot, n), dtype=np.complex128)
+    for l in range(ch.tap_count):
+        burst += np.outer(h_vec[l], np.roll(waveform, l))
     if cfo != 0.0:
         burst = burst * np.exp(2j * np.pi * cfo * np.arange(n) / n)[None, :]
     y[:, start_index : start_index + n] += burst

@@ -25,23 +25,6 @@ from .montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig, StatS
 
 EXPERIMENTS = ("sqnr", "timing", "cfo", "multicell", "complexity")
 
-_SAMPLE_COLUMNS = {
-    "sqnr": ("method", "bits", "snr_db", "sqnr_db_sample"),
-    "timing": (
-        "method", "trial", "slot", "snr_db", "cfo", "bits",
-        "nu_true", "nu_hat", "b_hat", "peak_power", "success",
-    ),
-    "cfo": (
-        "method", "trial", "slot", "snr_db", "cfo", "bits",
-        "nu_true", "nu_hat", "b_hat", "peak_power", "success",
-    ),
-    "multicell": (
-        "method", "trial", "slot", "snr_db", "bits",
-        "nu_true", "success", "first_success_slot",
-    ),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One batch invocation: scenario file, experiment, output location."""
@@ -104,36 +87,27 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header_line: str, columns, rows: list[dict]) -> None:
+def _write_csv(path: Path, scenario_hash: str, seed: int, rows: list[dict]) -> None:
+    """The header comment, then one column per key of the rows, in key order."""
+    columns = tuple(rows[0])
     with path.open("w", newline="") as fh:
-        fh.write(header_line + "\n")
+        fh.write(f"# scenario_hash={scenario_hash} seed={seed} version={_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def _aggregate_columns(aggregates: list[dict]):
-    return tuple(aggregates[0].keys()) if aggregates else ()
-
-
 def write_outputs(summary: StatSummary, experiment: str, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = summary.meta
-    header = (
-        f"# scenario_hash={meta['scenario_hash']} seed={meta['seed']} version={meta['version']}"
-    )
-    written = []
     samples = out_dir / f"{experiment}_samples.csv"
-    _write_csv(samples, header, _SAMPLE_COLUMNS[experiment], summary.rows)
-    written.append(samples)
+    _write_csv(samples, meta["scenario_hash"], meta["seed"], summary.rows)
     agg = out_dir / f"{experiment}_aggregates.csv"
-    _write_csv(agg, header, _aggregate_columns(summary.aggregates), summary.aggregates)
-    written.append(agg)
+    _write_csv(agg, meta["scenario_hash"], meta["seed"], summary.aggregates)
     manifest = out_dir / f"{experiment}_manifest.yaml"
     manifest.write_text(yaml.safe_dump(meta, sort_keys=True))
-    written.append(manifest)
-    return written
+    return [samples, agg, manifest]
 
 
 def _run_complexity(scenario: Scenario, out_dir: Path) -> list[Path]:
@@ -153,13 +127,9 @@ def _run_complexity(scenario: Scenario, out_dir: Path) -> list[Path]:
     print(f"UE complex multiplications:    {report.ue_complex_multiplications}")
     print(f"UE complex additions:          {report.ue_complex_additions}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = (
-        f"# scenario_hash={montecarlo.scenario_hash(scenario)} "
-        f"seed={scenario.seed} version={_VERSION}"
-    )
     path = out_dir / "complexity.csv"
     row = asdict(report) | {"t_bs": scenario.t_bs, "n_beam": n_beam, "n_rf": scenario.n_rf}
-    _write_csv(path, header, tuple(row.keys()), [row])
+    _write_csv(path, montecarlo.scenario_hash(scenario), scenario.seed, [row])
     return [path]
 
 

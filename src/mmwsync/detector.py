@@ -9,7 +9,7 @@ SQNR measurement point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -21,12 +21,7 @@ from .waveform import OfdmGrid
 class CorrelationProfile:
     """Per-antenna correlation values at every candidate lag."""
 
-    values: np.ndarray  # (m_tot, n_lags) complex
-    reference: np.ndarray  # (n,) unquantized stored waveform
-
-    @property
-    def n_lags(self) -> int:
-        return self.values.shape[1]
+    values: np.ndarray  # (m_tot, lags) complex
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,6 @@ class TrialOutcome:
     peak_power: float
     nu_true: int | None = None
     success: bool | None = None
-    zero_lag_sqnr_sample: float | None = None
 
 
 def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:
@@ -62,7 +56,7 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
     spectrum = scipy.fft.fft(received, nfft, axis=1)
     spectrum *= np.conj(scipy.fft.fft(reference, nfft))
     corr = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
-    return CorrelationProfile(values=corr[:, : window - n + 1], reference=reference)
+    return CorrelationProfile(values=corr[:, : window - n + 1])
 
 
 def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutcome:
@@ -99,20 +93,16 @@ def zero_lag_freq_correlation(received_burst: np.ndarray, reference_grid: OfdmGr
     return complex(np.sum(spectrum * np.conj(reference_grid.symbols)))
 
 
-def timing_nmse(outcomes, true_t: int | None = None) -> float:
-    """Mean of |(kappa_true - kappa_est) / kappa_true|^2 over the outcomes.
+def timing_nmse(nu_true, nu_hat) -> float:
+    """Mean of |(nu_true - nu_hat) / nu_true|^2 over paired timing indices.
 
-    ``true_t`` overrides the per-outcome stored truth; either way the truth
-    must be nonzero for the ratio to exist.
+    Every true position must be nonzero for the ratio to exist.
     """
     errors = []
-    for out in outcomes:
-        t = true_t if true_t is not None else out.nu_true
-        if t is None:
-            raise ValueError("outcome carries no true timing and none was given")
+    for t, t_hat in zip(nu_true, nu_hat, strict=True):
         if t == 0:
             raise ValueError("timing NMSE undefined for true position 0")
-        errors.append(abs((t - out.nu_hat) / t) ** 2)
+        errors.append(abs((t - t_hat) / t) ** 2)
     if not errors:
         raise ValueError("no outcomes")
     return float(np.mean(errors))

@@ -105,6 +105,8 @@ class Scenario:
             raise ValueError("n_tot must be a multiple of n_rf")
         if not 0 <= self.cp_length < self.n_subcarriers:
             raise ValueError("cp_length must be in [0, n_subcarriers)")
+        if self.cp_length == 0 and self.channel.regime == "clustered":
+            raise ValueError("cp_length must be >= 1 for a clustered channel (it caps the taps)")
         if self.n_zc >= self.n_subcarriers:
             raise ValueError("n_zc must be smaller than n_subcarriers")
         if not 0 <= self.zc_root < self.n_zc:
@@ -113,8 +115,11 @@ class Scenario:
             raise ValueError("t_ue must be >= 2 (window needs noise-only lags)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.snr_db_grid:
-            raise ValueError("snr_db_grid must be nonempty")
+        if self.inner_repeats < 2:
+            raise ValueError("inner_repeats must be >= 2 (the SQNR estimate needs a variance)")
+        for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must be nonempty")
         for b in self.adc_bits:
             if b != math.inf and (b != int(b) or not 1 <= b <= 16):
                 raise ValueError(f"adc bits must be integers in [1,16] or inf, got {b}")
@@ -299,10 +304,7 @@ def _build_channel(scenario: Scenario, paths: channel.PathSet) -> channel.BeamSp
 def _clean_burst(scenario: Scenario, ch: channel.BeamSpaceChannel, wf: waveform.SyncWaveform,
                  tx_vec: np.ndarray, cfo: float = 0.0) -> np.ndarray:
     """Noiseless received burst (m_tot, n) for one arm."""
-    rng = np.random.default_rng(0)  # unused: noise_var = 0
-    return channel.propagate(
-        ch, wf.time_samples, tx_vec, 0.0, cfo, 0, scenario.n_subcarriers, rng
-    )
+    return channel.propagate(ch, wf.time_samples, tx_vec, 0.0, cfo, 0, scenario.n_subcarriers)
 
 
 def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -328,10 +330,7 @@ class _Correlated:
 
     def correlation(self) -> np.ndarray:
         if self._values is None:
-            # the finiteness check quantization.apply makes on the window
-            if not np.all(np.isfinite(self.samples.view(np.float64))):
-                raise ValueError("samples must be finite")
-            x = self.samples
+            x = quantization.check_finite(self.samples)
             if self._pad:
                 x = np.zeros((x.shape[0], x.shape[1] + 2 * self._pad), dtype=np.complex128)
                 x[:, self._pad : -self._pad] = self.samples
@@ -463,30 +462,29 @@ def _detect_window(
 ) -> detector.TrialOutcome:
     """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
 
-    At infinite resolution detection is linear, so the profile is assembled
-    as sqrt(sigma2) * C(noise) + C(burst) from correlations each computed once
-    per trial, skipping the window, the AGC and the ADC copy.
+    At infinite resolution and with noise, detection is linear, so the profile
+    is assembled as sqrt(sigma2) * C(noise) + C(burst) from correlations each
+    computed once per trial, skipping the window, the AGC and the ADC copy.
+    The scale and both correlations' samples are checked as
+    ``quantization.apply`` checks its input; the noise keeps every AGC rms
+    positive.
     """
     reference = noise.reference
     n = reference.shape[0]
     scale = math.sqrt(sigma2)
-    if not adc.is_infinite:
+    if not adc.is_infinite or sigma2 == 0:
         y = scale * noise.samples
         y[:, t : t + n] += burst.samples
         agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
         q = quantization.apply(adc, y, agc)
         return detector.detect(detector.correlate(q, reference), nu_true=t)
-    # the input checks quantization.apply makes on the window
-    if not math.isfinite(scale):
-        raise ValueError("samples must be finite")
-    if sigma2 == 0 and not np.all(np.any(burst.samples != 0, axis=1)):
-        raise ValueError("agc_rms must be positive")
+    quantization.check_finite(scale)
     values = scale * noise.correlation()
     # C(burst) column j is the window lag t - (n - 1) + j
     lo = max(t - (n - 1), 0)
     hi = min(t + n, values.shape[1])
     values[:, lo:hi] += burst.correlation()[:, lo - t + n - 1 : hi - t + n - 1]
-    return detector.detect(detector.CorrelationProfile(values, reference), nu_true=t)
+    return detector.detect(detector.CorrelationProfile(values), nu_true=t)
 
 
 def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
@@ -554,7 +552,7 @@ def run_timing_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     aggregates = []
     for key, sel in _group(rows, ("method", "bits", "snr_db", "cfo")).items():
         method, bits, snr_db, cfo = key
-        nmse = float(np.mean([abs((r["nu_true"] - r["nu_hat"]) / r["nu_true"]) ** 2 for r in sel]))
+        nmse = detector.timing_nmse([r["nu_true"] for r in sel], [r["nu_hat"] for r in sel])
         successes = sum(r["success"] for r in sel)
         lo, hi = wilson_interval(successes, len(sel))
         aggregates.append(
@@ -723,43 +721,16 @@ def correlation_ratio_check(
 ) -> dict:
     """Measure the zero/non-zero-lag correlation power ratio through the ADC.
 
-    Protocol: constant-envelope time-domain sequence (exact impulse cyclic
-    autocorrelation), flat channel with per-sample signal power S, matched
-    AGC.  The raw ratio carries the correlation processing gain, so the
-    normalized form (ratio - 1) / length is compared against the analytic
-    SQNR; the identity predicts ratio = 1 + length * gamma.
+    The raw ratio carries the correlation processing gain, so the normalized
+    form (ratio - 1) / length is compared against the analytic SQNR; the
+    identity predicts ratio = 1 + length * gamma.
     """
-    seq = waveform.generate_zc(root, length)
-    u = seq.samples
     eta = 1.0 - _xi_for(bits)
     s = solve_gain_for_gamma(gamma_target, eta)
-    sigma2 = 1.0
-    adc = quantization.AdcModel(bits=bits)
-    agc = math.sqrt((s + sigma2) / 2.0)
-    rng = np.random.default_rng(seed)
-    f_u = np.conj(np.fft.fft(u))
-    p_zero = 0.0
-    p_nonzero = 0.0
-    n_zero = n_nonzero = 0
-    batch = 20000
-    for lo in range(0, trials, batch):
-        nb = min(batch, trials - lo)
-        theta = np.exp(2j * np.pi * rng.random((nb, 1)))
-        w = (
-            rng.standard_normal((nb, length)) + 1j * rng.standard_normal((nb, length))
-        ) * math.sqrt(sigma2 / 2.0)
-        y = math.sqrt(s) * theta * u[None, :] + w
-        q = quantization.apply(adc, y, agc)
-        corr = np.fft.ifft(np.fft.fft(q, axis=1) * f_u[None, :], axis=1)
-        mag2 = np.abs(corr) ** 2
-        p_zero += float(mag2[:, 0].sum())
-        n_zero += nb
-        p_nonzero += float(mag2[:, 1:].sum())
-        n_nonzero += nb * (length - 1)
-    ratio = (p_zero / n_zero) / (p_nonzero / n_nonzero)
+    ratio = _measured_ratio(s, bits, trials, seed, length, root)
     gamma_emp = (ratio - 1.0) / length
     gamma_analytic = sqnr.sqnr_single_beam(
-        sqnr.SqnrInputs(effective_gain_sq=s, noise_var=sigma2, eta=eta)
+        sqnr.SqnrInputs(effective_gain_sq=s, noise_var=1.0, eta=eta)
     )
     return {
         "bits": bits,
@@ -799,7 +770,7 @@ def codebook_ratio_argmax(
         analytic[q] = sqnr.sqnr_single_beam(
             sqnr.SqnrInputs(effective_gain_sq=s, noise_var=1.0, eta=eta)
         )
-        measured[q] = _ratio_at_gain(s, bits, trials_per_codeword, seed + q)
+        measured[q] = _measured_ratio(s, bits, trials_per_codeword, seed + q)
     return {
         "argmax_measured": int(np.argmax(measured)),
         "argmax_analytic": int(np.argmax(analytic)),
@@ -808,23 +779,34 @@ def codebook_ratio_argmax(
     }
 
 
-def _ratio_at_gain(s: float, bits: int, trials: int, seed: int, length: int = 63,
-                   root: int = 34) -> float:
-    """Normalized measured ratio minus one (empirical SQNR) at signal power s."""
-    seq = waveform.generate_zc(root, length)
-    u = seq.samples
+def _measured_ratio(s: float, bits: int, trials: int, seed: int, length: int = 63,
+                    root: int = 34) -> float:
+    """Zero/non-zero-lag correlation power ratio through the ADC.
+
+    Protocol: constant-envelope time-domain sequence (exact impulse cyclic
+    autocorrelation), flat channel with per-sample signal power s and unit
+    noise power, matched AGC; trials run in batches of 20000.
+    """
+    u = waveform.generate_zc(root, length).samples
     adc = quantization.AdcModel(bits=bits)
     agc = math.sqrt((s + 1.0) / 2.0)
     rng = np.random.default_rng(seed)
     f_u = np.conj(np.fft.fft(u))
-    theta = np.exp(2j * np.pi * rng.random((trials, 1)))
-    w = (rng.standard_normal((trials, length)) + 1j * rng.standard_normal((trials, length))) / math.sqrt(2.0)
-    y = math.sqrt(s) * theta * u[None, :] + w
-    q = quantization.apply(adc, y, agc)
-    corr = np.fft.ifft(np.fft.fft(q, axis=1) * f_u[None, :], axis=1)
-    mag2 = np.abs(corr) ** 2
-    ratio = mag2[:, 0].mean() / mag2[:, 1:].mean()
-    return (ratio - 1.0) / length
+    p_zero = p_nonzero = 0.0
+    batch = 20000
+    for lo in range(0, trials, batch):
+        nb = min(batch, trials - lo)
+        theta = np.exp(2j * np.pi * rng.random((nb, 1)))
+        w = (
+            rng.standard_normal((nb, length)) + 1j * rng.standard_normal((nb, length))
+        ) * math.sqrt(0.5)
+        y = math.sqrt(s) * theta * u[None, :] + w
+        q = quantization.apply(adc, y, agc)
+        corr = np.fft.ifft(np.fft.fft(q, axis=1) * f_u[None, :], axis=1)
+        mag2 = np.abs(corr) ** 2
+        p_zero += float(mag2[:, 0].sum())
+        p_nonzero += float(mag2[:, 1:].sum())
+    return (p_zero / trials) / (p_nonzero / (trials * (length - 1)))
 
 
 # ---------------------------------------------------------------------------

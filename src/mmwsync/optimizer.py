@@ -170,10 +170,6 @@ def select_multi_beam(
     )
 
 
-def selection_beam_set(selection: BeamSelection, codebook: Codebook) -> BeamSet:
-    return BeamSet(codebook=codebook, indices=selection.indices)
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     """Operation counts for the beam search and the UE correlator."""

@@ -200,22 +200,31 @@ class BussgangStats:
     noise_cov_diag: np.ndarray
 
 
+def check_finite(samples) -> np.ndarray:
+    """The sample contract of ``apply``: finite complex values of any shape,
+    memory layout or strides; returns them as a complex128 array."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    return samples
+
+
 def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
     """Quantize a complex stream: scale by 1/agc_rms, midrise per rail, rescale.
 
-    ``agc_rms`` is the per-rail rms the AGC normalizes to (scalar or
-    broadcastable).  An infinite-resolution model returns the input unchanged.
-    The input array is never modified.
+    ``samples`` meet ``check_finite``; ``agc_rms`` is the positive per-rail
+    rms the AGC normalizes to (scalar or broadcastable).  An
+    infinite-resolution model returns the input unchanged.  The input array
+    is never modified.
     """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if not np.all(np.isfinite(samples.view(np.float64))):
-        raise ValueError("samples must be finite")
+    samples = check_finite(samples)
     if np.any(np.asarray(agc_rms) <= 0):
         raise ValueError("agc_rms must be positive")
     if adc.is_infinite:
         return samples.copy()
     half = 2 ** (int(adc.bits) - 1)
-    out = np.divide(samples, agc_rms, order="C")
+    out = np.empty(np.broadcast_shapes(samples.shape, np.shape(agc_rms)), np.complex128)
+    np.divide(samples, agc_rms, out=out)
     # both rails at once, in place on the interleaved float view
     rails = out.reshape(-1).view(np.float64)
     rails /= adc.step

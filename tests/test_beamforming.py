@@ -81,29 +81,16 @@ class TestCompositeBeamGain:
 
 
 class TestPrecoder:
-    def test_block_structure(self):
+    def test_effective_vector_stacks_scaled_codewords(self):
         cb = beamforming.dft_codebook(4, 2)
         bs = BeamSet(codebook=cb, indices=(1, 6, 3))
-        p = beamforming.assemble_precoder(bs)
-        assert p.matrix.shape == (12, 3)
+        f = beamforming.effective_tx_vector(bs)
+        assert f.shape == (12,)
         for j in range(3):
-            block = p.matrix[4 * j : 4 * (j + 1), j]
-            np.testing.assert_array_equal(block, cb.codewords[bs.indices[j]])
-            off = p.matrix[:, j].copy()
-            off[4 * j : 4 * (j + 1)] = 0
-            np.testing.assert_array_equal(off, 0)
-
-    def test_column_norms(self):
-        cb = beamforming.dft_codebook(8, 2)
-        bs = BeamSet(codebook=cb, indices=(0, 5, 9, 15))
-        p = beamforming.assemble_precoder(bs)
-        np.testing.assert_allclose(np.linalg.norm(p.matrix, axis=0), 1.0, rtol=1e-12)
-
-    def test_single_chain_is_plain_vector(self):
-        cb = beamforming.dft_codebook(8, 1)
-        bs = BeamSet(codebook=cb, indices=(3,))
-        p = beamforming.assemble_precoder(bs)
-        np.testing.assert_array_equal(p.matrix[:, 0], cb.codewords[3])
+            np.testing.assert_allclose(
+                f[4 * j : 4 * (j + 1)], cb.codewords[bs.indices[j]] / math.sqrt(3), rtol=1e-15
+            )
+        assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-12)
 
     def test_common_signal_product_matches_composite_gain(self):
         # flat rank-1 channel: receiving the multi-beam transmission equals the

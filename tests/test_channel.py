@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,6 +172,14 @@ class TestPropagate:
             powers.append(np.mean(np.abs(y) ** 2))
         assert powers[1] / powers[0] == pytest.approx(2.0, rel=0.05)
 
+    def test_noise_needs_rng(self):
+        paths = channel.single_path(aod_az=0.0, aoa=0.0)
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1)
+        d, f = np.ones(16, complex), np.ones(8) / math.sqrt(8)
+        assert channel.propagate(ch, d, f, 0.0, 0.0, 0, 32).shape == (4, 32)
+        with pytest.raises(ValueError, match="rng"):
+            channel.propagate(ch, d, f, 0.5, 0.0, 0, 32)
+
     def test_cfo_sign_preserves_magnitudes(self):
         paths = channel.single_path(aod_az=0.2, aoa=0.0, gain=1.0)
         ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=NyquistPulse())
@@ -179,6 +188,23 @@ class TestPropagate:
         yp = channel.propagate(ch, d, f, 0.0, 0.7, 0, 64, np.random.default_rng(0))
         ym = channel.propagate(ch, d, f, 0.0, -0.7, 0, 64, np.random.default_rng(0))
         np.testing.assert_allclose(np.abs(yp), np.abs(ym), atol=1e-12)
+
+    def test_multi_tap_cfo_matches_fft_circular_convolution(self):
+        rng = np.random.default_rng(11)
+        paths = channel.clustered_paths(rng, center_az=0.3, aoa_center=-0.2, delay_spread=5.0)
+        # fractional delays spread every ray's pulse over all the taps
+        paths = dataclasses.replace(paths, delays=paths.delays + 0.4)
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=20, pulse=RaisedCosinePulse(0.25))
+        n, start, cfo = 64, 10, 0.3
+        d = np.exp(2j * np.pi * rng.random(n))
+        f = channel.steering_vector(ULA8, 0.3) / math.sqrt(8)
+        y = channel.propagate(ch, d, f, 0.0, cfo, start, 100)
+        h = np.einsum("lmn,n->ml", ch.taps, f)  # (m_tot, taps)
+        assert np.count_nonzero(np.abs(h[0]) > 1e-3) > 10
+        want = np.fft.ifft(np.fft.fft(h, n, axis=1) * np.fft.fft(d), axis=1)
+        want *= np.exp(2j * np.pi * cfo * np.arange(n) / n)
+        np.testing.assert_allclose(y[:, start : start + n], want, atol=1e-12)
+        np.testing.assert_array_equal(np.delete(y, np.s_[start : start + n], axis=1), 0.0)
 
     def test_invalid_start_index(self):
         paths = channel.single_path(aod_az=0.0, aoa=0.0)

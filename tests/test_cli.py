@@ -50,6 +50,20 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             cli.parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("adc_bits: []\n", "adc_bits"),
+            ("cfo_grid: []\n", "cfo_grid"),
+            ("inner_repeats: 1\n", "inner_repeats"),
+            ("cp_length: 0\nchannel:\n  regime: clustered\n", "cp_length"),
+        ],
+        ids=["adc_bits", "cfo_grid", "inner_repeats", "cp_length"],
+    )
+    def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
+        with pytest.raises(ValueError, match=key):
+            cli.parse_config(write(tmp_path, text))
+
     def test_infinite_bits_parse(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, "adc_bits: [2, .inf]\n"))
         assert scenario.adc_bits == (2, math.inf)

@@ -81,11 +81,11 @@ class TestDetect:
         values[0, 3] = 1.0
         values[1, 1] = 1.0
         values[1, 3] = 1.0
-        prof = detector.CorrelationProfile(values=values, reference=np.ones(4, complex))
+        prof = detector.CorrelationProfile(values=values)
         out = detector.detect(prof)
         assert (out.nu_hat, out.b_hat) == (1, 1)
         values[0, 1] = 1.0
-        out = detector.detect(detector.CorrelationProfile(values=values, reference=np.ones(4, complex)))
+        out = detector.detect(detector.CorrelationProfile(values=values))
         assert (out.nu_hat, out.b_hat) == (1, 0)
 
     def test_deterministic_under_fixed_seed(self, wf):
@@ -175,25 +175,22 @@ class TestQuantizedPeakDegradation:
 
 class TestTimingNmse:
     def test_all_exact(self):
-        outs = [detector.TrialOutcome(nu_hat=10, b_hat=0, peak_power=1.0) for _ in range(5)]
-        assert detector.timing_nmse(outs, true_t=10) == 0.0
+        assert detector.timing_nmse([10] * 5, [10] * 5) == 0.0
 
     def test_single_trial_value(self):
-        out = detector.TrialOutcome(nu_hat=90, b_hat=0, peak_power=1.0)
-        assert detector.timing_nmse([out], true_t=100) == pytest.approx(0.01)
+        assert detector.timing_nmse([100], [90]) == pytest.approx(0.01)
 
     def test_uses_stored_truth(self):
-        outs = [
-            detector.TrialOutcome(nu_hat=90, b_hat=0, peak_power=1.0, nu_true=100),
-            detector.TrialOutcome(nu_hat=200, b_hat=0, peak_power=1.0, nu_true=200),
-        ]
-        assert detector.timing_nmse(outs) == pytest.approx(0.005)
+        assert detector.timing_nmse([100, 200], [90, 200]) == pytest.approx(0.005)
 
     def test_zero_truth_rejected(self):
-        out = detector.TrialOutcome(nu_hat=5, b_hat=0, peak_power=1.0)
         with pytest.raises(ValueError):
-            detector.timing_nmse([out], true_t=0)
+            detector.timing_nmse([0], [5])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            detector.timing_nmse([], true_t=5)
+            detector.timing_nmse([], [])
+
+    def test_unpaired_rejected(self):
+        with pytest.raises(ValueError):
+            detector.timing_nmse([5, 6], [5])

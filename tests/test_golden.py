@@ -1,0 +1,32 @@
+"""Golden outputs: the CLI's files for small scenarios, pinned byte for byte.
+
+Each directory under ``tests/golden/`` is named after an experiment and holds
+its ``scenario.yaml`` next to the exact files a run of that experiment
+writes.  A change that keeps these bytes keeps the rows, the aggregates, the
+manifests and the headers.  They change only with the trial draws (the
+random streams or the scenario hash), and then the files are regenerated in
+that same change.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mmwsync import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+
+
+def test_every_experiment_has_a_case():
+    assert CASES == sorted(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", CASES)
+def test_outputs_match_golden_bytes(experiment, tmp_path):
+    case = GOLDEN / experiment
+    assert cli.run(cli.RunConfig(str(case / "scenario.yaml"), experiment, str(tmp_path))) == 0
+    expected = sorted(p.name for p in case.iterdir() if p.name != "scenario.yaml")
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (case / name).read_bytes(), name

@@ -111,6 +111,21 @@ class TestApply:
         with pytest.raises(ValueError):
             quantization.apply(adc, np.array([1.0, np.nan]), 1.0)
 
+    @pytest.mark.parametrize("bits", [2, math.inf])
+    def test_any_layout_quantizes_like_contiguous_copy(self, bits):
+        adc = AdcModel(bits=bits)
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((64, 6)) + 1j * rng.standard_normal((64, 6))
+        agc = np.array([[0.5], [0.7], [0.9]])
+        for x, rms in ((base.T, 0.8), (base[::3, 1::2].T, agc)):
+            assert not x.flags.c_contiguous
+            want = quantization.apply(adc, np.ascontiguousarray(x), rms)
+            np.testing.assert_array_equal(quantization.apply(adc, x, rms), want)
+        scalar = np.asarray(base[3, 2])
+        want = quantization.apply(adc, scalar.reshape(1), 0.8).reshape(())
+        got = quantization.apply(adc, scalar, 0.8)
+        assert got.shape == () and got == want
+
     def test_rejects_bad_agc(self):
         with pytest.raises(ValueError):
             quantization.apply(AdcModel(bits=2), np.ones(4, complex), 0.0)
