@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from . import (  # noqa: E402  (the submodules import __version__)
     beamforming,
     channel,
-    cli,
     detector,
     montecarlo,
     optimizer,
@@ -28,3 +27,12 @@ __all__ = [
     "waveform",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so that ``python -m mmwsync.cli`` runs it once, as __main__
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .waveform import OfdmGrid
 
@@ -35,6 +34,20 @@ class TrialOutcome:
     success: bool | None = None
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: the complex transform lengths that
+    numpy's pocketfft runs on its hand-coded radix passes alone."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:
     """Sliding inner products sum_n received[b, n+nu] * conj(reference[n]).
 
@@ -42,7 +55,7 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
     window >= len(reference); lags run 0 .. window - n.
 
     The products come from one circular correlation of length
-    ``nfft = next_fast_len(window)``.  It is exact, not an approximation: at a
+    ``nfft = _next_fast_len(window)``.  It is exact, not an approximation: at a
     lag nu <= window - n the reference spans samples nu .. nu + n - 1 <=
     window - 1 < nfft, so no product wraps around the end of the FFT frame.
     """
@@ -52,10 +65,10 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
     window = received.shape[1]
     if window < n:
         raise ValueError(f"received window {window} shorter than reference {n}")
-    nfft = scipy.fft.next_fast_len(window)
-    spectrum = scipy.fft.fft(received, nfft, axis=1)
-    spectrum *= np.conj(scipy.fft.fft(reference, nfft))
-    corr = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
+    nfft = _next_fast_len(window)
+    spectrum = np.fft.fft(received, nfft, axis=1)
+    spectrum *= np.conj(np.fft.fft(reference, nfft))
+    corr = np.fft.ifft(spectrum, axis=1, out=spectrum)
     return CorrelationProfile(values=corr[:, : window - n + 1])
 
 

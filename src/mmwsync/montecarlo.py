@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -66,6 +65,12 @@ class CellConfig:
     shadowing_sigma_db: float = 8.0
 
 
+def _check_zc_root(key: str, root: int, n_zc: int) -> None:
+    """A Zadoff-Chu root must lie in [1, n_zc) and be coprime with n_zc."""
+    if not 1 <= root < n_zc or math.gcd(root, n_zc) != 1:
+        raise ValueError(f"{key} must be in [1, n_zc) and coprime with n_zc={n_zc}, got {root}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Resolved experiment configuration; defaults follow the reference numerology."""
@@ -109,8 +114,11 @@ class Scenario:
             raise ValueError("cp_length must be >= 1 for a clustered channel (it caps the taps)")
         if self.n_zc >= self.n_subcarriers:
             raise ValueError("n_zc must be smaller than n_subcarriers")
-        if not 0 <= self.zc_root < self.n_zc:
-            raise ValueError("zc_root out of range")
+        _check_zc_root("zc_root", self.zc_root, self.n_zc)
+        for root in self.cell.roots:
+            _check_zc_root("cell.roots", root, self.n_zc)
+        if len(set(self.cell.roots)) != 3:
+            raise ValueError(f"cell.roots must be three distinct roots, got {self.cell.roots}")
         if self.t_ue < 2:
             raise ValueError("t_ue must be >= 2 (window needs noise-only lags)")
         if self.trials < 1:
@@ -120,6 +128,10 @@ class Scenario:
         for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must be nonempty")
+        if any(math.isnan(v) or v == -math.inf for v in self.snr_db_grid):
+            raise ValueError("snr_db_grid must not hold NaN or -inf")
+        if not all(map(math.isfinite, self.cfo_grid)):
+            raise ValueError("cfo_grid must be finite (no NaN or inf)")
         for b in self.adc_bits:
             if b != math.inf and (b != int(b) or not 1 <= b <= 16):
                 raise ValueError(f"adc bits must be integers in [1,16] or inf, got {b}")
@@ -852,6 +864,8 @@ def _run_chunked(chunk_fn, scenario: Scenario, plans, workers: int) -> list[dict
     if workers <= 1 or len(bounds) == 1:
         parts = [chunk_fn(scenario, plans, lo, hi) for lo, hi in bounds]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a one-worker run never needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(

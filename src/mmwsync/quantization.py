@@ -3,7 +3,8 @@
 The ADC is a uniform midrise quantizer applied independently to the I and Q
 rails after AGC scaling.  ``xi_for_bits`` is the minimum (Lloyd-Max) mean
 squared error of a b-bit scalar quantizer for a unit-variance Gaussian, the
-quantity the closed-form SQNR expressions are parameterized by.
+quantity the closed-form SQNR expressions are parameterized by; it and the
+uniform quantizer's optimal clip are tabulated for 1-16 bits.
 """
 
 from __future__ import annotations
@@ -13,36 +14,28 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr, ndtri
 
 INFINITE_BITS = math.inf
 
 _MAX_BITS = 16
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-
-def _phi(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
-
-
-def _cell_prob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ndtr(b) - ndtr(a)
-
-
-def _cell_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integral of x*phi(x) over [a, b]; infinite limits contribute zero."""
-    pa = np.where(np.isfinite(a), _phi(np.where(np.isfinite(a), a, 0.0)), 0.0)
-    pb = np.where(np.isfinite(b), _phi(np.where(np.isfinite(b), b, 0.0)), 0.0)
-    return pa - pb
-
-
-def _cell_x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integral of x^2*phi(x) over [a, b]."""
-    ta = np.where(np.isfinite(a), a * _phi(np.where(np.isfinite(a), a, 0.0)), 0.0)
-    tb = np.where(np.isfinite(b), b * _phi(np.where(np.isfinite(b), b, 0.0)), 0.0)
-    return _cell_prob(a, b) + ta - tb
+# Entry b - 1 of each table belongs to b bits.  _XI holds the minimum (Lloyd-Max)
+# MSE of the b-bit scalar quantizer for a unit-variance Gaussian (Max 1960);
+# _CLIP holds the clipping point, in rail-rms units, that minimizes the Gaussian
+# MSE of the b-bit uniform midrise quantizer.  Both are exact to the last bit of
+# their solvers, which tests/test_quantization.py keeps and checks them against.
+_XI = (
+    0.3633802276324186, 0.11748184782932924, 0.034547760788503856, 0.009501008008191869,
+    0.002504668355674755, 0.0006442396653169036, 0.0001634782299799742, 4.118508286676814e-05,
+    1.0336831114621248e-05, 2.5893758373030096e-06, 6.47998904201863e-07, 1.6208244346671563e-07,
+    4.053103364043409e-08, 1.0134069583500604e-08, 2.5336821529720055e-09, 6.334410773689569e-10,
+)
+_CLIP = (
+    1.595769097903302, 1.9913733723500546, 2.3440777660949093, 2.681604900266082,
+    3.010220652727121, 3.3300163743444546, 3.63953115560797, 3.937585747067813,
+    4.223732582245505, 4.498158789493898, 4.7614369841406905, 5.0143523062842625,
+    5.257717780225809, 5.492309742480057, 5.7188904715315525, 5.938520606548778,
+)
 
 
 def _validate_bits(bits: float) -> int:
@@ -51,107 +44,16 @@ def _validate_bits(bits: float) -> int:
     return int(bits)
 
 
-def _lloyd_cells(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probability and first moment of every cell of a quantizer.
-
-    ``thresholds`` are the m - 1 finite cell edges; the outer cells are
-    unbounded.  Both integrals keep full relative precision in narrow cells
-    and in the tails, without which a 14-16-bit table stalls short of its
-    tolerance: upper-tail probabilities are ndtr(-a) - ndtr(-b), and
-    phi(a) - phi(b) is the larger of the two densities times
-    expm1(-|a^2 - b^2| / 2), signed.  The uniform quantizer keeps the plain
-    ``_cell_prob`` and ``_cell_mean``: its optimal clip points, and with them
-    every ADC step, follow their rounding.
-    """
-    a = np.concatenate(([-np.inf], thresholds))
-    b = np.concatenate((thresholds, [np.inf]))
-    p = np.where(a > 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
-    dens = _phi(thresholds)
-    lo, hi = thresholds[:-1], thresholds[1:]
-    half_gap = 0.5 * (lo - hi) * (lo + hi)
-    inner = np.where(half_gap >= 0, dens[1:], -dens[:-1]) * np.expm1(-np.abs(half_gap))
-    mu = np.concatenate(([-dens[0]], inner, [dens[-1]]))
-    return p, mu
-
-
-def _lloyd_state(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cell probabilities and moments at midpoint thresholds, and the norm of
-    the centroid residual levels - mu / p."""
-    p, mu = _lloyd_cells(0.5 * (levels[:-1] + levels[1:]))
-    residual = levels - mu / p
-    return p, mu, math.sqrt(np.sum(residual * residual))
-
-
 @lru_cache(maxsize=None)
 def xi_for_bits(bits: int) -> float:
-    """Minimum MSE of the b-bit scalar quantizer for a unit-variance Gaussian.
-
-    Solves the Lloyd-Max conditions (levels at cell centroids, thresholds at
-    level midpoints) y_i p_i - mu_i = 0 by damped Newton steps on their
-    tridiagonal Jacobian.  The start is the centroids of the companded cells,
-    thresholds sqrt(3) ndtri(i/m), the high-resolution optimum (Panter & Dite
-    1951).  A step is taken at the largest length 2^-k that shrinks the
-    centroid residual by a factor 1 - 2^-(k+1); when none does, a Lloyd step
-    (every level to its centroid) is taken instead.  The iteration stops when
-    no level moves by more than 1e-11.
-    """
-    b = _validate_bits(bits)
-    m = 2**b
-    p, mu = _lloyd_cells(math.sqrt(3.0) * ndtri(np.arange(1, m) / m))
-    levels = mu / p
-    p, mu, residual = _lloyd_state(levels)
-    for _ in range(100):  # a guard: 1-16 bits converge within 9 iterations
-        off = 0.25 * (levels[:-1] - levels[1:]) * _phi(0.5 * (levels[:-1] + levels[1:]))
-        band = np.zeros((3, m))
-        band[0, 1:] = off
-        band[1] = p
-        band[1, :-1] += off
-        band[1, 1:] += off
-        band[2, :-1] = off
-        step = solve_banded((1, 1), band, mu - levels * p)
-        alpha = 1.0
-        while alpha >= 2.0**-10:
-            trial = levels + alpha * step
-            if np.all(np.diff(trial) > 0):
-                trial_state = _lloyd_state(trial)
-                if trial_state[2] <= (1.0 - 0.5 * alpha) * residual:
-                    break
-            alpha *= 0.5
-        else:
-            trial = mu / p
-            trial_state = _lloyd_state(trial)
-        moved = float(np.max(np.abs(trial - levels)))
-        levels = trial
-        p, mu, residual = trial_state
-        if moved < 1e-11:
-            return float(1.0 - 2.0 * np.sum(levels * mu) + np.sum(levels**2 * p))
-    raise RuntimeError(f"Lloyd-Max iteration at {b} bits did not converge")
-
-
-def _uniform_midrise_mse(bits: int, clip: float) -> float:
-    """Gaussian MSE of the uniform midrise quantizer clipped at +-clip."""
-    m = 2**bits
-    step = 2.0 * clip / m
-    k = np.arange(-m // 2, m // 2)
-    levels = (k + 0.5) * step
-    edges = np.concatenate(([-np.inf], k[1:] * step, [np.inf]))
-    a, b = edges[:-1], edges[1:]
-    return float(
-        np.sum(_cell_x2(a, b) - 2.0 * levels * _cell_mean(a, b) + levels**2 * _cell_prob(a, b))
-    )
+    """Minimum MSE of the b-bit scalar quantizer for a unit-variance Gaussian."""
+    return _XI[_validate_bits(bits) - 1]
 
 
 @lru_cache(maxsize=None)
 def optimal_clip_scale(bits: int) -> float:
     """Clipping point (in rail-rms units) minimizing the Gaussian MSE of the uniform midrise quantizer."""
-    b = _validate_bits(bits)
-    res = minimize_scalar(
-        lambda c: _uniform_midrise_mse(b, c),
-        bounds=(0.1, 30.0),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x)
+    return _CLIP[_validate_bits(bits) - 1]
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,25 @@ class TestParseConfig:
             ("cfo_grid: []\n", "cfo_grid"),
             ("inner_repeats: 1\n", "inner_repeats"),
             ("cp_length: 0\nchannel:\n  regime: clustered\n", "cp_length"),
+            ("zc_root: 0\n", "zc_root"),
+            ("zc_root: 21\n", "zc_root"),
+            ("n_zc: 1\nzc_root: 0\n", "zc_root"),
+            ("cell:\n  roots: [25, 29, 63]\n", "cell.roots"),
+            ("cell:\n  roots: [25, 29, 42]\n", "cell.roots"),
+            ("cell:\n  roots: [0, 0, 0]\n", "cell.roots"),
+            ("cell:\n  roots: [25, 29, 29]\n", "cell.roots"),
+            ("snr_db_grid: [0.0, .nan]\n", "snr_db_grid"),
+            ("snr_db_grid: [-.inf]\n", "snr_db_grid"),
+            ("cfo_grid: [0.0, .nan]\n", "cfo_grid"),
+            ("cfo_grid: [.inf]\n", "cfo_grid"),
+            ("cfo_grid: [-.inf]\n", "cfo_grid"),
         ],
-        ids=["adc_bits", "cfo_grid", "inner_repeats", "cp_length"],
+        ids=[
+            "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
+            "zc_root_zero", "zc_root_not_coprime", "n_zc_one",
+            "cell_root_out_of_range", "cell_root_not_coprime", "cell_roots_zero",
+            "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
+        ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
         with pytest.raises(ValueError, match=key):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from mmwsync import channel, detector, quantization
 from mmwsync import montecarlo as mc
@@ -43,6 +44,23 @@ class TestCorrelate:
         np.testing.assert_allclose(
             values, direct_correlation(received, reference), rtol=0, atol=1e-10
         )
+
+    def test_next_fast_len_matches_scipy(self):
+        want = [scipy.fft.next_fast_len(n) for n in range(1, 20001)]
+        assert [detector._next_fast_len(n) for n in range(1, 20001)] == want
+
+    # the timing window, the padded burst span of a 576-sample reference, and 1-D
+    @pytest.mark.parametrize("shape", [(16, 5120), (16, 1726), (5120,)])
+    def test_bit_identical_to_scipy_fft(self, shape):
+        rng = np.random.default_rng(11)
+        received = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        reference = rng.standard_normal(576) + 1j * rng.standard_normal(576)
+        window = shape[-1]
+        nfft = scipy.fft.next_fast_len(window)
+        spectrum = scipy.fft.fft(np.atleast_2d(received), nfft, axis=1)
+        spectrum *= np.conj(scipy.fft.fft(reference, nfft))
+        want = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)[:, : window - 576 + 1]
+        assert np.array_equal(detector.correlate(received, reference).values, want)
 
 
 class TestApply:
