@@ -10,7 +10,7 @@ symbol occupies ``n`` consecutive samples of an otherwise noise-only window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,26 +117,14 @@ class NyquistPulse(RaisedCosinePulse):
 
 @dataclass
 class BeamSpaceChannel:
-    """Delay-tap MIMO channel with cached DFT frequency response."""
+    """Delay-tap MIMO channel."""
 
     taps: np.ndarray  # (tap_count, m_tot, n_tot)
     isi_warning: bool = False
-    _freq_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def tap_count(self) -> int:
         return self.taps.shape[0]
-
-    def frequency_response(self, n_subcarriers: int) -> np.ndarray:
-        """H_tilde[k] = sum_l taps[l] * exp(-j*2*pi*l*k/N), shape (N, m_tot, n_tot)."""
-        cached = self._freq_cache.get(n_subcarriers)
-        if cached is None:
-            l_idx = np.arange(self.tap_count)
-            k_idx = np.arange(n_subcarriers)
-            phase = np.exp(-2j * np.pi * np.outer(k_idx, l_idx) / n_subcarriers)
-            cached = np.tensordot(phase, self.taps, axes=(1, 0))
-            self._freq_cache[n_subcarriers] = cached
-        return cached
 
 
 def build_channel(

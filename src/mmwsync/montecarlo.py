@@ -8,9 +8,14 @@ Conventions shared by all experiments:
   variance is sigma^2 = (E_d / N) * 10^(-snr_db/10) with E_d the grid energy.
 * Beam plans are semi-static: selected once per scenario from the anchor
   grid, then reused by every trial (no channel knowledge).
-* Trials are driven by per-trial generators spawned from (seed, scenario
-  hash, trial index), and all method/resolution arms of a trial share the
-  same channel, timing and noise draws, so method comparisons are paired.
+* Every experiment draws its trials through ``_trials``: the UE drop the
+  mode implies, the serving link and, in ``multi_cell``, the six
+  interfering links, all from one generator per trial.
+* Two noise keys.  The trial stream is spawned from (seed, scenario hash,
+  trial index) and draws the channel, the timing and the sqnr and timing
+  noise.  Multicell slot noise is spawned from (seed, trial, slot, SNR
+  index) instead.  All method/resolution arms of a trial share the same
+  channel, timing and noise draws, so method comparisons are paired.
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -21,7 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -135,6 +140,12 @@ class Scenario:
         for b in self.adc_bits:
             if b != math.inf and (b != int(b) or not 1 <= b <= 16):
                 raise ValueError(f"adc bits must be integers in [1,16] or inf, got {b}")
+        lo, hi = self.sector.azimuth_deg
+        if self.mode != "single_ue" and lo != -hi:
+            # the cell modes drop users over +-hi, so the anchors must span the same sector
+            raise ValueError(
+                f"sector.azimuth_deg must be symmetric in mode {self.mode!r}, got {(lo, hi)}"
+            )
 
     @property
     def lambda_max(self) -> float:
@@ -205,10 +216,6 @@ def noise_variance(scenario: Scenario, snr_db: float) -> float:
     return (e_d / scenario.n_subcarriers) * 10.0 ** (-snr_db / 10.0)
 
 
-def _xi_for(bits: float) -> float:
-    return 0.0 if bits == math.inf else quantization.xi_for_bits(int(bits))
-
-
 @dataclass(frozen=True)
 class BeamPlan:
     """Per-slot transmit vectors for one (method, resolution) arm."""
@@ -234,7 +241,9 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
     plans: dict[tuple[str, float], BeamPlan] = {}
     for bits in scenario.adc_bits:
-        bound = optimizer.BoundParams(lambda_max=scenario.lambda_max, xi_max=_xi_for(bits))
+        bound = optimizer.BoundParams(
+            lambda_max=scenario.lambda_max, xi_max=quantization.AdcModel(bits=bits).xi()
+        )
         multi_idx = np.zeros((scenario.t_bs, scenario.n_rf), dtype=int)
         multi_tx = np.zeros((scenario.t_bs, scenario.n_tot), dtype=np.complex128)
         single_idx = np.zeros((scenario.t_bs, 1), dtype=int)
@@ -350,19 +359,73 @@ class _Correlated:
         return self._values
 
 
-def _burst_cache(reference: np.ndarray, synthesize):
-    """Per-trial memo of clean bursts: ``get(tx_vec, *rest)`` calls
-    ``synthesize(tx_vec, *rest)`` once per distinct transmit vector and rest."""
-    cache: dict = {}
-    n = reference.shape[0]
+_MODES = {
+    "sqnr": ("single_ue", "multi_ue_cell"),
+    "timing": ("single_ue", "multi_ue_cell"),
+    "multicell": ("multi_cell",),
+}
 
-    def get(tx_vec: np.ndarray, *rest) -> _Correlated:
-        key = (tx_vec.tobytes(), *rest)
-        if key not in cache:
-            cache[key] = _Correlated(synthesize(tx_vec, *rest), reference, pad=n - 1)
-        return cache[key]
 
-    return get
+def _check_mode(scenario: Scenario, experiment: str) -> None:
+    if scenario.mode not in _MODES[experiment]:
+        modes = " or ".join(_MODES[experiment])
+        raise ValueError(f"the {experiment} experiment runs in mode {modes}, got {scenario.mode!r}")
+
+
+def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
+    """The draws every experiment shares, trial by trial.
+
+    Yields ``(trial, rng, slot, reference, burst)``: the trial's generator,
+    left where the links end, the serving slot, the serving cell's reference
+    samples and ``burst(tx_vec, cfo=0.0)``.  The UE drop is a uniform sector
+    draw in ``single_ue`` and ``channel.drop_users`` in the cell modes, where
+    ``multi_cell`` adds one interfering link per neighbour.  ``burst`` sums
+    every cell's clean burst once per distinct transmit vector and CFO.
+    """
+    grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
+    cell = scenario.cell
+    if scenario.mode == "multi_cell":
+        layout = channel.hex_layout(cell.isd_m, cell.min_distance_m, cell.roots)
+    else:
+        layout = channel.single_cell_layout(cell.radius_m, cell.min_distance_m, scenario.zc_root)
+    waveforms = [sync_waveform(scenario, root=r) for r in layout.roots]
+    reference = waveforms[0].time_samples
+    az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
+    for trial in range(trial_lo, trial_hi):
+        rng = _trial_rng(scenario, trial)
+        if scenario.mode == "single_ue":
+            ue_pos, aod, amp = None, rng.uniform(az_lo, az_hi), 1.0
+        else:
+            drop = channel.drop_users(
+                layout, 1, rng, sector_halfwidth=az_hi, pathloss_exponent=cell.pathloss_exponent,
+                shadowing_sigma_db=cell.shadowing_sigma_db,
+            )
+            ue_pos, aod, amp = drop.positions[0], float(drop.azimuths[0]), float(drop.amp_gains[0])
+        slot = serving_slot(grid, aod)
+        links = []
+        for i, centre in enumerate(layout.centers):
+            if i:  # a neighbour, its sector's boresight facing the central cell
+                vec = ue_pos - centre
+                aod = math.atan2(vec[1], vec[0]) - math.atan2(-centre[1], -centre[0])
+                aod = (aod + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to [-pi, pi)
+                shadow = rng.normal(0.0, cell.shadowing_sigma_db)
+                amp = channel.pathloss_amp_gain(
+                    float(np.hypot(vec[0], vec[1])), layout.cell_radius_m,
+                    cell.pathloss_exponent, shadow,
+                )
+            paths = _draw_paths(scenario, rng, aod, amp)
+            links.append((_build_channel(scenario, paths), waveforms[i]))
+        memo: dict = {}
+
+        # the defaults bind this trial's links, so a kept burst never sees a later trial's
+        def burst(tx_vec: np.ndarray, cfo: float = 0.0, links=links, memo=memo) -> _Correlated:
+            key = (tx_vec.tobytes(), cfo)
+            if key not in memo:
+                first, *rest = (_clean_burst(scenario, ch, wf, tx_vec, cfo) for ch, wf in links)
+                memo[key] = _Correlated(sum(rest, first), reference, pad=reference.shape[0] - 1)
+            return memo[key]
+
+        yield trial, rng, slot, reference, burst
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +461,15 @@ def empirical_zero_lag_sqnr(
 
 
 def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
-    wf = sync_waveform(scenario)
-    grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
-    az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
     rows = []
-    for trial in range(trial_lo, trial_hi):
-        rng = _trial_rng(scenario, trial)
-        ue_az = rng.uniform(az_lo, az_hi)
-        paths = _draw_paths(scenario, rng, ue_az)
-        ch = _build_channel(scenario, paths)
-        slot = serving_slot(grid, ue_az)
+    for _, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
-        bursts = _burst_cache(wf.time_samples, lambda tx: _clean_burst(scenario, ch, wf, tx))
         for snr_db in scenario.snr_db_grid:
             sigma2 = noise_variance(scenario, snr_db)
             for (method, bits), plan in plans.items():
-                burst = bursts(plan.tx_vectors[slot]).samples
+                clean = burst(plan.tx_vectors[slot]).samples
                 adc = quantization.AdcModel(bits=bits)
-                g = empirical_zero_lag_sqnr(burst, wf.time_samples, sigma2, adc, noise_unit)
+                g = empirical_zero_lag_sqnr(clean, reference, sigma2, adc, noise_unit)
                 rows.append(
                     {
                         "method": method,
@@ -429,6 +483,9 @@ def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list
 
 def run_sqnr_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     """Empirical zero-lag SQNR samples per method and resolution (CDF material)."""
+    _check_mode(scenario, "sqnr")
+    if math.inf in scenario.snr_db_grid:
+        raise ValueError("snr_db_grid must be finite for the sqnr experiment (no noise, no SQNR)")
     plans = slot_beam_plans(scenario)
     rows = _run_chunked(_sqnr_chunk, scenario, plans, workers)
     aggregates = []
@@ -500,45 +557,19 @@ def _detect_window(
 
 
 def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
-    wf = sync_waveform(scenario)
-    grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
-    az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
-    n = scenario.n_subcarriers
-    window = n * scenario.t_ue
-    max_t = n * (scenario.t_ue - 1)
-    layout = channel.single_cell_layout(
-        scenario.cell.radius_m, scenario.cell.min_distance_m, scenario.zc_root
-    )
+    window = scenario.n_subcarriers * scenario.t_ue
+    max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
     rows = []
-    for trial in range(trial_lo, trial_hi):
-        rng = _trial_rng(scenario, trial)
-        if scenario.mode == "multi_ue_cell":
-            drop = channel.drop_users(
-                layout,
-                1,
-                rng,
-                sector_halfwidth=math.radians(scenario.sector.azimuth_deg[1]),
-                pathloss_exponent=scenario.cell.pathloss_exponent,
-                shadowing_sigma_db=scenario.cell.shadowing_sigma_db,
-            )
-            ue_az, amp = float(drop.azimuths[0]), float(drop.amp_gains[0])
-        else:
-            ue_az, amp = rng.uniform(az_lo, az_hi), 1.0
-        paths = _draw_paths(scenario, rng, ue_az, amp)
-        ch = _build_channel(scenario, paths)
-        slot = serving_slot(grid, ue_az)
+    for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, max_t, endpoint=True))
-        noise = _Correlated(_unit_noise(rng, scenario.m_tot, window), wf.time_samples)
-        bursts = _burst_cache(
-            wf.time_samples, lambda tx, cfo: _clean_burst(scenario, ch, wf, tx, cfo=cfo)
-        )
+        noise = _Correlated(_unit_noise(rng, scenario.m_tot, window), reference)
         for (method, bits), plan in plans.items():
             adc = quantization.AdcModel(bits=bits)
             for cfo in scenario.cfo_grid:
-                burst = bursts(plan.tx_vectors[slot], cfo)
+                clean = burst(plan.tx_vectors[slot], cfo)
                 for snr_db in scenario.snr_db_grid:
                     sigma2 = noise_variance(scenario, snr_db)
-                    out = _detect_window(burst, noise, sigma2, t, adc)
+                    out = _detect_window(clean, noise, sigma2, t, adc)
                     rows.append(
                         {
                             "method": method,
@@ -559,6 +590,7 @@ def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> li
 
 def run_timing_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     """Per-trial detection outcomes and per-point NMSE / success-rate aggregates."""
+    _check_mode(scenario, "timing")
     plans = slot_beam_plans(scenario)
     rows = _run_chunked(_timing_chunk, scenario, plans, workers)
     aggregates = []
@@ -589,59 +621,11 @@ def run_timing_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
 
 
 def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
-    wf_by_root = {r: sync_waveform(scenario, root=r) for r in set(scenario.cell.roots)}
-    grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
-    layout = channel.hex_layout(
-        scenario.cell.isd_m, scenario.cell.min_distance_m, scenario.cell.roots
-    )
-    n = scenario.n_subcarriers
-    window = n * scenario.t_ue
-    max_t = n * (scenario.t_ue - 1)
-    # neighbor sectors face the central cell
-    boresights = np.zeros(layout.n_cells)
-    for i in range(1, layout.n_cells):
-        d = -layout.centers[i]
-        boresights[i] = math.atan2(d[1], d[0])
+    window = scenario.n_subcarriers * scenario.t_ue
+    max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
     rows = []
-    for trial in range(trial_lo, trial_hi):
-        rng = _trial_rng(scenario, trial)
-        drop = channel.drop_users(
-            layout,
-            1,
-            rng,
-            cell_index=0,
-            sector_halfwidth=math.radians(scenario.sector.azimuth_deg[1]),
-            pathloss_exponent=scenario.cell.pathloss_exponent,
-            shadowing_sigma_db=scenario.cell.shadowing_sigma_db,
-        )
-        ue_pos = drop.positions[0]
-        serving_az, serving_amp = float(drop.azimuths[0]), float(drop.amp_gains[0])
-        serving_paths = _draw_paths(scenario, rng, serving_az, serving_amp)
-        serving_ch = _build_channel(scenario, serving_paths)
-        interferers = []
-        for i in range(1, layout.n_cells):
-            vec = ue_pos - layout.centers[i]
-            dist = float(np.hypot(vec[0], vec[1]))
-            aod = _wrap_angle(math.atan2(vec[1], vec[0]) - boresights[i])
-            shadow = rng.normal(0.0, scenario.cell.shadowing_sigma_db)
-            amp = channel.pathloss_amp_gain(
-                dist, layout.cell_radius_m, scenario.cell.pathloss_exponent, shadow
-            )
-            ipaths = _draw_paths(scenario, rng, aod, amp)
-            interferers.append((_build_channel(scenario, ipaths), layout.roots[i]))
-        slot0 = serving_slot(grid, serving_az)
+    for trial, rng, slot0, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, max_t, endpoint=True))
-        serving_wf = wf_by_root[layout.roots[0]]
-        reference = serving_wf.time_samples
-
-        def slot_burst(tx_vec):
-            # serving burst plus every interferer's, all on the slot's beams
-            burst = _clean_burst(scenario, serving_ch, serving_wf, tx_vec)
-            for ich, root in interferers:
-                burst = burst + _clean_burst(scenario, ich, wf_by_root[root], tx_vec)
-            return burst
-
-        bursts = _burst_cache(reference, slot_burst)
         for (method, bits), plan in plans.items():
             adc = quantization.AdcModel(bits=bits)
             for snr_idx, snr_db in enumerate(scenario.snr_db_grid):
@@ -654,7 +638,7 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
                         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial, tau, snr_idx))
                     )
                     noise = _Correlated(_unit_noise(rng_slot, scenario.m_tot, window), reference)
-                    out = _detect_window(bursts(plan.tx_vectors[tau]), noise, sigma2, t, adc)
+                    out = _detect_window(burst(plan.tx_vectors[tau]), noise, sigma2, t, adc)
                     if tau == slot0:
                         serving_success = bool(out.success)
                     if out.success and first_slot < 0:
@@ -679,8 +663,7 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
 def run_multicell_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     """Central-cell detection probability and slot-access statistics under
     actual cross-cell synchronization interference."""
-    if scenario.mode != "multi_cell":
-        raise ValueError("multicell experiment requires mode == 'multi_cell'")
+    _check_mode(scenario, "multicell")
     plans = slot_beam_plans(scenario)
     rows = _run_chunked(_multicell_chunk, scenario, plans, workers)
     aggregates = []
@@ -737,7 +720,7 @@ def correlation_ratio_check(
     form (ratio - 1) / length is compared against the analytic SQNR; the
     identity predicts ratio = 1 + length * gamma.
     """
-    eta = 1.0 - _xi_for(bits)
+    eta = 1.0 - quantization.AdcModel(bits=bits).xi()
     s = solve_gain_for_gamma(gamma_target, eta)
     ratio = _measured_ratio(s, bits, trials, seed, length, root)
     gamma_emp = (ratio - 1.0) / length
@@ -774,7 +757,7 @@ def codebook_ratio_argmax(
     geom = channel.ArrayGeometry(kind="ula", n_elements=n_a)
     a = channel.steering_vector(geom, ue_az)
     gains = base_gain * np.abs(np.conj(a) @ cb.codewords.T) ** 2
-    eta = 1.0 - _xi_for(bits)
+    eta = 1.0 - quantization.AdcModel(bits=bits).xi()
     measured = np.zeros(cb.n_beam)
     analytic = np.zeros(cb.n_beam)
     for q in range(cb.n_beam):
@@ -826,10 +809,6 @@ def _measured_ratio(s: float, bits: int, trials: int, seed: int, length: int = 6
 # ---------------------------------------------------------------------------
 
 
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def _group(rows: list[dict], keys: tuple[str, ...]) -> dict:
     out: dict = {}
     for r in rows:
@@ -858,24 +837,14 @@ _CHUNK = 64
 
 def _run_chunked(chunk_fn, scenario: Scenario, plans, workers: int) -> list[dict]:
     """Split trials into fixed chunks; identical output for any worker count."""
-    bounds = [
-        (lo, min(lo + _CHUNK, scenario.trials)) for lo in range(0, scenario.trials, _CHUNK)
-    ]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [chunk_fn(scenario, plans, lo, hi) for lo, hi in bounds]
+    los = range(0, scenario.trials, _CHUNK)
+    his = [min(lo + _CHUNK, scenario.trials) for lo in los]
+    run_chunk = partial(chunk_fn, scenario, plans)
+    if workers <= 1 or len(los) == 1:
+        parts = map(run_chunk, los, his)
     else:
         from concurrent.futures import ProcessPoolExecutor  # a one-worker run never needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _chunk_worker,
-                    [(chunk_fn.__name__, scenario, plans, lo, hi) for lo, hi in bounds],
-                )
-            )
+            parts = list(pool.map(run_chunk, los, his))
     return [row for part in parts for row in part]
-
-
-def _chunk_worker(args):
-    name, scenario, plans, lo, hi = args
-    return globals()[name](scenario, plans, lo, hi)

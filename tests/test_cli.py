@@ -69,12 +69,14 @@ class TestParseConfig:
             ("cfo_grid: [0.0, .nan]\n", "cfo_grid"),
             ("cfo_grid: [.inf]\n", "cfo_grid"),
             ("cfo_grid: [-.inf]\n", "cfo_grid"),
+            ("mode: multi_ue_cell\nsector:\n  azimuth_deg: [-30, 60]\n", "sector.azimuth_deg"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
             "zc_root_zero", "zc_root_not_coprime", "n_zc_one",
             "cell_root_out_of_range", "cell_root_not_coprime", "cell_roots_zero",
             "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
+            "sector_asymmetric",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmwsync import montecarlo as mc
-from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario
+from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
 
 
 TINY = Scenario(
@@ -41,6 +41,13 @@ class TestScenario:
         assert mc.noise_variance(s, 0.0) == pytest.approx(62 / 512)
         assert mc.noise_variance(s, -10.0) == pytest.approx(620 / 512)
 
+    def test_asymmetric_sector_only_in_single_ue(self):
+        sector = SectorConfig(azimuth_deg=(-30.0, 60.0))
+        assert Scenario(sector=sector).sector == sector
+        for mode in ("multi_ue_cell", "multi_cell"):
+            with pytest.raises(ValueError, match="sector.azimuth_deg"):
+                Scenario(mode=mode, sector=sector)
+
     def test_lambda_max(self):
         assert Scenario(lambda_max_inv_db=-20.0).lambda_max == pytest.approx(100.0)
 
@@ -75,10 +82,23 @@ class TestReproducibility:
         assert a.rows == b.rows
         assert a.aggregates == b.aggregates
 
-    def test_workers_do_not_change_results(self):
-        s = Scenario(**{**TINY.__dict__, "trials": 130})
-        serial = mc.run_sqnr_experiment(s, workers=1)
-        parallel = mc.run_sqnr_experiment(s, workers=3)
+    # more than one 64-trial chunk, so the pool really runs
+    @pytest.mark.parametrize(
+        "run, scenario",
+        [
+            (mc.run_sqnr_experiment, Scenario(**{**TINY.__dict__, "trials": 130})),
+            (mc.run_timing_experiment, Scenario(**{**TINY.__dict__, "trials": 130, "m_tot": 4})),
+            (
+                mc.run_multicell_experiment,
+                Scenario(mode="multi_cell", trials=130, t_bs=2, t_ue=2, m_tot=4,
+                         adc_bits=(2.0,), seed=12),
+            ),
+        ],
+        ids=["sqnr", "timing", "multicell"],
+    )
+    def test_workers_do_not_change_results(self, run, scenario):
+        serial = run(scenario, workers=1)
+        parallel = run(scenario, workers=3)
         assert serial.rows == parallel.rows
 
     def test_timing_rows_identical(self):
@@ -88,7 +108,44 @@ class TestReproducibility:
         assert a.rows == b.rows
 
 
+class TestModes:
+    @pytest.mark.parametrize(
+        "run", [mc.run_sqnr_experiment, mc.run_timing_experiment], ids=["sqnr", "timing"]
+    )
+    def test_multi_cell_rejected_naming_mode(self, run):
+        with pytest.raises(ValueError, match="mode"):
+            run(Scenario(**{**TINY.__dict__, "mode": "multi_cell"}))
+
+    @pytest.mark.parametrize("mode", ["single_ue", "multi_ue_cell"])
+    def test_sqnr_and_timing_draw_the_same_paths(self, monkeypatch, mode):
+        s = Scenario(
+            **{**TINY.__dict__, "mode": mode, "trials": 3, "channel": ChannelConfig("clustered")}
+        )
+        original = mc.channel.build_channel
+        seen = {"sqnr": [], "timing": []}
+        for name, run in (("sqnr", mc.run_sqnr_experiment), ("timing", mc.run_timing_experiment)):
+
+            def recording(paths, *args, _seen=seen[name], **kwargs):
+                _seen.append(paths)
+                return original(paths, *args, **kwargs)
+
+            monkeypatch.setattr(mc.channel, "build_channel", recording)
+            run(s)
+        assert len(seen["sqnr"]) == len(seen["timing"]) == 3
+        for a, b in zip(seen["sqnr"], seen["timing"]):
+            for field in ("gains", "aod_az", "aod_el", "aoa", "delays"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
 class TestSqnrExperiment:
+    def test_infinite_snr_rejected_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(mc, "_trials", no_trials)
+        with pytest.raises(ValueError, match="snr_db_grid"):
+            mc.run_sqnr_experiment(Scenario(**{**TINY.__dict__, "snr_db_grid": (0.0, math.inf)}))
+
     def test_rows_and_aggregates(self):
         summary = mc.run_sqnr_experiment(TINY)
         assert len(summary.rows) == 8 * 4  # trials x arms
