@@ -10,6 +10,7 @@ SQNR measurement point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,16 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
+@lru_cache(maxsize=8)
+def _reference_spectrum(dtype: str, shape: tuple, reference: bytes, nfft: int) -> np.ndarray:
+    """conj(fft(reference, nfft)), kept for the few references a run correlates
+    against; read-only, since every caller shares it."""
+    samples = np.frombuffer(reference, dtype=dtype).reshape(shape)
+    spectrum = np.conj(np.fft.fft(samples, nfft))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:
     """Sliding inner products sum_n received[b, n+nu] * conj(reference[n]).
 
@@ -67,7 +78,7 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
         raise ValueError(f"received window {window} shorter than reference {n}")
     nfft = _next_fast_len(window)
     spectrum = np.fft.fft(received, nfft, axis=1)
-    spectrum *= np.conj(np.fft.fft(reference, nfft))
+    spectrum *= _reference_spectrum(reference.dtype.str, reference.shape, reference.tobytes(), nfft)
     corr = np.fft.ifft(spectrum, axis=1, out=spectrum)
     return CorrelationProfile(values=corr[:, : window - n + 1])
 
@@ -77,15 +88,16 @@ def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutc
 
     Ties break to the smallest lag, then the smallest antenna index.
     """
-    power = np.abs(profile.values) ** 2
+    power = np.abs(profile.values)
     if power.size == 0:
         raise ValueError("empty correlation profile")
-    # lag-major flattening makes the first argmax the smallest (lag, antenna)
-    flat = int(np.argmax(power.T))
-    nu_hat, b_hat = np.unravel_index(flat, power.T.shape)
+    np.square(power, out=power)
+    # the first lag whose column holds the maximum, then the first antenna in it
+    nu_hat = int(np.argmax(power.max(axis=0)))
+    b_hat = int(np.argmax(power[:, nu_hat]))
     return TrialOutcome(
-        nu_hat=int(nu_hat),
-        b_hat=int(b_hat),
+        nu_hat=nu_hat,
+        b_hat=b_hat,
         peak_power=float(power[b_hat, nu_hat]),
         nu_true=nu_true,
         success=None if nu_true is None else bool(nu_hat == nu_true),

@@ -15,7 +15,10 @@ Conventions shared by all experiments:
   trial index) and draws the channel, the timing and the sqnr and timing
   noise.  Multicell slot noise is spawned from (seed, trial, slot, SNR
   index) instead.  All method/resolution arms of a trial share the same
-  channel, timing and noise draws, so method comparisons are paired.
+  channel, timing and noise draws, so method comparisons are paired.  In the
+  sqnr experiment the arms of one (trial, SNR, transmit vector) also share
+  the noisy window, its AGC and its 1/AGC scaling: only the quantizer
+  differs between them.
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -232,40 +235,34 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
 
     The proposed method searches per-subarray codeword tuples exhaustively;
     the single-stream baseline picks one full-array codeword.  The worst-case
-    quantization MSE in the bound follows the arm's own resolution.
+    quantization MSE in the bound follows the arm's own resolution; the
+    composite gains it is evaluated on are computed once per slot.
     """
     geom = bs_geometry(scenario)
     grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
     n_a = scenario.n_tot // scenario.n_rf
     sub_cb = beamforming.dft_codebook(n_a, scenario.codebook_oversampling)
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
+    bounds = {b: optimizer.BoundParams(scenario.lambda_max, quantization.AdcModel(bits=b).xi())
+              for b in scenario.adc_bits}
+    chosen: dict[tuple[str, float], list[optimizer.BeamSelection]] = {}
+    for anchor in map(tuple, grid.anchors):
+        gains = optimizer.multi_beam_gains(sub_cb, scenario.n_rf, geom, anchor, scenario.search_budget)
+        for bits, bound in bounds.items():
+            for method, sel in (
+                ("proposed", optimizer.select_from_gains(sub_cb, gains, geom, anchor, bound)),
+                ("single_stream", optimizer.select_single_beam(full_cb, geom, anchor, bound)),
+            ):
+                chosen.setdefault((method, bits), []).append(sel)
     plans: dict[tuple[str, float], BeamPlan] = {}
-    for bits in scenario.adc_bits:
-        bound = optimizer.BoundParams(
-            lambda_max=scenario.lambda_max, xi_max=quantization.AdcModel(bits=bits).xi()
-        )
-        multi_idx = np.zeros((scenario.t_bs, scenario.n_rf), dtype=int)
-        multi_tx = np.zeros((scenario.t_bs, scenario.n_tot), dtype=np.complex128)
-        single_idx = np.zeros((scenario.t_bs, 1), dtype=int)
-        single_tx = np.zeros((scenario.t_bs, scenario.n_tot), dtype=np.complex128)
-        iters_multi = iters_single = 0
-        for slot, anchor in enumerate(grid.anchors):
-            sel = optimizer.select_multi_beam(
-                sub_cb, scenario.n_rf, geom, tuple(anchor), bound, budget=scenario.search_budget
-            )
-            multi_idx[slot] = sel.indices
-            multi_tx[slot] = beamforming.effective_tx_vector(
-                beamforming.BeamSet(codebook=sub_cb, indices=sel.indices)
-            )
-            iters_multi += sel.iteration_count
-            ssel = optimizer.select_single_beam(full_cb, geom, tuple(anchor), bound)
-            single_idx[slot] = ssel.indices
-            single_tx[slot] = full_cb.codewords[ssel.indices[0]]
-            iters_single += ssel.iteration_count
-        plans[("proposed", bits)] = BeamPlan("proposed", bits, multi_idx, multi_tx, iters_multi)
-        plans[("single_stream", bits)] = BeamPlan(
-            "single_stream", bits, single_idx, single_tx, iters_single
-        )
+    for (method, bits), sels in chosen.items():
+        indices = np.array([sel.indices for sel in sels])
+        if method == "proposed":
+            tx = np.array([beamforming.effective_tx_vector(beamforming.BeamSet(sub_cb, sel.indices))
+                           for sel in sels])
+        else:
+            tx = full_cb.codewords[indices[:, 0]]
+        plans[(method, bits)] = BeamPlan(method, bits, indices, tx, sum(s.iteration_count for s in sels))
     return plans
 
 
@@ -322,16 +319,15 @@ def _build_channel(scenario: Scenario, paths: channel.PathSet) -> channel.BeamSp
     )
 
 
-def _clean_burst(scenario: Scenario, ch: channel.BeamSpaceChannel, wf: waveform.SyncWaveform,
-                 tx_vec: np.ndarray, cfo: float = 0.0) -> np.ndarray:
-    """Noiseless received burst (m_tot, n) for one arm."""
-    return channel.propagate(ch, wf.time_samples, tx_vec, 0.0, cfo, 0, scenario.n_subcarriers)
-
-
 def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """CN(0, 1) samples; the real parts are drawn before the imaginary ones."""
     shape = (rows, cols)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    rails = out.view(np.float64)
+    rails *= 1.0 / math.sqrt(2.0)  # as numpy's complex division by sqrt(2) scales
+    return out
 
 
 class _Correlated:
@@ -421,7 +417,8 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
         def burst(tx_vec: np.ndarray, cfo: float = 0.0, links=links, memo=memo) -> _Correlated:
             key = (tx_vec.tobytes(), cfo)
             if key not in memo:
-                first, *rest = (_clean_burst(scenario, ch, wf, tx_vec, cfo) for ch, wf in links)
+                first, *rest = (channel.propagate(ch, wf.time_samples, tx_vec, 0.0, cfo, 0,
+                                                  scenario.n_subcarriers) for ch, wf in links)
                 memo[key] = _Correlated(sum(rest, first), reference, pad=reference.shape[0] - 1)
             return memo[key]
 
@@ -433,25 +430,26 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
 # ---------------------------------------------------------------------------
 
 
-def empirical_zero_lag_sqnr(
-    burst_clean: np.ndarray,
-    reference: np.ndarray,
-    sigma2: float,
-    adc: quantization.AdcModel,
-    noise_unit: np.ndarray,
-) -> float:
-    """SQNR of the zero-lag correlation measured by repeated quantized correlation.
+def _sqnr_window(clean: np.ndarray, reference: np.ndarray, sigma2: float,
+                 noise_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window every ADC arm of one (trial, SNR, transmit vector) measures.
 
-    The antenna with the strongest noiseless zero-lag response is measured;
-    each repetition adds fresh noise, runs the per-window AGC and ADC, and
-    correlates at the true alignment.  The estimate is |mean|^2 / var of the
-    complex correlation samples.
+    The antenna with the strongest noiseless zero-lag response is measured:
+    each row is its burst plus sqrt(sigma2) times one repetition of unit noise.
+    Returns the window, its per-row AGC rms and the window scaled by 1/AGC,
+    checked once as ``quantization.apply`` checks its input.
     """
-    zl = burst_clean @ np.conj(reference)
+    zl = clean @ np.conj(reference)
     b_hat = int(np.argmax(np.abs(zl) ** 2))
-    y = burst_clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
+    y = clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
     agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-    q = quantization.apply(adc, y, agc)
+    quantization.check_finite(y)
+    quantization.check_agc(agc)
+    return y, agc, quantization.agc_scale(y, agc)
+
+
+def _zero_lag_sqnr(q: np.ndarray, reference: np.ndarray) -> float:
+    """|mean|^2 / var of the repetitions' zero-lag correlations."""
     z = q @ np.conj(reference)
     mean = z.mean()
     var = float(np.mean(np.abs(z - mean) ** 2))
@@ -466,18 +464,18 @@ def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
         for snr_db in scenario.snr_db_grid:
             sigma2 = noise_variance(scenario, snr_db)
+            windows: dict = {}  # the arms of one transmit vector share its window
             for (method, bits), plan in plans.items():
-                clean = burst(plan.tx_vectors[slot]).samples
+                tx_vec = plan.tx_vectors[slot]
+                key = tx_vec.tobytes()
+                if key not in windows:
+                    windows[key] = _sqnr_window(burst(tx_vec).samples, reference, sigma2, noise_unit)
+                y, agc, scaled = windows[key]
                 adc = quantization.AdcModel(bits=bits)
-                g = empirical_zero_lag_sqnr(clean, reference, sigma2, adc, noise_unit)
-                rows.append(
-                    {
-                        "method": method,
-                        "bits": bits,
-                        "snr_db": snr_db,
-                        "sqnr_db_sample": 10.0 * math.log10(g) if g > 0 else -math.inf,
-                    }
-                )
+                q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled.copy(), agc)
+                g = _zero_lag_sqnr(q, reference)
+                rows.append({"method": method, "bits": bits, "snr_db": snr_db,
+                             "sqnr_db_sample": 10.0 * math.log10(g) if g > 0 else -math.inf})
     return rows
 
 

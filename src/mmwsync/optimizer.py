@@ -122,19 +122,18 @@ def select_single_beam(
     )
 
 
-def select_multi_beam(
+def multi_beam_gains(
     codebook: Codebook,
     n_rf: int,
     geometry: ArrayGeometry,
     anchor: tuple[float, float],
-    bound: BoundParams,
     budget: int = 2**20,
-) -> BeamSelection:
-    """Exhaustive search over all (n_beam)^n_rf per-subarray codeword tuples.
+) -> np.ndarray:
+    """Composite gain |h|^2 at the anchor of every per-subarray codeword tuple.
 
-    The objective is the worst-case bound evaluated on the composite gain
-    |h|^2 of each candidate set; ties resolve to the lexicographically
-    smallest index tuple.
+    Entry (q_0, ..., q_{n_rf-1}) belongs to the tuple that puts codeword q_i
+    on subarray i.  The table does not depend on the bound, so one table
+    serves every resolution's search at the anchor.
     """
     n_beam = codebook.n_beam
     iterations = n_beam**n_rf
@@ -150,24 +149,54 @@ def select_multi_beam(
         )
     blocks = np.conj(a_tx).reshape(n_rf, codebook.n_a)
     c = blocks @ codebook.codewords.T  # (n_rf, n_beam) per-subarray gains
-    # candidate tuple (q_0..q_{n_rf-1}) maps to C-order flat index with q_0 most
-    # significant, so first-occurrence argmax is the lexicographically smallest tie
-    h = reduce(np.add.outer, c)
-    objectives = sqnr_lower_bound_single(
-        np.abs(h) ** 2, bound.lambda_max, bound.xi_max, bound.noise_var
-    )
+    return np.abs(reduce(np.add.outer, c)) ** 2
+
+
+def select_from_gains(
+    codebook: Codebook,
+    gains: np.ndarray,
+    geometry: ArrayGeometry,
+    anchor: tuple[float, float],
+    bound: BoundParams,
+) -> BeamSelection:
+    """Best codeword tuple of a ``multi_beam_gains`` table under the bound.
+
+    ``gains`` is the table for the same codebook, geometry and anchor; the
+    iteration count is its size.  The C-order flat index has q_0 most
+    significant, so the first-occurrence argmax is the lexicographically
+    smallest tie.
+    """
+    objectives = sqnr_lower_bound_single(gains, bound.lambda_max, bound.xi_max, bound.noise_var)
     flat = int(np.argmax(objectives))
-    indices = tuple(int(i) for i in np.unravel_index(flat, (n_beam,) * n_rf))
+    indices = tuple(int(i) for i in np.unravel_index(flat, gains.shape))
     # store the objective as the scalar re-evaluation of the chosen set
-    beam_set = BeamSet(codebook=codebook, indices=indices)
-    gain = abs(composite_beam_gain(beam_set, a_tx)) ** 2
+    a_tx = steering_vector(geometry, anchor[0], anchor[1])
+    gain = abs(composite_beam_gain(BeamSet(codebook=codebook, indices=indices), a_tx)) ** 2
     objective = sqnr_lower_bound_single(gain, bound.lambda_max, bound.xi_max, bound.noise_var)
     return BeamSelection(
         indices=indices,
         objective=float(objective),
-        iteration_count=iterations,
+        iteration_count=gains.size,
         anchor=tuple(anchor),
     )
+
+
+def select_multi_beam(
+    codebook: Codebook,
+    n_rf: int,
+    geometry: ArrayGeometry,
+    anchor: tuple[float, float],
+    bound: BoundParams,
+    budget: int = 2**20,
+) -> BeamSelection:
+    """Exhaustive search over all (n_beam)^n_rf per-subarray codeword tuples.
+
+    The objective is the worst-case bound evaluated on the composite gain
+    |h|^2 of each candidate set; ties resolve to the lexicographically
+    smallest index tuple.
+    """
+    gains = multi_beam_gains(codebook, n_rf, geometry, anchor, budget)
+    return select_from_gains(codebook, gains, geometry, anchor, bound)
 
 
 @dataclass(frozen=True)

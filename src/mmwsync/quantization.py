@@ -111,31 +111,58 @@ def check_finite(samples) -> np.ndarray:
     return samples
 
 
-def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
-    """Quantize a complex stream: scale by 1/agc_rms, midrise per rail, rescale.
-
-    ``samples`` meet ``check_finite``; ``agc_rms`` is the positive per-rail
-    rms the AGC normalizes to (scalar or broadcastable).  An
-    infinite-resolution model returns the input unchanged.  The input array
-    is never modified.
-    """
-    samples = check_finite(samples)
-    if np.any(np.asarray(agc_rms) <= 0):
+def check_agc(agc_rms) -> None:
+    """The AGC contract of ``apply``: every per-rail rms is positive (not NaN)."""
+    if not np.all(np.asarray(agc_rms) > 0):
         raise ValueError("agc_rms must be positive")
-    if adc.is_infinite:
-        return samples.copy()
+
+
+def agc_scale(samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
+    """samples / agc_rms as a new complex128 array of the broadcast shape.
+
+    The scaling is a multiply by 1/agc_rms.  numpy divides by agc_rms + 0j
+    as a multiply by the same reciprocal, so the two differ at most in the
+    sign of a zero, which the midrise rails do not see.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(samples), np.shape(agc_rms)), np.complex128)
+    np.multiply(samples, 1.0 / np.asarray(agc_rms, dtype=np.float64), out=out)
+    return out
+
+
+def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
+    """Midrise per rail of an ``agc_scale`` output, rescaled by agc_rms.
+
+    Works in place on ``scaled`` and returns it: a caller that quantizes one
+    scaled window at several resolutions passes each a copy.
+    """
+    if not scaled.flags.c_contiguous:
+        raise ValueError("scaled must be C-contiguous, as agc_scale returns it")
     half = 2 ** (int(adc.bits) - 1)
-    out = np.empty(np.broadcast_shapes(samples.shape, np.shape(agc_rms)), np.complex128)
-    np.divide(samples, agc_rms, out=out)
     # both rails at once, in place on the interleaved float view
-    rails = out.reshape(-1).view(np.float64)
+    rails = scaled.reshape(-1).view(np.float64)
     rails /= adc.step
     np.floor(rails, out=rails)
     np.clip(rails, -half, half - 1, out=rails)
     rails += 0.5
     rails *= adc.step
-    out *= agc_rms
-    return out
+    scaled *= agc_rms
+    return scaled
+
+
+def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
+    """Quantize a complex stream: scale by 1/agc_rms, midrise per rail, rescale.
+
+    ``samples`` meet ``check_finite`` and ``agc_rms`` meets ``check_agc``: the
+    positive per-rail rms the AGC normalizes to (scalar or broadcastable).
+    The scaling is a multiply by 1/agc_rms (``agc_scale``).  An
+    infinite-resolution model returns a copy of the input.  The input array
+    is never modified.
+    """
+    samples = check_finite(samples)
+    check_agc(agc_rms)
+    if adc.is_infinite:
+        return samples.copy()
+    return quantize_scaled(adc, agc_scale(samples, agc_rms), agc_rms)
 
 
 def distortion_factor(quantized: np.ndarray, analog: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mmwsync import channel, detector, montecarlo, quantization, waveform
 from mmwsync.channel import ArrayGeometry, NyquistPulse
@@ -39,6 +40,22 @@ class TestCorrelate:
             for nu in (0, 17, 188):
                 direct = np.sum(received[b, nu : nu + 512] * np.conj(wf.time_samples))
                 assert prof.values[b, nu] == pytest.approx(direct, abs=1e-9)
+
+    def test_kept_reference_spectra_follow_the_reference(self, wf):
+        # alternating references, lengths and dtypes reuse kept spectra only for
+        # the same (reference, nfft)
+        rng = np.random.default_rng(3)
+        received = rng.standard_normal((2, 1100)) + 1j * rng.standard_normal((2, 1100))
+        refs = [wf.time_samples, wf.time_samples[:300], wf.time_samples.real.copy(),
+                rng.standard_normal(512) + 1j * rng.standard_normal(512)]
+        for _ in range(2):
+            for ref in refs:
+                for window in (1100, 900):
+                    x = received[:, :window]
+                    want = sliding_window_view(x, ref.shape[0], axis=1) @ np.conj(ref)
+                    np.testing.assert_allclose(detector.correlate(x, ref).values, want, rtol=0, atol=1e-9)
+        info = detector._reference_spectrum.cache_info()
+        assert info.hits and info.currsize <= info.maxsize
 
     def test_window_too_short(self, wf):
         with pytest.raises(ValueError):
@@ -87,6 +104,23 @@ class TestDetect:
         values[0, 1] = 1.0
         out = detector.detect(detector.CorrelationProfile(values=values))
         assert (out.nu_hat, out.b_hat) == (1, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forced_ties_match_lag_major_flatten(self, seed):
+        # exact magnitudes 0..3: the maximum recurs across lags and within a lag
+        rng = np.random.default_rng(seed)
+        phases = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, (5, 40))]
+        values = rng.integers(0, 3, (5, 40)) * phases
+        values[rng.integers(0, 5, 4), rng.integers(0, 40, 4)] = 3 * phases[0, :4]
+        values[rng.choice(5, 2, replace=False), rng.integers(0, 40)] = -3j
+        if seed == 5:
+            values[2, 7] = np.nan
+        power = np.abs(values) ** 2
+        assert np.count_nonzero(power == 9.0) >= 2
+        nu, b = np.unravel_index(int(np.argmax(power.T)), power.T.shape)
+        out = detector.detect(detector.CorrelationProfile(values=values))
+        assert (out.nu_hat, out.b_hat) == (nu, b)
+        assert out.peak_power == power[b, nu] or np.isnan(out.peak_power) and np.isnan(power[b, nu])
 
     def test_deterministic_under_fixed_seed(self, wf):
         def run():

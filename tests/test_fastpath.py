@@ -1,14 +1,18 @@
 """The fast per-window path against the plain computations it replaces."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from mmwsync import channel, detector, quantization
+from mmwsync import beamforming, channel, cli, detector, optimizer, quantization
 from mmwsync import montecarlo as mc
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def direct_correlation(received: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -74,6 +78,45 @@ class TestApply:
         q = quantization.apply(adc, y, agc)
         assert np.array_equal(q, midrise_formula(adc, y, agc))
         assert np.array_equal(y, kept)
+
+    @pytest.mark.parametrize("bits", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "case",
+        ["scalar_agc", "row_agc", "column_agc", "zero_d", "transposed", "signed_zeros",
+         "tiny_agc", "huge_agc"],
+    )
+    def test_layouts_and_extremes_byte_identical_to_formula(self, bits, case):
+        rng = np.random.default_rng(bits)
+        y = 3.0 * (rng.standard_normal((16, 640)) + 1j * rng.standard_normal((16, 640)))
+        row_agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+        zeros = y.copy()
+        zeros[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.0]
+        zeros[1, :] = complex(-0.0, -0.0)
+        samples, agc = {
+            "scalar_agc": (y, 1.7),
+            "row_agc": (y, row_agc),
+            "column_agc": (y, rng.uniform(0.5, 2.0, 640)),
+            "zero_d": (np.complex128(0.3 - 1.2j), 0.9),
+            "transposed": (y.T, row_agc[:, 0]),
+            "signed_zeros": (zeros, row_agc),
+            "tiny_agc": (y, 1e-300),  # the scaled rails reach ~1e300 and clip to the outer levels
+            "huge_agc": (y, 1e300),  # the scaled rails underflow to the two central levels
+        }[case]
+        adc = quantization.AdcModel(bits=bits)
+        q = quantization.apply(adc, samples, agc)
+        want = np.asarray(midrise_formula(adc, samples, agc))
+        assert q.shape == want.shape and q.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 512), (16, 5120)])
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_unit_noise_byte_identical_to_complex_division(shape, seed):
+    rng = np.random.default_rng(seed)
+    got = mc._unit_noise(rng, *shape)
+    ref_rng = np.random.default_rng(seed)
+    want = (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)) / math.sqrt(2.0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.random() == ref_rng.random()  # the same number of draws
 
 
 CFO_TIMING = Scenario(
@@ -153,3 +196,104 @@ def test_one_propagate_per_distinct_input(monkeypatch, run, scenario):
     run(scenario)
     assert inputs
     assert len(inputs) == len(set(inputs))
+
+
+def empirical_zero_lag_sqnr(burst_clean, reference, sigma2, adc, noise_unit) -> float:
+    """One arm measured on its own, window included: the oracle for the sqnr rows.
+
+    The antenna with the strongest noiseless zero-lag response is measured;
+    each repetition adds fresh noise, runs the per-window AGC and ADC, and
+    correlates at the true alignment.  The estimate is |mean|^2 / var of the
+    complex correlation samples.
+    """
+    zl = burst_clean @ np.conj(reference)
+    b_hat = int(np.argmax(np.abs(zl) ** 2))
+    y = burst_clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
+    agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+    q = quantization.apply(adc, y, agc)
+    z = q @ np.conj(reference)
+    mean = z.mean()
+    var = float(np.mean(np.abs(z - mean) ** 2))
+    if var == 0.0:
+        return math.inf
+    return float(np.abs(mean) ** 2 / var)
+
+
+def per_arm_sqnr_rows(scenario: Scenario) -> list[dict]:
+    plans = mc.slot_beam_plans(scenario)
+    shape = (scenario.inner_repeats, scenario.n_subcarriers)
+    rows = []
+    for _, rng, slot, reference, burst in mc._trials(scenario, 0, scenario.trials):
+        noise_unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        for snr_db in scenario.snr_db_grid:
+            sigma2 = mc.noise_variance(scenario, snr_db)
+            for (method, bits), plan in plans.items():
+                adc = quantization.AdcModel(bits=bits)
+                g = empirical_zero_lag_sqnr(
+                    burst(plan.tx_vectors[slot]).samples, reference, sigma2, adc, noise_unit
+                )
+                rows.append({"method": method, "bits": bits, "snr_db": snr_db,
+                             "sqnr_db_sample": 10.0 * math.log10(g) if g > 0 else -math.inf})
+    return rows
+
+
+SQNR_ARMS = Scenario(
+    trials=3,
+    t_bs=4,
+    inner_repeats=8,
+    adc_bits=(1.0, 2.0, 13.0, 14.0, 15.0, 16.0, math.inf),
+    snr_db_grid=(-5.0, 10.0),
+    seed=23,
+)
+
+
+@pytest.mark.parametrize("mode", ["single_ue", "multi_ue_cell"])
+@pytest.mark.parametrize("regime", ["flat", "clustered"])
+def test_sqnr_rows_equal_per_arm_measurement(mode, regime):
+    scenario = replace(SQNR_ARMS, mode=mode, channel=ChannelConfig(regime=regime))
+    assert mc.run_sqnr_experiment(scenario).rows == per_arm_sqnr_rows(scenario)
+
+
+def test_one_sqnr_window_per_trial_snr_and_transmit_vector(monkeypatch):
+    original = mc._sqnr_window
+    built = []
+
+    def counting(clean, reference, sigma2, noise_unit):
+        built.append((clean.tobytes(), sigma2))
+        return original(clean, reference, sigma2, noise_unit)
+
+    monkeypatch.setattr(mc, "_sqnr_window", counting)
+    mc.run_sqnr_experiment(SQNR_ARMS)
+    plans = mc.slot_beam_plans(SQNR_ARMS)
+    distinct = sum(
+        len({plan.tx_vectors[slot].tobytes() for plan in plans.values()})
+        for _, _, slot, _, _ in mc._trials(SQNR_ARMS, 0, SQNR_ARMS.trials)
+    )
+    n_snr = len(SQNR_ARMS.snr_db_grid)
+    assert len(built) == len(set(built)) == distinct * n_snr
+    assert len(built) < SQNR_ARMS.trials * n_snr * len(plans)
+
+
+SCENARIO_FILES = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
+    (ROOT / "bench" / "scenarios").glob("*.yaml")
+)
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_slot_beam_plans_match_per_resolution_search(path):
+    every_bits = tuple(float(b) for b in range(1, 17)) + (math.inf,)
+    scenario = replace(cli.parse_config(path), adc_bits=every_bits)
+    plans = mc.slot_beam_plans(scenario)
+    geom = mc.bs_geometry(scenario)
+    anchors = [tuple(a) for a in optimizer.build_anchor_grid(scenario.t_bs, mc.sector_ranges(scenario)).anchors]
+    sub_cb = beamforming.dft_codebook(scenario.n_tot // scenario.n_rf, scenario.codebook_oversampling)
+    full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
+    for bits in every_bits:
+        bound = optimizer.BoundParams(scenario.lambda_max, quantization.AdcModel(bits=bits).xi())
+        multi = [optimizer.select_multi_beam(sub_cb, scenario.n_rf, geom, a, bound, scenario.search_budget)
+                 for a in anchors]
+        single = [optimizer.select_single_beam(full_cb, geom, a, bound) for a in anchors]
+        for method, sels in (("proposed", multi), ("single_stream", single)):
+            plan = plans[(method, bits)]
+            assert plan.indices.tolist() == [list(sel.indices) for sel in sels]
+            assert plan.iteration_count == sum(sel.iteration_count for sel in sels)

@@ -268,6 +268,12 @@ class TestApply:
         with pytest.raises(ValueError):
             quantization.apply(AdcModel(bits=2), np.ones(4, complex), 0.0)
 
+    @pytest.mark.parametrize("bits", [2, math.inf])
+    @pytest.mark.parametrize("agc", [-1.0, math.nan, np.array([[1.0], [math.nan]])])
+    def test_rejects_negative_and_nan_agc(self, bits, agc):
+        with pytest.raises(ValueError, match="agc_rms"):
+            quantization.apply(AdcModel(bits=bits), np.ones((2, 4), complex), agc)
+
     def test_output_alphabet_size(self):
         adc = AdcModel(bits=3)
         x = np.linspace(-10, 10, 100_000) + 0j
