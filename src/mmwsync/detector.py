@@ -59,7 +59,8 @@ def _reference_spectrum(dtype: str, shape: tuple, reference: bytes, nfft: int) -
     return spectrum
 
 
-def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:
+def correlate(received: np.ndarray, reference: np.ndarray,
+              out: np.ndarray | None = None) -> CorrelationProfile:
     """Sliding inner products sum_n received[b, n+nu] * conj(reference[n]).
 
     ``received`` is (m_tot, window) or a single-antenna (window,) vector with
@@ -69,6 +70,11 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
     ``nfft = _next_fast_len(window)``.  It is exact, not an approximation: at a
     lag nu <= window - n the reference spans samples nu .. nu + n - 1 <=
     window - 1 < nfft, so no product wraps around the end of the FFT frame.
+
+    ``out``, when given, holds the circular correlation: a complex128 array of
+    shape (m, nfft), m being the rows of ``received`` (1 for a vector).  It
+    may be ``received`` itself when nfft equals the window, which then
+    leaves the input overwritten.  The returned values are a view of it.
     """
     received = np.atleast_2d(np.asarray(received))
     reference = np.asarray(reference)
@@ -77,7 +83,9 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
     if window < n:
         raise ValueError(f"received window {window} shorter than reference {n}")
     nfft = _next_fast_len(window)
-    spectrum = np.fft.fft(received, nfft, axis=1)
+    if out is not None and (out.shape != (received.shape[0], nfft) or out.dtype != np.complex128):
+        raise ValueError(f"out must be a complex128 array of shape {(received.shape[0], nfft)}")
+    spectrum = np.fft.fft(received, nfft, axis=1, out=out)
     spectrum *= _reference_spectrum(reference.dtype.str, reference.shape, reference.tobytes(), nfft)
     corr = np.fft.ifft(spectrum, axis=1, out=spectrum)
     return CorrelationProfile(values=corr[:, : window - n + 1])
@@ -88,17 +96,20 @@ def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutc
 
     Ties break to the smallest lag, then the smallest antenna index.
     """
-    power = np.abs(profile.values)
-    if power.size == 0:
+    magnitude = np.abs(profile.values)
+    if magnitude.size == 0:
         raise ValueError("empty correlation profile")
-    np.square(power, out=power)
-    # the first lag whose column holds the maximum, then the first antenna in it
-    nu_hat = int(np.argmax(power.max(axis=0)))
-    b_hat = int(np.argmax(power[:, nu_hat]))
+    # x -> x^2 is monotone non-decreasing, so the squared column maxima are the
+    # column maxima of |values|^2, ties and NaNs included: only they and the
+    # winning column need squaring.  The first lag whose column holds the
+    # maximum wins, then the first antenna in that column.
+    nu_hat = int(np.argmax(np.square(magnitude.max(axis=0))))
+    power = np.square(magnitude[:, nu_hat])
+    b_hat = int(np.argmax(power))
     return TrialOutcome(
         nu_hat=nu_hat,
         b_hat=b_hat,
-        peak_power=float(power[b_hat, nu_hat]),
+        peak_power=float(power[b_hat]),
         nu_true=nu_true,
         success=None if nu_true is None else bool(nu_hat == nu_true),
     )

@@ -19,6 +19,9 @@ Conventions shared by all experiments:
   sqnr experiment the arms of one (trial, SNR, transmit vector) also share
   the noisy window, its AGC and its 1/AGC scaling: only the quantizer
   differs between them.
+* The timing and multicell windows of one chunk share one workspace
+  (``_window_workspace``): each window is built, AGC-scaled, quantized and
+  correlated in the same fixed buffers, so no window allocates its own.
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -460,6 +463,7 @@ def _zero_lag_sqnr(q: np.ndarray, reference: np.ndarray) -> float:
 
 def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
     rows = []
+    quantized = np.empty((scenario.inner_repeats, scenario.n_subcarriers), np.complex128)
     for _, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
         for snr_db in scenario.snr_db_grid:
@@ -472,7 +476,7 @@ def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list
                     windows[key] = _sqnr_window(burst(tx_vec).samples, reference, sigma2, noise_unit)
                 y, agc, scaled = windows[key]
                 adc = quantization.AdcModel(bits=bits)
-                q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled.copy(), agc)
+                q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
                 g = _zero_lag_sqnr(q, reference)
                 rows.append({"method": method, "bits": bits, "snr_db": snr_db,
                              "sqnr_db_sample": 10.0 * math.log10(g) if g > 0 else -math.inf})
@@ -520,18 +524,37 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _window_workspace(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers every detection window of a chunk reuses.
+
+    Returns the complex (m_tot, window) window, the correlator's complex
+    (m_tot, nfft) output, which starts in the window's memory and is the
+    window itself when the FFT length equals the window, and a float
+    (m_tot, window) buffer for |y|^2.
+    """
+    m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
+    nfft = detector._next_fast_len(window)
+    flat = np.empty(m * nfft, np.complex128)
+    return flat[: m * window].reshape(m, window), flat.reshape(m, nfft), np.empty((m, window))
+
+
 def _detect_window(
     burst: _Correlated,
     noise: _Correlated,
     sigma2: float,
     t: int,
     adc: quantization.AdcModel,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> detector.TrialOutcome:
     """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
 
+    ``work`` is the chunk's ``_window_workspace``: the window is built, its
+    AGC taken, and it is quantized and correlated in place there, so the
+    profile is only valid until the next window.
+
     At infinite resolution and with noise, detection is linear, so the profile
     is assembled as sqrt(sigma2) * C(noise) + C(burst) from correlations each
-    computed once per trial, skipping the window, the AGC and the ADC copy.
+    computed once per trial, skipping the window, the AGC and the ADC.
     The scale and both correlations' samples are checked as
     ``quantization.apply`` checks its input; the noise keeps every AGC rms
     positive.
@@ -539,14 +562,18 @@ def _detect_window(
     reference = noise.reference
     n = reference.shape[0]
     scale = math.sqrt(sigma2)
+    y, spectrum, power = work
     if not adc.is_infinite or sigma2 == 0:
-        y = scale * noise.samples
+        np.multiply(scale, noise.samples, out=y)
         y[:, t : t + n] += burst.samples
-        agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-        q = quantization.apply(adc, y, agc)
-        return detector.detect(detector.correlate(q, reference), nu_true=t)
+        np.abs(y, out=power)
+        np.square(power, out=power)
+        agc = np.sqrt(np.mean(power, axis=1) / 2.0)[:, None]
+        q = quantization.apply(adc, y, agc, out=y)
+        return detector.detect(detector.correlate(q, reference, out=spectrum), nu_true=t)
     quantization.check_finite(scale)
-    values = scale * noise.correlation()
+    noise_values = noise.correlation()
+    values = np.multiply(scale, noise_values, out=spectrum[:, : noise_values.shape[1]])
     # C(burst) column j is the window lag t - (n - 1) + j
     lo = max(t - (n - 1), 0)
     hi = min(t + n, values.shape[1])
@@ -558,6 +585,7 @@ def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> li
     window = scenario.n_subcarriers * scenario.t_ue
     max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
     rows = []
+    work = _window_workspace(scenario)
     for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, max_t, endpoint=True))
         noise = _Correlated(_unit_noise(rng, scenario.m_tot, window), reference)
@@ -567,22 +595,11 @@ def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> li
                 clean = burst(plan.tx_vectors[slot], cfo)
                 for snr_db in scenario.snr_db_grid:
                     sigma2 = noise_variance(scenario, snr_db)
-                    out = _detect_window(clean, noise, sigma2, t, adc)
-                    rows.append(
-                        {
-                            "method": method,
-                            "trial": trial,
-                            "slot": slot,
-                            "snr_db": snr_db,
-                            "cfo": cfo,
-                            "bits": bits,
-                            "nu_true": t,
-                            "nu_hat": out.nu_hat,
-                            "b_hat": out.b_hat,
-                            "peak_power": out.peak_power,
-                            "success": int(out.success),
-                        }
-                    )
+                    out = _detect_window(clean, noise, sigma2, t, adc, work)
+                    rows.append({"method": method, "trial": trial, "slot": slot, "snr_db": snr_db,
+                                 "cfo": cfo, "bits": bits, "nu_true": t, "nu_hat": out.nu_hat,
+                                 "b_hat": out.b_hat, "peak_power": out.peak_power,
+                                 "success": int(out.success)})
     return rows
 
 
@@ -622,6 +639,7 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
     window = scenario.n_subcarriers * scenario.t_ue
     max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
     rows = []
+    work = _window_workspace(scenario)
     for trial, rng, slot0, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, max_t, endpoint=True))
         for (method, bits), plan in plans.items():
@@ -636,25 +654,16 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
                         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial, tau, snr_idx))
                     )
                     noise = _Correlated(_unit_noise(rng_slot, scenario.m_tot, window), reference)
-                    out = _detect_window(burst(plan.tx_vectors[tau]), noise, sigma2, t, adc)
+                    out = _detect_window(burst(plan.tx_vectors[tau]), noise, sigma2, t, adc, work)
                     if tau == slot0:
                         serving_success = bool(out.success)
                     if out.success and first_slot < 0:
                         first_slot = tau
                     if first_slot >= 0 and tau >= slot0:
                         break
-                rows.append(
-                    {
-                        "method": method,
-                        "trial": trial,
-                        "slot": slot0,
-                        "snr_db": snr_db,
-                        "bits": bits,
-                        "nu_true": t,
-                        "success": int(bool(serving_success)),
-                        "first_success_slot": first_slot,
-                    }
-                )
+                rows.append({"method": method, "trial": trial, "slot": slot0, "snr_db": snr_db,
+                             "bits": bits, "nu_true": t, "success": int(bool(serving_success)),
+                             "first_success_slot": first_slot})
     return rows
 
 

@@ -117,52 +117,77 @@ def check_agc(agc_rms) -> None:
         raise ValueError("agc_rms must be positive")
 
 
-def agc_scale(samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
-    """samples / agc_rms as a new complex128 array of the broadcast shape.
+def _out_array(out: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """``out`` once it is known to be a C-contiguous complex128 array of
+    ``shape``; a new one when it is None."""
+    if out is None:
+        return np.empty(shape, np.complex128)
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.complex128
+            and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
+    return out
+
+
+def agc_scale(samples: np.ndarray, agc_rms: float | np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """samples / agc_rms as complex128 of the broadcast shape, written to
+    ``out`` (a new array when None), which may be ``samples`` itself.
 
     The scaling is a multiply by 1/agc_rms.  numpy divides by agc_rms + 0j
     as a multiply by the same reciprocal, so the two differ at most in the
     sign of a zero, which the midrise rails do not see.
     """
-    out = np.empty(np.broadcast_shapes(np.shape(samples), np.shape(agc_rms)), np.complex128)
+    out = _out_array(out, np.broadcast_shapes(np.shape(samples), np.shape(agc_rms)))
     np.multiply(samples, 1.0 / np.asarray(agc_rms, dtype=np.float64), out=out)
     return out
 
 
-def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
+def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Midrise per rail of an ``agc_scale`` output, rescaled by agc_rms.
 
-    Works in place on ``scaled`` and returns it: a caller that quantizes one
-    scaled window at several resolutions passes each a copy.
+    The result is written to ``out`` (a new array when None), which may be
+    ``scaled`` itself; otherwise ``scaled`` is left as it is, so a caller
+    can quantize one scaled window at several resolutions.
     """
     if not scaled.flags.c_contiguous:
         raise ValueError("scaled must be C-contiguous, as agc_scale returns it")
+    out = _out_array(out, scaled.shape)
     half = 2 ** (int(adc.bits) - 1)
-    # both rails at once, in place on the interleaved float view
-    rails = scaled.reshape(-1).view(np.float64)
-    rails /= adc.step
+    # both rails at once, on the interleaved float views
+    rails = out.reshape(-1).view(np.float64)
+    np.divide(scaled.reshape(-1).view(np.float64), adc.step, out=rails)
     np.floor(rails, out=rails)
     np.clip(rails, -half, half - 1, out=rails)
     rails += 0.5
     rails *= adc.step
-    scaled *= agc_rms
-    return scaled
+    out *= agc_rms
+    return out
 
 
-def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
+def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Quantize a complex stream: scale by 1/agc_rms, midrise per rail, rescale.
 
     ``samples`` meet ``check_finite`` and ``agc_rms`` meets ``check_agc``: the
     positive per-rail rms the AGC normalizes to (scalar or broadcastable).
     The scaling is a multiply by 1/agc_rms (``agc_scale``).  An
-    infinite-resolution model returns a copy of the input.  The input array
-    is never modified.
+    infinite-resolution model returns a copy of the input.
+
+    The result is written to ``out`` when it is given: a C-contiguous
+    complex128 array of the output's shape (the broadcast shape of the
+    samples and agc_rms; the samples' own at infinite resolution), which may
+    be ``samples`` itself.  The input is never modified unless ``out`` is
+    the input.
     """
     samples = check_finite(samples)
     check_agc(agc_rms)
     if adc.is_infinite:
-        return samples.copy()
-    return quantize_scaled(adc, agc_scale(samples, agc_rms), agc_rms)
+        out = _out_array(out, samples.shape)
+        np.copyto(out, samples)
+        return out
+    scaled = agc_scale(samples, agc_rms, out)
+    return quantize_scaled(adc, scaled, agc_rms, out=scaled)
 
 
 def distortion_factor(quantized: np.ndarray, analog: np.ndarray) -> float:

@@ -57,6 +57,35 @@ class TestCorrelate:
         info = detector._reference_spectrum.cache_info()
         assert info.hits and info.currsize <= info.maxsize
 
+    # 1024 is a fast FFT length, 1031 is not (it transforms at 1050)
+    @pytest.mark.parametrize("window", [1024, 1031])
+    def test_out_byte_identical_to_allocating_call(self, wf, window):
+        rng = np.random.default_rng(window)
+        received = rng.standard_normal((3, window)) + 1j * rng.standard_normal((3, window))
+        reference = wf.time_samples
+        want = detector.correlate(received, reference).values.tobytes()
+        nfft = detector._next_fast_len(window)
+        separate = np.full((3, nfft), np.nan, complex)
+        got = detector.correlate(received, reference, out=separate).values
+        assert np.shares_memory(got, separate) and got.tobytes() == want
+        # aliased: the window laid out at the start of out's memory, which is
+        # the window itself when nfft equals it
+        flat = np.full(3 * nfft, np.nan, complex)
+        window_view = flat[: 3 * window].reshape(3, window)
+        window_view[...] = received
+        got = detector.correlate(window_view, reference, out=flat.reshape(3, nfft)).values
+        assert got.tobytes() == want
+        if nfft == window:
+            alias = received.copy()
+            assert detector.correlate(alias, reference, out=alias).values.tobytes() == want
+
+    def test_rejects_out_of_wrong_shape_or_dtype(self, wf):
+        received = np.zeros((2, 1024), complex)
+        for out in (np.empty((2, 1000), complex), np.empty((1, 1024), complex),
+                    np.empty((2, 1024), np.complex64)):
+            with pytest.raises(ValueError, match="out"):
+                detector.correlate(received, wf.time_samples, out=out)
+
     def test_window_too_short(self, wf):
         with pytest.raises(ValueError):
             detector.correlate(np.zeros(100, complex), wf.time_samples)
@@ -121,6 +150,26 @@ class TestDetect:
         out = detector.detect(detector.CorrelationProfile(values=values))
         assert (out.nu_hat, out.b_hat) == (nu, b)
         assert out.peak_power == power[b, nu] or np.isnan(out.peak_power) and np.isnan(power[b, nu])
+
+    @pytest.mark.parametrize("case", ["random", "underflow", "overflow", "ties", "nan"])
+    def test_matches_full_square_argmax(self, case):
+        # squares of magnitudes near 1e-162 round to shared subnormals, and near
+        # 1e155 overflow to inf: ties that only the squared profile has
+        rng = np.random.default_rng(len(case))
+        values = rng.standard_normal((6, 300)) + 1j * rng.standard_normal((6, 300))
+        if case in ("underflow", "overflow"):
+            values *= {"underflow": 1e-162, "overflow": 1e155}[case]
+        elif case == "ties":
+            values = rng.integers(-2, 3, (6, 300)) + 1j * rng.integers(-2, 3, (6, 300))
+        elif case == "nan":
+            values[rng.integers(0, 6, 3), rng.integers(0, 300, 3)] = np.nan
+        with np.errstate(over="ignore"):
+            power = np.abs(values) ** 2
+            out = detector.detect(detector.CorrelationProfile(values=values))
+        nu = int(np.argmax(power.max(axis=0)))
+        b = int(np.argmax(power[:, nu]))
+        assert (out.nu_hat, out.b_hat) == (nu, b)
+        assert np.float64(out.peak_power).tobytes() == power[b, nu].tobytes()
 
     def test_deterministic_under_fixed_seed(self, wf):
         def run():

@@ -135,8 +135,8 @@ def test_infinite_resolution_rows_match_explicit_detection(monkeypatch):
     fast = mc._detect_window
     checked = []
 
-    def explicit(burst, noise, sigma2, t, adc):
-        out = fast(burst, noise, sigma2, t, adc)
+    def explicit(burst, noise, sigma2, t, adc, work):
+        out = fast(burst, noise, sigma2, t, adc, work)
         if adc.is_infinite:
             reference = noise.reference
             n = reference.shape[0]
@@ -159,6 +159,11 @@ def test_infinite_resolution_rows_match_explicit_detection(monkeypatch):
 
 
 SQNR = Scenario(trials=3, t_bs=4, inner_repeats=4, adc_bits=(1.0, 2.0, math.inf), seed=3)
+
+TIMING = replace(CFO_TIMING, cfo_grid=(0.0,), seed=29)
+# a 128 x 13 = 1664-sample window transforms at 1680, so the correlator's
+# output is longer than the window that starts in its memory
+ODD_WINDOW_TIMING = replace(TIMING, n_subcarriers=128, cp_length=16, t_ue=13, seed=31)
 
 MULTICELL = Scenario(
     mode="multi_cell",
@@ -297,3 +302,67 @@ def test_slot_beam_plans_match_per_resolution_search(path):
             plan = plans[(method, bits)]
             assert plan.indices.tolist() == [list(sel.indices) for sel in sels]
             assert plan.iteration_count == sum(sel.iteration_count for sel in sels)
+
+
+WINDOW_SCENARIOS = [
+    (mc.run_timing_experiment, TIMING),
+    (mc.run_timing_experiment, CFO_TIMING),
+    (mc.run_timing_experiment, ODD_WINDOW_TIMING),
+    (mc.run_multicell_experiment, MULTICELL),
+]
+WINDOW_IDS = ["timing", "cfo", "odd_window", "multicell"]
+
+
+@pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
+def test_rows_equal_with_a_fresh_workspace_per_window(monkeypatch, run, scenario):
+    reused = run(scenario).rows
+    fast = mc._detect_window
+
+    def fresh(burst, noise, sigma2, t, adc, work):
+        work = mc._window_workspace(scenario)
+        for buf in work:
+            buf.fill(np.nan)  # a stale or unwritten sample would show
+        return fast(burst, noise, sigma2, t, adc, work)
+
+    monkeypatch.setattr(mc, "_detect_window", fresh)
+    assert run(scenario).rows == reused
+
+
+@pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
+def test_quantized_windows_equal_allocating_calls(monkeypatch, run, scenario):
+    fast = mc._detect_window
+    checked = []
+
+    def explicit(burst, noise, sigma2, t, adc, work):
+        out = fast(burst, noise, sigma2, t, adc, work)
+        if not adc.is_infinite:
+            n = noise.reference.shape[0]
+            y = math.sqrt(sigma2) * noise.samples
+            y[:, t : t + n] += burst.samples
+            agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+            q = quantization.apply(adc, y, agc)
+            ref = detector.detect(detector.correlate(q, noise.reference), nu_true=t)
+            assert out == ref
+            checked.append(out)
+        return out
+
+    monkeypatch.setattr(mc, "_detect_window", explicit)
+    run(scenario)
+    assert checked
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # (scale + 0j) * inf
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bits", [2.0, math.inf])
+@pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS[::3], ids=WINDOW_IDS[::3])
+def test_nonfinite_noise_sample_is_rejected(monkeypatch, run, scenario, bits, bad):
+    original = mc._unit_noise
+
+    def planted(rng, rows, cols):
+        noise = original(rng, rows, cols)
+        noise[1, 7] = bad
+        return noise
+
+    monkeypatch.setattr(mc, "_unit_noise", planted)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        run(replace(scenario, adc_bits=(bits,)))

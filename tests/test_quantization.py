@@ -274,6 +274,46 @@ class TestApply:
         with pytest.raises(ValueError, match="agc_rms"):
             quantization.apply(AdcModel(bits=bits), np.ones((2, 4), complex), agc)
 
+    @pytest.mark.parametrize("bits", [1, 2, 16, math.inf])
+    @pytest.mark.parametrize("agc", ["scalar", "row"])
+    def test_out_byte_identical_to_allocating_call(self, bits, agc):
+        adc = AdcModel(bits=bits)
+        rng = np.random.default_rng(7)
+        x = 3.0 * (rng.standard_normal((16, 640)) + 1j * rng.standard_normal((16, 640)))
+        rms = 1.3 if agc == "scalar" else np.sqrt(np.mean(np.abs(x) ** 2, axis=1) / 2.0)[:, None]
+        want = quantization.apply(adc, x, rms)
+        kept = x.copy()
+        buf = np.full_like(x, np.nan)
+        assert quantization.apply(adc, x, rms, out=buf) is buf
+        assert buf.tobytes() == want.tobytes() and x.tobytes() == kept.tobytes()
+        assert quantization.apply(adc, x, rms, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits", [2, math.inf])
+    def test_rejects_out_of_wrong_shape_dtype_or_layout(self, bits):
+        x = np.ones((4, 6), complex)
+        for out in (np.empty((4, 5), complex), np.empty((4, 6), np.complex64),
+                    np.empty((6, 4), complex).T, np.empty((4, 6))):
+            with pytest.raises(ValueError, match="out"):
+                quantization.apply(AdcModel(bits=bits), x, 1.0, out=out)
+
+    @pytest.mark.parametrize("bits", [1, 3, 12])
+    def test_quantize_scaled_leaves_scaled_unless_out_is_scaled(self, bits):
+        adc = AdcModel(bits=bits)
+        rng = np.random.default_rng(bits)
+        x = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
+        rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=1) / 2.0)[:, None]
+        want = quantization.apply(adc, x, rms)
+        scaled = quantization.agc_scale(x, rms)
+        kept = scaled.copy()
+        buf = np.empty_like(scaled)
+        for got in (quantization.quantize_scaled(adc, scaled, rms),
+                    quantization.quantize_scaled(adc, scaled, rms, out=buf)):
+            assert got.tobytes() == want.tobytes()
+            assert scaled.tobytes() == kept.tobytes()
+        assert quantization.quantize_scaled(adc, scaled, rms, out=scaled) is scaled
+        assert scaled.tobytes() == want.tobytes()
+
     def test_output_alphabet_size(self):
         adc = AdcModel(bits=3)
         x = np.linspace(-10, 10, 100_000) + 0j
