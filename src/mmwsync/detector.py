@@ -2,9 +2,7 @@
 
 The receiver slides the stored unquantized reference symbol over the
 quantized per-antenna sample window, takes the joint (lag, antenna) argmax of
-the squared correlation magnitude, and reports the timing estimate.  The
-zero-lag frequency-domain correlation of an aligned burst doubles as the
-SQNR measurement point.
+the squared correlation magnitude, and reports the timing estimate.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .waveform import OfdmGrid
 
 
 @dataclass(frozen=True)
@@ -113,20 +109,6 @@ def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutc
         nu_true=nu_true,
         success=None if nu_true is None else bool(nu_hat == nu_true),
     )
-
-
-def zero_lag_freq_correlation(received_burst: np.ndarray, reference_grid: OfdmGrid) -> complex:
-    """Unitary DFT of the aligned burst correlated against the grid.
-
-    Equals the time-domain correlation at the true lag; used for SQNR
-    analysis rather than detection.
-    """
-    burst = np.asarray(received_burst)
-    n = reference_grid.n_subcarriers
-    if burst.shape[-1] != n:
-        raise ValueError(f"burst length {burst.shape[-1]} != grid size {n}")
-    spectrum = np.fft.fft(burst) / np.sqrt(n)
-    return complex(np.sum(spectrum * np.conj(reference_grid.symbols)))
 
 
 def timing_nmse(nu_true, nu_hat) -> float:

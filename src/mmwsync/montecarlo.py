@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import __version__ as _VERSION
-from . import beamforming, channel, detector, optimizer, quantization, sqnr, waveform
+from . import beamforming, channel, detector, optimizer, quantization, waveform
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,15 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.bs_geometry not in ("ula", "upa"):
             raise ValueError(f"unknown bs_geometry {self.bs_geometry!r}")
+        shape = self.bs_upa_shape
+        if self.bs_geometry == "upa" and not (
+            isinstance(shape, tuple) and len(shape) == 2 and min(shape) >= 1
+            and shape[0] * shape[1] == self.n_tot
+        ):
+            raise ValueError(f"bs_upa_shape must be two positive factors of n_tot={self.n_tot} "
+                             f"for bs_geometry 'upa', got {shape}")
+        if self.n_rf < 1:
+            raise ValueError(f"n_rf must be >= 1, got {self.n_rf}")
         if self.n_tot % self.n_rf != 0:
             raise ValueError("n_tot must be a multiple of n_rf")
         if not 0 <= self.cp_length < self.n_subcarriers:
@@ -146,6 +155,10 @@ class Scenario:
         for b in self.adc_bits:
             if b != math.inf and (b != int(b) or not 1 <= b <= 16):
                 raise ValueError(f"adc bits must be integers in [1,16] or inf, got {b}")
+        if not -3000.0 <= self.lambda_max_inv_db <= 3000.0:
+            # NaN fails the comparison; past +-3000 dB lambda_max leaves the float range
+            raise ValueError(f"lambda_max_inv_db must be a number in [-3000, 3000], "
+                             f"got {self.lambda_max_inv_db}")
         lo, hi = self.sector.azimuth_deg
         if self.mode != "single_ue" and lo != -hi:
             # the cell modes drop users over +-hi, so the anchors must span the same sector
@@ -167,15 +180,14 @@ class StatSummary:
     meta: dict
 
 
-@lru_cache(maxsize=64)
 def scenario_hash(scenario: Scenario) -> str:
+    """Digest of the scenario's JSON form.
+
+    Not cached: equal scenarios can differ in form (adc_bits 2 and 2.0), and
+    a cache keyed on equality would hand one the other's digest.
+    """
     blob = json.dumps(asdict(scenario), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _trial_rng(scenario: Scenario, trial: int) -> np.random.Generator:
-    key = int(scenario_hash(scenario), 16) & 0xFFFFFFFF
-    return np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(key, trial)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +198,7 @@ def _trial_rng(scenario: Scenario, trial: int) -> np.random.Generator:
 def bs_geometry(scenario: Scenario) -> channel.ArrayGeometry:
     if scenario.bs_geometry == "ula":
         return channel.ArrayGeometry(kind="ula", n_elements=scenario.n_tot)
-    shape = scenario.bs_upa_shape
-    if shape is None:
-        raise ValueError("bs_upa_shape required for a UPA base station")
-    return channel.ArrayGeometry(kind="upa", n_elements=scenario.n_tot, shape=tuple(shape))
+    return channel.ArrayGeometry(kind="upa", n_elements=scenario.n_tot, shape=scenario.bs_upa_shape)
 
 
 def ue_geometry(scenario: Scenario) -> channel.ArrayGeometry:
@@ -390,8 +399,9 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     waveforms = [sync_waveform(scenario, root=r) for r in layout.roots]
     reference = waveforms[0].time_samples
     az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
+    key = int(scenario_hash(scenario), 16) & 0xFFFFFFFF
     for trial in range(trial_lo, trial_hi):
-        rng = _trial_rng(scenario, trial)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(key, trial)))
         if scenario.mode == "single_ue":
             ue_pos, aod, amp = None, rng.uniform(az_lo, az_hi), 1.0
         else:
@@ -697,118 +707,6 @@ def run_multicell_experiment(scenario: Scenario, workers: int = 1) -> StatSummar
         agg["access_prob_none"] = float(np.mean([r["first_success_slot"] < 0 for r in sel]))
         aggregates.append(agg)
     return StatSummary(rows=rows, aggregates=aggregates, meta=_meta(scenario, "multicell", plans))
-
-
-# ---------------------------------------------------------------------------
-# Bussgang validation: correlation power ratio against the closed form
-# ---------------------------------------------------------------------------
-
-
-def solve_gain_for_gamma(gamma: float, eta: float, noise_var: float = 1.0) -> float:
-    """Signal power making the closed-form SQNR equal gamma; errors when the
-    resolution cannot reach it (gamma >= eta / (1 - eta))."""
-    denom = eta - gamma * (1.0 - eta)
-    if denom <= 0:
-        raise ValueError(f"gamma {gamma} unreachable at eta {eta}")
-    return gamma * noise_var / denom
-
-
-def correlation_ratio_check(
-    bits: int,
-    gamma_target: float,
-    trials: int,
-    seed: int,
-    length: int = 63,
-    root: int = 34,
-) -> dict:
-    """Measure the zero/non-zero-lag correlation power ratio through the ADC.
-
-    The raw ratio carries the correlation processing gain, so the normalized
-    form (ratio - 1) / length is compared against the analytic SQNR; the
-    identity predicts ratio = 1 + length * gamma.
-    """
-    eta = 1.0 - quantization.AdcModel(bits=bits).xi()
-    s = solve_gain_for_gamma(gamma_target, eta)
-    ratio = _measured_ratio(s, bits, trials, seed, length, root)
-    gamma_emp = (ratio - 1.0) / length
-    gamma_analytic = sqnr.sqnr_single_beam(
-        sqnr.SqnrInputs(effective_gain_sq=s, noise_var=1.0, eta=eta)
-    )
-    return {
-        "bits": bits,
-        "gamma_target": gamma_target,
-        "gamma_analytic": gamma_analytic,
-        "gamma_empirical": gamma_emp,
-        "measured_ratio": ratio,
-        "predicted_ratio": 1.0 + length * gamma_analytic,
-        "normalized_ratio": 1.0 + gamma_emp,
-    }
-
-
-def codebook_ratio_argmax(
-    bits: int,
-    trials_per_codeword: int,
-    seed: int,
-    n_a: int = 16,
-    ue_az: float = 0.35,
-    base_gain: float = 0.25,
-) -> dict:
-    """Measured-vs-analytic best-codeword agreement on a ULA DFT codebook.
-
-    For each codeword the measured power ratio runs the correlation protocol
-    at that codeword's beamforming gain; the argmax over measured ratios is
-    compared with the argmax over analytic SQNRs (they coincide since the
-    ratio is a strictly increasing map of the SQNR).
-    """
-    cb = beamforming.dft_codebook(n_a, 1)
-    geom = channel.ArrayGeometry(kind="ula", n_elements=n_a)
-    a = channel.steering_vector(geom, ue_az)
-    gains = base_gain * np.abs(np.conj(a) @ cb.codewords.T) ** 2
-    eta = 1.0 - quantization.AdcModel(bits=bits).xi()
-    measured = np.zeros(cb.n_beam)
-    analytic = np.zeros(cb.n_beam)
-    for q in range(cb.n_beam):
-        s = float(gains[q])
-        analytic[q] = sqnr.sqnr_single_beam(
-            sqnr.SqnrInputs(effective_gain_sq=s, noise_var=1.0, eta=eta)
-        )
-        measured[q] = _measured_ratio(s, bits, trials_per_codeword, seed + q)
-    return {
-        "argmax_measured": int(np.argmax(measured)),
-        "argmax_analytic": int(np.argmax(analytic)),
-        "measured": measured,
-        "analytic": analytic,
-    }
-
-
-def _measured_ratio(s: float, bits: int, trials: int, seed: int, length: int = 63,
-                    root: int = 34) -> float:
-    """Zero/non-zero-lag correlation power ratio through the ADC.
-
-    Protocol: constant-envelope time-domain sequence (exact impulse cyclic
-    autocorrelation), flat channel with per-sample signal power s and unit
-    noise power, matched AGC; trials run in batches of 20000.
-    """
-    u = waveform.generate_zc(root, length).samples
-    adc = quantization.AdcModel(bits=bits)
-    agc = math.sqrt((s + 1.0) / 2.0)
-    rng = np.random.default_rng(seed)
-    f_u = np.conj(np.fft.fft(u))
-    p_zero = p_nonzero = 0.0
-    batch = 20000
-    for lo in range(0, trials, batch):
-        nb = min(batch, trials - lo)
-        theta = np.exp(2j * np.pi * rng.random((nb, 1)))
-        w = (
-            rng.standard_normal((nb, length)) + 1j * rng.standard_normal((nb, length))
-        ) * math.sqrt(0.5)
-        y = math.sqrt(s) * theta * u[None, :] + w
-        q = quantization.apply(adc, y, agc)
-        corr = np.fft.ifft(np.fft.fft(q, axis=1) * f_u[None, :], axis=1)
-        mag2 = np.abs(corr) ** 2
-        p_zero += float(mag2[:, 0].sum())
-        p_nonzero += float(mag2[:, 1:].sum())
-    return (p_zero / trials) / (p_nonzero / (trials * (length - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -181,24 +181,6 @@ def select_from_gains(
     )
 
 
-def select_multi_beam(
-    codebook: Codebook,
-    n_rf: int,
-    geometry: ArrayGeometry,
-    anchor: tuple[float, float],
-    bound: BoundParams,
-    budget: int = 2**20,
-) -> BeamSelection:
-    """Exhaustive search over all (n_beam)^n_rf per-subarray codeword tuples.
-
-    The objective is the worst-case bound evaluated on the composite gain
-    |h|^2 of each candidate set; ties resolve to the lexicographically
-    smallest index tuple.
-    """
-    gains = multi_beam_gains(codebook, n_rf, geometry, anchor, budget)
-    return select_from_gains(codebook, gains, geometry, anchor, bound)
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     """Operation counts for the beam search and the UE correlator."""

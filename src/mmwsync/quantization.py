@@ -1,10 +1,12 @@
-"""Low-resolution ADC models and Bussgang decomposition quantities.
+"""Low-resolution ADC model and its quantization-MSE table.
 
 The ADC is a uniform midrise quantizer applied independently to the I and Q
 rails after AGC scaling.  ``xi_for_bits`` is the minimum (Lloyd-Max) mean
 squared error of a b-bit scalar quantizer for a unit-variance Gaussian, the
-quantity the closed-form SQNR expressions are parameterized by; it and the
-uniform quantizer's optimal clip are tabulated for 1-16 bits.
+worst-case distortion the beam-selection bound is parameterized by; it and
+the uniform quantizer's optimal clip are tabulated for 1-16 bits.  The
+Bussgang checks of ``apply`` against 1 - xi are in the tests
+(``tests/closed_forms.py``).
 """
 
 from __future__ import annotations
@@ -93,15 +95,6 @@ class AdcModel:
         return 0.0 if self.is_infinite else xi_for_bits(int(self.bits))
 
 
-@dataclass(frozen=True)
-class BussgangStats:
-    """Linearized quantizer statistics: per-sample gain and distortion power."""
-
-    eta: np.ndarray
-    xi: float
-    noise_cov_diag: np.ndarray
-
-
 def check_finite(samples) -> np.ndarray:
     """The sample contract of ``apply``: finite complex values of any shape,
     memory layout or strides; returns them as a complex128 array."""
@@ -188,46 +181,3 @@ def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray,
         return out
     scaled = agc_scale(samples, agc_rms, out)
     return quantize_scaled(adc, scaled, agc_rms, out=scaled)
-
-
-def distortion_factor(quantized: np.ndarray, analog: np.ndarray) -> float:
-    """Empirical Bussgang gain E[q* y] / E[|y|^2] over a sample stream."""
-    analog = np.asarray(analog)
-    quantized = np.asarray(quantized)
-    denom = np.mean(np.abs(analog) ** 2)
-    if denom == 0:
-        raise ValueError("analog stream has zero power")
-    return float(np.real(np.mean(np.conj(quantized) * analog)) / denom)
-
-
-def bussgang_decompose(
-    adc: AdcModel,
-    unquantized_power_diag: np.ndarray,
-    noise_var: float,
-    xi: float | None = None,
-) -> BussgangStats:
-    """Per-sample distortion matrix diagonal and quantization-noise covariance.
-
-    eta[n] = (1 - xi) / sqrt(V[n]) with V[n] = unquantized_power_diag[n] +
-    noise_var, and noise_cov_diag[n] = eta[n] * (1 - eta[n]) * V[n].  Valid
-    when the quantizer operates at or above its design power (eta <= 1).
-    """
-    if xi is None:
-        xi = adc.xi()
-    if not 0 <= xi < 1:
-        raise ValueError(f"xi must be in [0, 1), got {xi}")
-    power = np.asarray(unquantized_power_diag, dtype=np.float64)
-    if np.any(power < 0) or noise_var < 0:
-        raise ValueError("powers must be nonnegative")
-    v = power + noise_var
-    if np.any(v <= 0):
-        raise ValueError("total per-sample power must be positive")
-    eta = (1.0 - xi) / np.sqrt(v)
-    if np.any(eta > 1.0 + 1e-12):
-        raise ValueError(
-            "per-sample power below the quantizer design point (eta > 1); "
-            "rescale the input or the AGC"
-        )
-    eta = np.minimum(eta, 1.0)
-    noise_cov = eta * (1.0 - eta) * v
-    return BussgangStats(eta=eta, xi=float(xi), noise_cov_diag=noise_cov)

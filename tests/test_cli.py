@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from mmwsync import cli
+from mmwsync import cli, montecarlo
 
 
 MINIMAL = "mode: single_ue\n"
@@ -70,13 +70,24 @@ class TestParseConfig:
             ("cfo_grid: [.inf]\n", "cfo_grid"),
             ("cfo_grid: [-.inf]\n", "cfo_grid"),
             ("mode: multi_ue_cell\nsector:\n  azimuth_deg: [-30, 60]\n", "sector.azimuth_deg"),
+            ("n_rf: 0\n", "n_rf"),
+            ("lambda_max_inv_db: .nan\n", "lambda_max_inv_db"),
+            ("lambda_max_inv_db: -.inf\n", "lambda_max_inv_db"),
+            ("lambda_max_inv_db: .inf\n", "lambda_max_inv_db"),
+            ("lambda_max_inv_db: -4000\n", "lambda_max_inv_db"),
+            ("bs_geometry: upa\n", "bs_upa_shape"),
+            ("bs_geometry: upa\nbs_upa_shape: [4, 4]\n", "bs_upa_shape"),
+            ("bs_geometry: upa\nbs_upa_shape: [-4, -8]\n", "bs_upa_shape"),
+            ("bs_geometry: upa\nbs_upa_shape: [2, 4, 4]\n", "bs_upa_shape"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
             "zc_root_zero", "zc_root_not_coprime", "n_zc_one",
             "cell_root_out_of_range", "cell_root_not_coprime", "cell_roots_zero",
             "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
-            "sector_asymmetric",
+            "sector_asymmetric", "n_rf_zero", "lambda_nan", "lambda_neg_inf", "lambda_inf",
+            "lambda_overflow", "upa_no_shape", "upa_shape_product", "upa_shape_negative",
+            "upa_shape_three_axes",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
@@ -86,6 +97,11 @@ class TestParseConfig:
     def test_infinite_bits_parse(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, "adc_bits: [2, .inf]\n"))
         assert scenario.adc_bits == (2, math.inf)
+
+    def test_upa_shape_parses_and_builds(self, tmp_path):
+        scenario = cli.parse_config(write(tmp_path, "bs_geometry: upa\nbs_upa_shape: [8, 4]\n"))
+        assert scenario.bs_upa_shape == (8, 4)
+        assert montecarlo.bs_geometry(scenario).shape == (8, 4)
 
     def test_nested_sections(self, tmp_path):
         text = "mode: multi_cell\ncell:\n  isd_m: 400.0\nchannel:\n  regime: clustered\n"

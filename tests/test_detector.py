@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from closed_forms import zero_lag_freq_correlation
 from mmwsync import channel, detector, montecarlo, quantization, waveform
 from mmwsync.channel import ArrayGeometry, NyquistPulse
 
@@ -186,7 +187,7 @@ class TestZeroLagFreqCorrelation:
     def test_matches_time_domain_at_alignment(self, wf):
         rng = np.random.default_rng(4)
         burst = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        freq = detector.zero_lag_freq_correlation(burst, wf.grid)
+        freq = zero_lag_freq_correlation(burst, wf.grid)
         time = np.sum(burst * np.conj(wf.time_samples))
         assert freq == pytest.approx(time, abs=1e-8)
 
@@ -200,7 +201,7 @@ class TestZeroLagFreqCorrelation:
         f = channel.steering_vector(geom_tx, 0.25) / math.sqrt(8)
         y = channel.propagate(ch, wf.time_samples, f, 0.0, 0.0, 0, 512, np.random.default_rng(0))
         b = 2
-        got = detector.zero_lag_freq_correlation(y[b], wf.grid)
+        got = zero_lag_freq_correlation(y[b], wf.grid)
         a_rx = channel.steering_vector(geom_rx, 0.1)
         a_tx = channel.steering_vector(geom_tx, 0.25)
         expect = g * a_rx[b] * (np.conj(a_tx) @ f) * np.sum(np.abs(wf.grid.symbols) ** 2)
@@ -208,7 +209,7 @@ class TestZeroLagFreqCorrelation:
 
     def test_zero_reference(self):
         grid = waveform.OfdmGrid(16, np.zeros(16, complex), 8, 4, 1)
-        assert detector.zero_lag_freq_correlation(np.ones(16, complex), grid) == 0.0
+        assert zero_lag_freq_correlation(np.ones(16, complex), grid) == 0.0
 
     def test_antenna_rules_agree_on_flat_channel(self, wf):
         geom_tx = ArrayGeometry(kind="ula", n_elements=8)
@@ -219,14 +220,14 @@ class TestZeroLagFreqCorrelation:
         f = channel.steering_vector(geom_tx, 0.2) / math.sqrt(8)
         y = channel.propagate(ch, wf.time_samples, f, 0.1, 0.0, 0, 512, rng)
         freq_bhat = np.argmax(
-            [abs(detector.zero_lag_freq_correlation(y[b], wf.grid)) ** 2 for b in range(4)]
+            [abs(zero_lag_freq_correlation(y[b], wf.grid)) ** 2 for b in range(4)]
         )
         time_bhat = np.argmax(np.abs(y @ np.conj(wf.time_samples)) ** 2)
         assert freq_bhat == time_bhat
 
     def test_length_validation(self, wf):
         with pytest.raises(ValueError):
-            detector.zero_lag_freq_correlation(np.ones(100, complex), wf.grid)
+            zero_lag_freq_correlation(np.ones(100, complex), wf.grid)
 
 
 class TestQuantizedPeakDegradation:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from closed_forms import select_multi_beam
 from mmwsync import beamforming, channel, cli, detector, optimizer, quantization
 from mmwsync import montecarlo as mc
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario
@@ -295,7 +296,7 @@ def test_slot_beam_plans_match_per_resolution_search(path):
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
     for bits in every_bits:
         bound = optimizer.BoundParams(scenario.lambda_max, quantization.AdcModel(bits=bits).xi())
-        multi = [optimizer.select_multi_beam(sub_cb, scenario.n_rf, geom, a, bound, scenario.search_budget)
+        multi = [select_multi_beam(sub_cb, scenario.n_rf, geom, a, bound, scenario.search_budget)
                  for a in anchors]
         single = [optimizer.select_single_beam(full_cb, geom, a, bound) for a in anchors]
         for method, sels in (("proposed", multi), ("single_stream", single)):

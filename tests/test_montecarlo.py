@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from closed_forms import codebook_ratio_argmax, correlation_ratio_check, solve_gain_for_gamma
 from mmwsync import montecarlo as mc
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
 
@@ -24,6 +28,16 @@ class TestScenario:
     def test_hash_changes_with_fields(self):
         other = Scenario(**{**TINY.__dict__, "seed": 32})
         assert mc.scenario_hash(other) != mc.scenario_hash(TINY)
+
+    def test_hash_is_its_own_blob_after_an_equal_scenario(self):
+        # equal scenarios of different form: adc_bits 3.0 and 3 (as YAML [3, .inf] parses)
+        as_float = Scenario(adc_bits=(3.0, math.inf), seed=918273)
+        as_int = Scenario(adc_bits=(3, math.inf), seed=918273)
+        assert as_float == as_int
+        mc.scenario_hash(as_float)
+        for scenario in (as_int, as_float):
+            blob = json.dumps(asdict(scenario), sort_keys=True, default=str)
+            assert mc.scenario_hash(scenario) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -227,13 +241,13 @@ class TestMulticellExperiment:
 
 class TestBussgangValidation:
     def test_ratio_check_matches_analytic(self):
-        res = mc.correlation_ratio_check(bits=4, gamma_target=1.0, trials=40_000, seed=3)
+        res = correlation_ratio_check(bits=4, gamma_target=1.0, trials=40_000, seed=3)
         assert res["gamma_empirical"] == pytest.approx(res["gamma_analytic"], rel=0.1)
 
     def test_unreachable_gamma_raises(self):
         with pytest.raises(ValueError):
-            mc.solve_gain_for_gamma(10.0, eta=1 - 0.1175)
+            solve_gain_for_gamma(10.0, eta=1 - 0.1175)
 
     def test_codebook_argmax_agreement(self):
-        res = mc.codebook_ratio_argmax(bits=2, trials_per_codeword=6000, seed=21)
+        res = codebook_ratio_argmax(bits=2, trials_per_codeword=6000, seed=21)
         assert res["argmax_measured"] == res["argmax_analytic"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import select_multi_beam
 from mmwsync import beamforming, channel, optimizer, sqnr
 from mmwsync.beamforming import BeamSet
 from mmwsync.channel import ArrayGeometry
@@ -101,14 +102,14 @@ class TestSelectMultiBeam:
         cb = beamforming.dft_codebook(4, 1)
         single = beamforming.Codebook(codewords=cb.codewords[:1], oversampling=1)
         geom = ArrayGeometry(kind="ula", n_elements=12)
-        sel = optimizer.select_multi_beam(single, 3, geom, (0.1, 0.0), BOUND)
+        sel = select_multi_beam(single, 3, geom, (0.1, 0.0), BOUND)
         assert sel.indices == (0, 0, 0)
         assert sel.iteration_count == 1
 
     def test_iteration_count_16_4(self):
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
-        sel = optimizer.select_multi_beam(cb, 4, geom, (0.3, 0.0), BOUND)
+        sel = select_multi_beam(cb, 4, geom, (0.3, 0.0), BOUND)
         assert sel.iteration_count == 16**4 == 65536
 
     def test_matches_brute_force_small_instances(self):
@@ -119,7 +120,7 @@ class TestSelectMultiBeam:
             geom = ArrayGeometry(kind="ula", n_elements=n_a * n_rf)
             for _ in range(10):
                 anchor = (rng.uniform(-1.0, 1.0), 0.0)
-                sel = optimizer.select_multi_beam(cb, n_rf, geom, anchor, BOUND)
+                sel = select_multi_beam(cb, n_rf, geom, anchor, BOUND)
                 obj, indices = brute_force_multi_beam(cb, n_rf, geom, anchor, BOUND)
                 assert sel.indices == indices
                 assert sel.objective == obj
@@ -128,7 +129,7 @@ class TestSelectMultiBeam:
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
         anchor = (0.42, 0.0)
-        sel = optimizer.select_multi_beam(cb, 4, geom, anchor, BOUND)
+        sel = select_multi_beam(cb, 4, geom, anchor, BOUND)
         a_tx = channel.steering_vector(geom, *anchor)
         rng = np.random.default_rng(3)
         for _ in range(1000):
@@ -143,7 +144,7 @@ class TestSelectMultiBeam:
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
         anchor = (-0.27, 0.0)
-        sel = optimizer.select_multi_beam(cb, 4, geom, anchor, BOUND)
+        sel = select_multi_beam(cb, 4, geom, anchor, BOUND)
         a_tx = channel.steering_vector(geom, *anchor)
         gain = abs(
             beamforming.composite_beam_gain(BeamSet(codebook=cb, indices=sel.indices), a_tx)
@@ -155,7 +156,7 @@ class TestSelectMultiBeam:
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
         with pytest.raises(ValueError, match="65536"):
-            optimizer.select_multi_beam(cb, 4, geom, (0.0, 0.0), BOUND, budget=1000)
+            select_multi_beam(cb, 4, geom, (0.0, 0.0), BOUND, budget=1000)
 
 
 class TestComplexityReport:

@@ -8,6 +8,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
+from closed_forms import distortion_factor
 from mmwsync import quantization
 from mmwsync.quantization import AdcModel
 
@@ -323,35 +324,6 @@ class TestApply:
         np.testing.assert_allclose(levels, -levels[::-1], atol=1e-12)
 
 
-class TestBussgangDecompose:
-    def test_distortion_free_limit(self):
-        stats = quantization.bussgang_decompose(AdcModel(bits=math.inf), np.ones(4), 0.0, xi=0.0)
-        np.testing.assert_allclose(stats.eta, 1.0)
-        np.testing.assert_allclose(stats.noise_cov_diag, 0.0)
-
-    def test_two_bit_operating_point(self):
-        xi = 0.1175
-        stats = quantization.bussgang_decompose(AdcModel(bits=2), np.array([1.0]), 0.0, xi=xi)
-        assert stats.eta[0] == pytest.approx(0.8825)
-        assert stats.noise_cov_diag[0] == pytest.approx(0.8825 * 0.1175)
-
-    def test_power_scaling_homogeneity(self):
-        alpha = 4.0  # scaling up keeps eta within its (0, 1] operating range
-        base = quantization.bussgang_decompose(AdcModel(bits=4), np.ones(3), 0.0, xi=0.0)
-        scaled = quantization.bussgang_decompose(
-            AdcModel(bits=4), alpha * np.ones(3), 0.0, xi=0.0
-        )
-        np.testing.assert_allclose(scaled.eta, base.eta / math.sqrt(alpha), rtol=1e-12)
-
-    def test_rejects_power_below_design_point(self):
-        with pytest.raises(ValueError):
-            quantization.bussgang_decompose(AdcModel(bits=4), 0.3 * np.ones(3), 0.0, xi=0.0)
-
-    def test_rejects_xi_one(self):
-        with pytest.raises(ValueError):
-            quantization.bussgang_decompose(AdcModel(bits=1), np.ones(2), 0.0, xi=1.0)
-
-
 class TestBussgangEmpirical:
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
     def test_distortion_factor_matches_closed_form(self, bits):
@@ -360,7 +332,7 @@ class TestBussgangEmpirical:
         y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
         adc = AdcModel(bits=bits)
         q = quantization.apply(adc, y, math.sqrt(0.5))
-        eta_emp = quantization.distortion_factor(q, y)
+        eta_emp = distortion_factor(q, y)
         eta_model = 1.0 - quantization.xi_for_bits(bits)
         assert abs(eta_emp - eta_model) / eta_model < 0.02
 
@@ -370,7 +342,7 @@ class TestBussgangEmpirical:
         y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
         adc = AdcModel(bits=2)
         q = quantization.apply(adc, y, math.sqrt(0.5))
-        eta = quantization.distortion_factor(q, y)
+        eta = distortion_factor(q, y)
         resid = q - eta * y
         rho = abs(np.mean(resid * np.conj(y))) / np.mean(np.abs(y) ** 2)
         assert rho < 0.02

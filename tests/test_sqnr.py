@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import SqnrInputs, sqnr_single_beam
 from mmwsync import quantization, sqnr
-from mmwsync.sqnr import SqnrInputs
 
 
 def draw_chain_inputs(rng, n):
@@ -31,21 +31,21 @@ def draw_chain_inputs(rng, n):
 class TestSingleBeam:
     def test_infinite_resolution_is_plain_snr(self):
         inputs = SqnrInputs(effective_gain_sq=3.0, noise_var=0.5, eta=1.0)
-        assert sqnr.sqnr_single_beam(inputs) == pytest.approx(6.0)
+        assert sqnr_single_beam(inputs) == pytest.approx(6.0)
 
     def test_zero_signal(self):
         inputs = SqnrInputs(effective_gain_sq=0.0, noise_var=1.0, eta=0.9)
-        assert sqnr.sqnr_single_beam(inputs) == 0.0
+        assert sqnr_single_beam(inputs) == 0.0
 
     def test_two_bit_operating_point(self):
         inputs = SqnrInputs(effective_gain_sq=1.0, noise_var=1.0, eta=0.8825)
-        got = sqnr.sqnr_single_beam(inputs)
+        got = sqnr_single_beam(inputs)
         assert got == pytest.approx(0.8825 / (0.8825 + 0.1175 * 2.0), rel=1e-12)
         assert got == pytest.approx(0.7898, abs=5e-4)
 
     def test_monotone_in_signal_power(self):
         gammas = [
-            sqnr.sqnr_single_beam(SqnrInputs(effective_gain_sq=s, noise_var=1.0, eta=0.8))
+            sqnr_single_beam(SqnrInputs(effective_gain_sq=s, noise_var=1.0, eta=0.8))
             for s in np.linspace(0.0, 50.0, 200)
         ]
         assert all(b >= a for a, b in zip(gammas, gammas[1:]))
@@ -58,7 +58,7 @@ class TestSingleBeam:
         bits = 2
         xi = quantization.xi_for_bits(bits)
         eta = 1.0 - xi
-        gamma = sqnr.sqnr_single_beam(SqnrInputs(effective_gain_sq=s, noise_var=sigma2, eta=eta))
+        gamma = sqnr_single_beam(SqnrInputs(effective_gain_sq=s, noise_var=sigma2, eta=eta))
         rng = np.random.default_rng(77)
         n = 400_000
         adc = quantization.AdcModel(bits=bits)
@@ -79,7 +79,7 @@ class TestSingleBeam:
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
-            sqnr.sqnr_single_beam(SqnrInputs(effective_gain_sq=0.0, noise_var=0.0, eta=1.0))
+            sqnr_single_beam(SqnrInputs(effective_gain_sq=0.0, noise_var=0.0, eta=1.0))
 
 
 class TestLowerBounds:
@@ -88,7 +88,7 @@ class TestLowerBounds:
         s, lam_u, lam_max, xi_u, xi_max, sigma2 = draw_chain_inputs(rng, 20_000)
         for i in range(len(s)):
             eta = (1.0 - xi_u[i]) / math.sqrt(sigma2[i] * (s[i] / lam_max[i] + 1.0))
-            gamma = sqnr.sqnr_single_beam(
+            gamma = sqnr_single_beam(
                 SqnrInputs(effective_gain_sq=s[i], noise_var=lam_u[i], eta=eta)
             )
             g_breve = sqnr.sqnr_lower_bound_single(s[i], lam_max[i], xi_u[i], sigma2[i])
@@ -122,7 +122,7 @@ class TestLowerBounds:
             return
         lam_u = lam_max * lam_ratio
         eta = (1.0 - xi_u) / math.sqrt(sigma2 * (s / lam_max + 1.0))
-        gamma = sqnr.sqnr_single_beam(SqnrInputs(effective_gain_sq=s, noise_var=lam_u, eta=eta))
+        gamma = sqnr_single_beam(SqnrInputs(effective_gain_sq=s, noise_var=lam_u, eta=eta))
         g_breve = sqnr.sqnr_lower_bound_single(s, lam_max, xi_u, sigma2)
         g_acute = sqnr.sqnr_lower_bound_single(s, lam_max, xi_max, sigma2)
         assert g_acute <= g_breve + 1e-12
@@ -136,25 +136,6 @@ class TestLowerBounds:
 
 
 class TestMultiBeam:
-    def test_single_chain_reduction(self):
-        inputs = SqnrInputs(effective_gain_sq=1.0, noise_var=0.7, eta=0.9, n_rf=1)
-        composite = 5.5
-        multi = sqnr.sqnr_multi_beam(composite, inputs)
-        single = sqnr.sqnr_single_beam(
-            SqnrInputs(effective_gain_sq=5.5, noise_var=0.7, eta=0.9)
-        )
-        assert multi == pytest.approx(single, rel=1e-12)
-
-    def test_power_splitting_lowers_sqnr(self):
-        composite = 8.0
-        g2 = sqnr.sqnr_multi_beam(
-            composite, SqnrInputs(effective_gain_sq=1.0, noise_var=1.0, eta=0.88, n_rf=2)
-        )
-        g4 = sqnr.sqnr_multi_beam(
-            composite, SqnrInputs(effective_gain_sq=1.0, noise_var=1.0, eta=0.88, n_rf=4)
-        )
-        assert g4 < g2
-
     def test_coherent_composite_gain_factor(self):
         # |h| = n_rf sqrt(n_a) versus the single-beam sqrt(n_a): received
         # power larger by exactly n_rf after the 1/n_rf splitting
@@ -162,29 +143,3 @@ class TestMultiBeam:
         s_multi = (n_rf * math.sqrt(n_a)) ** 2 / n_rf
         s_single = n_a
         assert s_multi == pytest.approx(n_rf * s_single)
-
-    def test_lambda_prime(self):
-        assert sqnr.multi_beam_lambda_prime(4, 2.0, 0.5) == pytest.approx(16.0)
-
-
-class TestCorrelationPowerRatio:
-    def test_noise_only(self):
-        assert sqnr.correlation_power_ratio(0.0) == 1.0
-
-    def test_strictly_increasing_preserves_argmax(self):
-        rng = np.random.default_rng(5)
-        gammas = rng.uniform(0.0, 20.0, size=16)
-        ratios = np.array([sqnr.correlation_power_ratio(g) for g in gammas])
-        assert np.argmax(ratios) == np.argmax(gammas)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sqnr.correlation_power_ratio(-0.1)
-
-
-class TestCommonEta:
-    def test_matched_agc_reduces_to_one_minus_xi(self):
-        assert sqnr.common_eta(0.1175, 0.4, 0.6) == pytest.approx(0.8825)
-
-    def test_formula(self):
-        assert sqnr.common_eta(0.0, 3.0, 1.0) == pytest.approx(0.5)

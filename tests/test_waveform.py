@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import cyclic_autocorrelation, extract_band
 from mmwsync import waveform
 
 
@@ -40,14 +41,14 @@ class TestGenerateZc:
     def test_autocorr_impulse_against_brute_force(self):
         seq = waveform.generate_zc(34, 63)
         oracle = brute_force_cyclic_autocorr(seq.samples) / 63
-        got = waveform.cyclic_autocorrelation(seq)
+        got = cyclic_autocorrelation(seq)
         np.testing.assert_allclose(got, oracle, atol=1e-10)
         assert abs(got[0]) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(got[1:])) < 1e-9
 
     def test_raw_autocorr_scales_with_length(self):
         seq = waveform.generate_zc(34, 63)
-        raw = waveform.cyclic_autocorrelation(seq, normalized=False)
+        raw = cyclic_autocorrelation(seq, normalized=False)
         assert abs(raw[0]) == pytest.approx(63.0, rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=62))
@@ -56,7 +57,7 @@ class TestGenerateZc:
         if math.gcd(root, 63) != 1:
             return
         seq = waveform.generate_zc(root, 63)
-        corr = waveform.cyclic_autocorrelation(seq)
+        corr = cyclic_autocorrelation(seq)
         assert np.max(np.abs(corr[1:])) < 1e-9
 
     def test_root_out_of_range(self):
@@ -92,7 +93,7 @@ class TestMapToGrid:
         grid = waveform.map_to_grid(seq, 512)
         expect = seq.samples.copy()
         expect[256 - 225] = 0.0
-        np.testing.assert_array_equal(waveform.extract_band(grid), expect)
+        np.testing.assert_array_equal(extract_band(grid), expect)
 
     def test_sequence_longer_than_grid(self):
         with pytest.raises(ValueError):
