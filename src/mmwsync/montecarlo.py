@@ -7,7 +7,9 @@ Conventions shared by all experiments:
   and receive processing, referenced to the cell-edge path gain; the noise
   variance is sigma^2 = (E_d / N) * 10^(-snr_db/10) with E_d the grid energy.
 * Beam plans are semi-static: selected once per scenario from the anchor
-  grid, then reused by every trial (no channel knowledge).
+  grid, then reused by every trial (no channel knowledge).  Each slot is
+  searched once for every ADC resolution: the bound's maximizer depends on
+  neither the quantization MSE nor the noise variance (``slot_beam_plans``).
 * Every experiment draws its trials through ``_trials``: the UE drop the
   mode implies, the serving link and, in ``multi_cell``, the six
   interfering links, all from one generator per trial.
@@ -18,7 +20,8 @@ Conventions shared by all experiments:
   channel, timing and noise draws, so method comparisons are paired.  In the
   sqnr experiment the arms of one (trial, SNR, transmit vector) also share
   the noisy window, its AGC and its 1/AGC scaling: only the quantizer
-  differs between them.
+  differs between them.  Their zero-lag correlations fill one buffer per
+  chunk, whose means and variances are taken for all arms in one pass.
 * The timing and multicell windows of one chunk share one workspace
   (``_window_workspace``): each window is built, AGC-scaled, quantized and
   correlated in the same fixed buffers, so no window allocates its own.
@@ -124,6 +127,9 @@ class Scenario:
         ):
             raise ValueError(f"bs_upa_shape must be two positive factors of n_tot={self.n_tot} "
                              f"for bs_geometry 'upa', got {shape}")
+        if self.bs_geometry == "ula" and shape is not None:
+            # an unused field would still enter scenario_hash and re-draw every trial
+            raise ValueError(f"bs_upa_shape is only for bs_geometry 'upa', got {shape} with 'ula'")
         if self.n_rf < 1:
             raise ValueError(f"n_rf must be >= 1, got {self.n_rf}")
         if self.n_tot % self.n_rf != 0:
@@ -246,36 +252,34 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
     """Select beams for every slot, method and ADC resolution in the scenario.
 
     The proposed method searches per-subarray codeword tuples exhaustively;
-    the single-stream baseline picks one full-array codeword.  The worst-case
-    quantization MSE in the bound follows the arm's own resolution; the
-    composite gains it is evaluated on are computed once per slot.
+    the single-stream baseline picks one full-array codeword.  Each slot is
+    searched once, under xi_max = 0, and the arms of every resolution share
+    that selection: the bound's maximizer depends on neither xi_max nor the
+    noise variance (``sqnr``).  Each arm's indices and ``iteration_count``
+    are those of a search under its own resolution.
     """
     geom = bs_geometry(scenario)
     grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
     n_a = scenario.n_tot // scenario.n_rf
     sub_cb = beamforming.dft_codebook(n_a, scenario.codebook_oversampling)
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
-    bounds = {b: optimizer.BoundParams(scenario.lambda_max, quantization.AdcModel(bits=b).xi())
-              for b in scenario.adc_bits}
-    chosen: dict[tuple[str, float], list[optimizer.BeamSelection]] = {}
+    bound = optimizer.BoundParams(scenario.lambda_max, 0.0)
+    multi, single = [], []
     for anchor in map(tuple, grid.anchors):
         gains = optimizer.multi_beam_gains(sub_cb, scenario.n_rf, geom, anchor, scenario.search_budget)
-        for bits, bound in bounds.items():
-            for method, sel in (
-                ("proposed", optimizer.select_from_gains(sub_cb, gains, geom, anchor, bound)),
-                ("single_stream", optimizer.select_single_beam(full_cb, geom, anchor, bound)),
-            ):
-                chosen.setdefault((method, bits), []).append(sel)
-    plans: dict[tuple[str, float], BeamPlan] = {}
-    for (method, bits), sels in chosen.items():
+        multi.append(optimizer.select_from_gains(sub_cb, gains, geom, anchor, bound))
+        single.append(optimizer.select_single_beam(full_cb, geom, anchor, bound))
+    shared = {}
+    for method, sels in (("proposed", multi), ("single_stream", single)):
         indices = np.array([sel.indices for sel in sels])
         if method == "proposed":
             tx = np.array([beamforming.effective_tx_vector(beamforming.BeamSet(sub_cb, sel.indices))
                            for sel in sels])
         else:
             tx = full_cb.codewords[indices[:, 0]]
-        plans[(method, bits)] = BeamPlan(method, bits, indices, tx, sum(s.iteration_count for s in sels))
-    return plans
+        shared[method] = (indices, tx, sum(s.iteration_count for s in sels))
+    return {(method, bits): BeamPlan(method, bits, *shared[method])
+            for bits in scenario.adc_bits for method in ("proposed", "single_stream")}
 
 
 def serving_slot(grid: optimizer.AnchorGrid, az: float, el: float = 0.0) -> int:
@@ -443,51 +447,62 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
 # ---------------------------------------------------------------------------
 
 
-def _sqnr_window(clean: np.ndarray, reference: np.ndarray, sigma2: float,
+def _sqnr_window(clean: np.ndarray, conj_reference: np.ndarray, sigma2: float,
                  noise_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window every ADC arm of one (trial, SNR, transmit vector) measures.
 
     The antenna with the strongest noiseless zero-lag response is measured:
     each row is its burst plus sqrt(sigma2) times one repetition of unit noise.
-    Returns the window, its per-row AGC rms and the window scaled by 1/AGC,
-    checked once as ``quantization.apply`` checks its input.
+    Returns the window, its per-row AGC rms, checked by ``_check_window_agc``,
+    and the window scaled by 1/AGC.
     """
-    zl = clean @ np.conj(reference)
-    b_hat = int(np.argmax(np.abs(zl) ** 2))
-    y = clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
+    b_hat = int(np.argmax(np.abs(clean @ conj_reference) ** 2))
+    y = np.multiply(math.sqrt(sigma2), noise_unit)
+    y += clean[b_hat]
     agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-    quantization.check_finite(y)
-    quantization.check_agc(agc)
+    _check_window_agc(agc)
     return y, agc, quantization.agc_scale(y, agc)
 
 
-def _zero_lag_sqnr(q: np.ndarray, reference: np.ndarray) -> float:
-    """|mean|^2 / var of the repetitions' zero-lag correlations."""
-    z = q @ np.conj(reference)
-    mean = z.mean()
-    var = float(np.mean(np.abs(z - mean) ** 2))
-    if var == 0.0:
-        return math.inf
-    return float(np.abs(mean) ** 2 / var)
+def _check_window_agc(agc: np.ndarray) -> None:
+    """The input checks of ``quantization.apply``, made on a window's AGC.
+
+    A NaN or inf sample makes its row's rms NaN or inf, so a finite AGC
+    stands for ``quantization.check_finite`` over the whole window; the rms
+    must then be positive (``quantization.check_agc``).
+    """
+    if not np.all(np.isfinite(agc)):
+        raise ValueError("samples must be finite")
+    quantization.check_agc(agc)
 
 
 def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
+    """Zero-lag SQNR rows: per (trial, SNR), every arm's |mean|^2 / var of its
+    repetitions' zero-lag correlations, all arms' moments in one pass."""
     rows = []
+    arms = [(method, bits, quantization.AdcModel(bits=bits), plan.tx_vectors)
+            for (method, bits), plan in plans.items()]
+    conj_reference = np.conj(sync_waveform(scenario).time_samples)
     quantized = np.empty((scenario.inner_repeats, scenario.n_subcarriers), np.complex128)
-    for _, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
+    z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
+    for _, rng, slot, _, burst in _trials(scenario, trial_lo, trial_hi):
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
         for snr_db in scenario.snr_db_grid:
             sigma2 = noise_variance(scenario, snr_db)
             windows: dict = {}  # the arms of one transmit vector share its window
-            for (method, bits), plan in plans.items():
-                tx_vec = plan.tx_vectors[slot]
+            for i, (_, _, adc, tx_vectors) in enumerate(arms):
+                tx_vec = tx_vectors[slot]
                 key = tx_vec.tobytes()
                 if key not in windows:
-                    windows[key] = _sqnr_window(burst(tx_vec).samples, reference, sigma2, noise_unit)
+                    windows[key] = _sqnr_window(burst(tx_vec).samples, conj_reference, sigma2, noise_unit)
                 y, agc, scaled = windows[key]
-                adc = quantization.AdcModel(bits=bits)
                 q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
-                g = _zero_lag_sqnr(q, reference)
+                np.matmul(q, conj_reference, out=z[i])
+            mean = z.mean(axis=1)
+            var = np.mean(np.abs(z - mean[:, None]) ** 2, axis=1)
+            power = np.abs(mean) ** 2
+            for (method, bits, _, _), p, v in zip(arms, power.tolist(), var.tolist()):
+                g = math.inf if v == 0.0 else p / v
                 rows.append({"method": method, "bits": bits, "snr_db": snr_db,
                              "sqnr_db_sample": 10.0 * math.log10(g) if g > 0 else -math.inf})
     return rows
@@ -559,8 +574,9 @@ def _detect_window(
     """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
 
     ``work`` is the chunk's ``_window_workspace``: the window is built, its
-    AGC taken, and it is quantized and correlated in place there, so the
-    profile is only valid until the next window.
+    AGC taken and checked (``_check_window_agc``), and it is quantized and
+    correlated in place there, so the profile is only valid until the next
+    window.
 
     At infinite resolution and with noise, detection is linear, so the profile
     is assembled as sqrt(sigma2) * C(noise) + C(burst) from correlations each
@@ -579,8 +595,10 @@ def _detect_window(
         np.abs(y, out=power)
         np.square(power, out=power)
         agc = np.sqrt(np.mean(power, axis=1) / 2.0)[:, None]
-        q = quantization.apply(adc, y, agc, out=y)
-        return detector.detect(detector.correlate(q, reference, out=spectrum), nu_true=t)
+        _check_window_agc(agc)
+        if not adc.is_infinite:
+            quantization.quantize_scaled(adc, quantization.agc_scale(y, agc, out=y), agc, out=y)
+        return detector.detect(detector.correlate(y, reference, out=spectrum), nu_true=t)
     quantization.check_finite(scale)
     noise_values = noise.correlation()
     values = np.multiply(scale, noise_values, out=spectrum[:, : noise_values.shape[1]])

@@ -79,6 +79,7 @@ class TestParseConfig:
             ("bs_geometry: upa\nbs_upa_shape: [4, 4]\n", "bs_upa_shape"),
             ("bs_geometry: upa\nbs_upa_shape: [-4, -8]\n", "bs_upa_shape"),
             ("bs_geometry: upa\nbs_upa_shape: [2, 4, 4]\n", "bs_upa_shape"),
+            ("bs_upa_shape: [4, 8]\n", "bs_upa_shape"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -87,7 +88,7 @@ class TestParseConfig:
             "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
             "sector_asymmetric", "n_rf_zero", "lambda_nan", "lambda_neg_inf", "lambda_inf",
             "lambda_overflow", "upa_no_shape", "upa_shape_product", "upa_shape_negative",
-            "upa_shape_three_axes",
+            "upa_shape_three_axes", "ula_with_upa_shape",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):

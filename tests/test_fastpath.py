@@ -280,6 +280,20 @@ def test_one_sqnr_window_per_trial_snr_and_transmit_vector(monkeypatch):
     assert len(built) < SQNR_ARMS.trials * n_snr * len(plans)
 
 
+@pytest.mark.parametrize("bits", [(2.0,), (1.0, 2.0, 4.0, 12.0, math.inf)], ids=["one_arm", "five_arms"])
+def test_one_search_per_slot_for_every_arm(monkeypatch, bits):
+    calls = {"select_from_gains": 0, "select_single_beam": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(optimizer, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(optimizer, name, counting)
+    scenario = replace(SQNR_ARMS, adc_bits=bits)
+    assert len(mc.slot_beam_plans(scenario)) == 2 * len(bits)
+    assert calls == {"select_from_gains": scenario.t_bs, "select_single_beam": scenario.t_bs}
+
+
 SCENARIO_FILES = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
     (ROOT / "bench" / "scenarios").glob("*.yaml")
 )

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from closed_forms import codebook_ratio_argmax, correlation_ratio_check, solve_gain_for_gamma
+from closed_forms import codebook_ratio_argmax, correlation_ratio_check
 from mmwsync import montecarlo as mc
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
 
@@ -243,10 +243,6 @@ class TestBussgangValidation:
     def test_ratio_check_matches_analytic(self):
         res = correlation_ratio_check(bits=4, gamma_target=1.0, trials=40_000, seed=3)
         assert res["gamma_empirical"] == pytest.approx(res["gamma_analytic"], rel=0.1)
-
-    def test_unreachable_gamma_raises(self):
-        with pytest.raises(ValueError):
-            solve_gain_for_gamma(10.0, eta=1 - 0.1175)
 
     def test_codebook_argmax_agreement(self):
         res = codebook_ratio_argmax(bits=2, trials_per_codeword=6000, seed=21)

@@ -128,6 +128,26 @@ class TestLowerBounds:
         assert g_acute <= g_breve + 1e-12
         assert g_breve <= gamma + 1e-12
 
+    @given(
+        gains=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=64),
+        lam=st.floats(min_value=1e-3, max_value=1e3),
+        # 27 sigma2 / 4 > (1 - xi)^2 for every xi >= 0: the denominator stays positive
+        sigma2=st.floats(min_value=0.2, max_value=1e2),
+        xi_pick=st.floats(min_value=0.0, max_value=0.95),
+        xi_score=st.floats(min_value=0.0, max_value=0.95),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_maximizer_independent_of_xi_and_at_twice_lambda(
+        self, gains, lam, sigma2, xi_pick, xi_score
+    ):
+        # 1/f(s) = -1 + sqrt(sigma2/lam)/(1 - xi) * (s + lam)^1.5 / s peaks at s = 2 lam
+        gains = np.array(gains)
+        picked = int(np.argmax(sqnr.sqnr_lower_bound_single(gains, lam, xi_pick, sigma2)))
+        scores = sqnr.sqnr_lower_bound_single(gains, lam, xi_score, sigma2)
+        assert scores[picked] >= scores.max() * (1.0 - 1e-12)
+        peak = sqnr.sqnr_lower_bound_single(2.0 * lam, lam, xi_score, sigma2)
+        assert peak >= scores.max() * (1.0 - 1e-12)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             sqnr.sqnr_lower_bound_single(1.0, 0.0, 0.1)
