@@ -18,8 +18,6 @@ class Codebook:
     """Set of unit-per-element-power analog codewords (rows)."""
 
     codewords: np.ndarray  # (n_beam, n_a)
-    oversampling: int
-    kind: str = "dft"
 
     @property
     def n_beam(self) -> int:
@@ -38,7 +36,7 @@ def dft_codebook(n_a: int, oversampling: int) -> Codebook:
     a = np.arange(n_a)[None, :]
     q = np.arange(n_beam)[:, None]
     cw = np.exp(-2j * np.pi * a * q / n_beam) / np.sqrt(n_a)
-    return Codebook(codewords=cw, oversampling=oversampling)
+    return Codebook(codewords=cw)
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,13 @@ class BeamSet:
         return self.codebook.codewords[list(self.indices)]
 
 
-def composite_beam_gain(beam_set: BeamSet, tx_steering: np.ndarray, n_a: int | None = None) -> complex:
+def composite_beam_gain(beam_set: BeamSet, tx_steering: np.ndarray) -> complex:
     """Sum of per-subarray inner products conj(a_tx)[block_j] . p_j.
 
     ``tx_steering`` must have length n_rf * n_a; block j covers elements
     j*n_a .. (j+1)*n_a - 1.
     """
-    if n_a is None:
-        n_a = beam_set.codebook.n_a
+    n_a = beam_set.codebook.n_a
     n_rf = beam_set.n_rf
     tx_steering = np.asarray(tx_steering)
     if tx_steering.shape[0] != n_rf * n_a:

@@ -17,12 +17,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear or planar array with half-wavelength default spacing."""
+    """Uniform linear or planar array with half-wavelength element spacing."""
 
     kind: str  # "ula" | "upa"
     n_elements: int
     shape: tuple[int, int] | None = None
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.kind not in ("ula", "upa"):
@@ -37,19 +36,18 @@ class ArrayGeometry:
 def steering_vector(geom: ArrayGeometry, azimuth: float, elevation: float = 0.0) -> np.ndarray:
     """Unit-modulus array response; boresight (0, 0) gives the all-ones vector.
 
-    ULA elements ride the azimuth phase ramp exp(-j*2*pi*spacing*m*sin(az)).
-    A UPA is the Kronecker product of the two axis ramps with direction
-    cosines u = cos(el)*sin(az) and v = sin(el).
+    ULA elements ride the azimuth phase ramp exp(-j*pi*m*sin(az)) of
+    half-wavelength spacing.  A UPA is the Kronecker product of the two axis
+    ramps with direction cosines u = cos(el)*sin(az) and v = sin(el).
     """
-    two_pi_d = 2.0 * np.pi * geom.spacing
     if geom.kind == "ula":
         m = np.arange(geom.n_elements)
-        return np.exp(-1j * two_pi_d * m * math.sin(azimuth))
+        return np.exp(-1j * np.pi * m * math.sin(azimuth))
     nx, ny = geom.shape
     u = math.cos(elevation) * math.sin(azimuth)
     v = math.sin(elevation)
-    ax = np.exp(-1j * two_pi_d * np.arange(nx) * u)
-    ay = np.exp(-1j * two_pi_d * np.arange(ny) * v)
+    ax = np.exp(-1j * np.pi * np.arange(nx) * u)
+    ay = np.exp(-1j * np.pi * np.arange(ny) * v)
     return np.kron(ax, ay)
 
 
@@ -74,14 +72,14 @@ class PathSet:
             raise ValueError("delays must be nonnegative")
 
 
-def single_path(aod_az: float, aoa: float, gain: complex = 1.0, aod_el: float = 0.0,
-                delay: float = 0.0) -> PathSet:
+def single_path(aod_az: float, aoa: float, gain: complex = 1.0) -> PathSet:
+    """One ray at zero elevation and zero delay."""
     return PathSet(
         gains=np.array([gain], dtype=np.complex128),
         aod_az=np.array([aod_az]),
-        aod_el=np.array([aod_el]),
+        aod_el=np.array([0.0]),
         aoa=np.array([aoa]),
-        delays=np.array([delay]),
+        delays=np.array([0.0]),
     )
 
 
@@ -203,16 +201,12 @@ def propagate(
 
 @dataclass(frozen=True)
 class CellLayout:
-    """BS positions in meters plus coverage and sequence-root bookkeeping."""
+    """BS positions in meters, the coverage radius and each cell's sequence root."""
 
     centers: np.ndarray  # (n_cells, 2)
     cell_radius_m: float
     min_distance_m: float
     roots: tuple[int, ...]
-
-    @property
-    def n_cells(self) -> int:
-        return self.centers.shape[0]
 
 
 def single_cell_layout(radius_m: float = 150.0, min_distance_m: float = 20.0,
@@ -254,7 +248,6 @@ class UserDrop:
     """
 
     positions: np.ndarray  # (n_ue, 2), meters, relative to the serving BS
-    distances: np.ndarray
     azimuths: np.ndarray  # AoD seen from the serving BS
     amp_gains: np.ndarray
 
@@ -263,12 +256,12 @@ def drop_users(
     layout: CellLayout,
     n_ue: int,
     rng_seed: int | np.random.Generator,
-    cell_index: int = 0,
     sector_halfwidth: float = math.radians(60.0),
     pathloss_exponent: float = 3.2,
     shadowing_sigma_db: float = 8.0,
 ) -> UserDrop:
-    """Uniformly place users in the cell's sector wedge, min-distance respected."""
+    """Uniformly place users in the sector wedge of the layout's first cell,
+    min-distance respected."""
     if n_ue < 1:
         raise ValueError("n_ue must be >= 1")
     rng = (
@@ -279,14 +272,13 @@ def drop_users(
     r_min, r_max = layout.min_distance_m, layout.cell_radius_m
     radii = np.sqrt(rng.uniform(r_min**2, r_max**2, size=n_ue))
     azimuths = rng.uniform(-sector_halfwidth, sector_halfwidth, size=n_ue)
-    positions = layout.centers[cell_index] + np.stack(
+    positions = layout.centers[0] + np.stack(
         [radii * np.cos(azimuths), radii * np.sin(azimuths)], axis=1
     )
     shadow_db = rng.normal(0.0, shadowing_sigma_db, size=n_ue)
     power_db = -10.0 * pathloss_exponent * np.log10(radii / r_max) - shadow_db
     return UserDrop(
         positions=positions,
-        distances=radii,
         azimuths=azimuths,
         amp_gains=10.0 ** (power_db / 20.0),
     )
@@ -307,8 +299,6 @@ def clustered_paths(
     paths_per_cluster: int = 4,
     angle_spread: float = math.radians(4.0),
     delay_spread: float = 12.0,
-    cluster_decay: float = 0.6,
-    aod_el_center: float = 0.0,
 ) -> PathSet:
     """Parametric clustered multipath generator, unit total path power.
 
@@ -316,15 +306,16 @@ def clustered_paths(
     the cluster's integer delay (rays differ in angle and phase, so each tap
     keeps spatial richness), the leading cluster arrives at delay 0 and
     defines the frame-timing reference, and later clusters trail by several
-    samples with exponentially distributed excess delays and exponentially
-    decaying powers.
+    samples with exponentially distributed excess delays and powers decaying
+    as exp(-k / 0.6) over cluster index k.  Every ray departs at zero
+    elevation.
     """
     n_paths = n_clusters * paths_per_cluster
     cluster_az = center_az + rng.normal(0.0, angle_spread, size=n_clusters)
     cluster_aoa = aoa_center + rng.normal(0.0, angle_spread, size=n_clusters)
     cluster_delay = np.rint(3.0 + rng.exponential(delay_spread, size=n_clusters))
     cluster_delay[0] = 0.0
-    cluster_pow = np.exp(-np.arange(n_clusters) / cluster_decay)
+    cluster_pow = np.exp(-np.arange(n_clusters) / 0.6)
 
     def laplacian(n, scale):
         u = rng.uniform(-0.5, 0.5, size=n)
@@ -338,7 +329,7 @@ def clustered_paths(
     return PathSet(
         gains=gains,
         aod_az=aod_az,
-        aod_el=np.full(n_paths, aod_el_center),
+        aod_el=np.zeros(n_paths),
         aoa=aoa,
         delays=delays,
     )

@@ -27,8 +27,7 @@ class TrialOutcome:
     nu_hat: int
     b_hat: int
     peak_power: float
-    nu_true: int | None = None
-    success: bool | None = None
+    success: bool | None = None  # nu_hat equals the true timing, when one was given
 
 
 def _next_fast_len(n: int) -> int:
@@ -106,7 +105,6 @@ def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutc
         nu_hat=nu_hat,
         b_hat=b_hat,
         peak_power=float(power[b_hat]),
-        nu_true=nu_true,
         success=None if nu_true is None else bool(nu_hat == nu_true),
     )
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
 
 import numpy as np
@@ -66,6 +67,10 @@ class ChannelConfig:
     def __post_init__(self):
         if self.regime not in ("flat", "clustered"):
             raise ValueError(f"unknown channel regime {self.regime!r}")
+        if self.n_clusters < 1:
+            raise ValueError(f"channel.n_clusters must be >= 1, got {self.n_clusters}")
+        if not self.delay_spread_samples >= 0:
+            raise ValueError(f"channel.delay_spread_samples must be >= 0, got {self.delay_spread_samples}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,14 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("single_ue", "multi_ue_cell", "multi_cell"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for f in fields(self):  # the annotations are strings (postponed evaluation)
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        for key, least in (("n_tot", 1), ("n_rf", 1), ("m_tot", 1), ("codebook_oversampling", 1),
+                           ("t_bs", 1), ("trials", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.bs_geometry not in ("ula", "upa"):
             raise ValueError(f"unknown bs_geometry {self.bs_geometry!r}")
         shape = self.bs_upa_shape
@@ -130,10 +143,12 @@ class Scenario:
         if self.bs_geometry == "ula" and shape is not None:
             # an unused field would still enter scenario_hash and re-draw every trial
             raise ValueError(f"bs_upa_shape is only for bs_geometry 'upa', got {shape} with 'ula'")
-        if self.n_rf < 1:
-            raise ValueError(f"n_rf must be >= 1, got {self.n_rf}")
         if self.n_tot % self.n_rf != 0:
             raise ValueError("n_tot must be a multiple of n_rf")
+        iterations = (self.n_tot // self.n_rf * self.codebook_oversampling) ** self.n_rf
+        if self.search_budget < iterations:
+            raise ValueError(f"search_budget {self.search_budget} is below the {iterations} "
+                             f"candidates of the multi-beam search")
         if not 0 <= self.cp_length < self.n_subcarriers:
             raise ValueError("cp_length must be in [0, n_subcarriers)")
         if self.cp_length == 0 and self.channel.regime == "clustered":
@@ -147,8 +162,6 @@ class Scenario:
             raise ValueError(f"cell.roots must be three distinct roots, got {self.cell.roots}")
         if self.t_ue < 2:
             raise ValueError("t_ue must be >= 2 (window needs noise-only lags)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.inner_repeats < 2:
             raise ValueError("inner_repeats must be >= 2 (the SQNR estimate needs a variance)")
         for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
@@ -158,6 +171,10 @@ class Scenario:
             raise ValueError("snr_db_grid must not hold NaN or -inf")
         if not all(map(math.isfinite, self.cfo_grid)):
             raise ValueError("cfo_grid must be finite (no NaN or inf)")
+        for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
+            # a repeat counts each trial twice in one aggregate, or merges two arms
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise ValueError(f"{key} must not repeat an entry, got {getattr(self, key)}")
         for b in self.adc_bits:
             if b != math.inf and (b != int(b) or not 1 <= b <= 16):
                 raise ValueError(f"adc bits must be integers in [1,16] or inf, got {b}")
@@ -165,6 +182,19 @@ class Scenario:
             # NaN fails the comparison; past +-3000 dB lambda_max leaves the float range
             raise ValueError(f"lambda_max_inv_db must be a number in [-3000, 3000], "
                              f"got {self.lambda_max_inv_db}")
+        for key in ("azimuth_deg", "elevation_deg"):
+            span = getattr(self.sector, key)
+            if not (len(span) == 2 and span[0] < span[1]):
+                raise ValueError(f"sector.{key} must be two increasing angles, got {span}")
+        cell = self.cell
+        if self.mode == "multi_cell":
+            limit, name = cell.isd_m / 2, "cell.isd_m / 2"
+        else:
+            limit, name = cell.radius_m, "cell.radius_m"
+        if not cell.min_distance_m < limit:
+            raise ValueError(f"cell.min_distance_m must be below {name} = {limit}, got {cell.min_distance_m}")
+        if not cell.shadowing_sigma_db >= 0:
+            raise ValueError(f"cell.shadowing_sigma_db must be >= 0, got {cell.shadowing_sigma_db}")
         lo, hi = self.sector.azimuth_deg
         if self.mode != "single_ue" and lo != -hi:
             # the cell modes drop users over +-hi, so the anchors must span the same sector
@@ -241,33 +271,35 @@ def noise_variance(scenario: Scenario, snr_db: float) -> float:
 class BeamPlan:
     """Per-slot transmit vectors for one (method, resolution) arm."""
 
-    method: str
-    bits: float
     indices: np.ndarray  # (t_bs, n_rf) or (t_bs, 1)
     tx_vectors: np.ndarray  # (t_bs, n_tot)
     iteration_count: int
 
 
 def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
-    """Select beams for every slot, method and ADC resolution in the scenario.
+    """Beam plans keyed ``(method, bits)``: for each entry of ``adc_bits``,
+    "proposed" then "single_stream".
 
-    The proposed method searches per-subarray codeword tuples exhaustively;
-    the single-stream baseline picks one full-array codeword.  Each slot is
-    searched once, under xi_max = 0, and the arms of every resolution share
-    that selection: the bound's maximizer depends on neither xi_max nor the
-    noise variance (``sqnr``).  Each arm's indices and ``iteration_count``
-    are those of a search under its own resolution.
+    The proposed plan's indices are each slot's per-subarray codeword tuple,
+    (t_bs, n_rf), found by exhaustive search; the single-stream plan's are
+    one full-array codeword per slot, (t_bs, 1).  ``tx_vectors`` are the
+    unit-power transmit vectors, (t_bs, n_tot), and ``iteration_count`` sums
+    the candidates scored over the slots.  Each slot is searched once, under
+    xi_max = 0, and the arms of every resolution share that selection: the
+    bound's maximizer depends on neither xi_max nor the noise variance
+    (``sqnr``), so each arm holds what a search under its own resolution
+    finds.
     """
     geom = bs_geometry(scenario)
-    grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
+    anchors = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
     n_a = scenario.n_tot // scenario.n_rf
     sub_cb = beamforming.dft_codebook(n_a, scenario.codebook_oversampling)
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
     bound = optimizer.BoundParams(scenario.lambda_max, 0.0)
     multi, single = [], []
-    for anchor in map(tuple, grid.anchors):
+    for anchor in map(tuple, anchors):
         gains = optimizer.multi_beam_gains(sub_cb, scenario.n_rf, geom, anchor, scenario.search_budget)
-        multi.append(optimizer.select_from_gains(sub_cb, gains, geom, anchor, bound))
+        multi.append(optimizer.select_from_gains(gains, bound))
         single.append(optimizer.select_single_beam(full_cb, geom, anchor, bound))
     shared = {}
     for method, sels in (("proposed", multi), ("single_stream", single)):
@@ -278,13 +310,13 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
         else:
             tx = full_cb.codewords[indices[:, 0]]
         shared[method] = (indices, tx, sum(s.iteration_count for s in sels))
-    return {(method, bits): BeamPlan(method, bits, *shared[method])
+    return {(method, bits): BeamPlan(*shared[method])
             for bits in scenario.adc_bits for method in ("proposed", "single_stream")}
 
 
-def serving_slot(grid: optimizer.AnchorGrid, az: float, el: float = 0.0) -> int:
-    """Slot whose anchor is angularly closest to the given direction."""
-    d = (grid.anchors[:, 0] - az) ** 2 + (grid.anchors[:, 1] - el) ** 2
+def serving_slot(anchors: np.ndarray, az: float) -> int:
+    """Slot whose anchor is angularly closest to azimuth ``az`` at zero elevation."""
+    d = (anchors[:, 0] - az) ** 2 + anchors[:, 1] ** 2
     return int(np.argmin(d))
 
 
@@ -394,7 +426,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     ``multi_cell`` adds one interfering link per neighbour.  ``burst`` sums
     every cell's clean burst once per distinct transmit vector and CFO.
     """
-    grid = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
+    anchors = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
     cell = scenario.cell
     if scenario.mode == "multi_cell":
         layout = channel.hex_layout(cell.isd_m, cell.min_distance_m, cell.roots)
@@ -414,7 +446,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
                 shadowing_sigma_db=cell.shadowing_sigma_db,
             )
             ue_pos, aod, amp = drop.positions[0], float(drop.azimuths[0]), float(drop.amp_gains[0])
-        slot = serving_slot(grid, aod)
+        slot = serving_slot(anchors, aod)
         links = []
         for i, centre in enumerate(layout.centers):
             if i:  # a neighbour, its sector's boresight facing the central cell
@@ -539,7 +571,9 @@ def run_sqnr_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
 # ---------------------------------------------------------------------------
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval of a success rate."""
+    z = 1.96
     if n == 0:
         return (0.0, 1.0)
     p = successes / n

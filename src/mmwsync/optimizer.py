@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .beamforming import BeamSet, Codebook, composite_beam_gain
+from .beamforming import Codebook
 from .channel import ArrayGeometry, steering_vector
 from .sqnr import sqnr_lower_bound_single
 
@@ -34,15 +34,6 @@ class SectorRanges:
 
 
 @dataclass(frozen=True)
-class AnchorGrid:
-    """One anchor (azimuth, elevation) per synchronization time-slot."""
-
-    t_bs: int
-    anchors: np.ndarray  # (t_bs, 2)
-    grid_shape: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class BoundParams:
     """Worst-case parameters of the selection objective.
 
@@ -58,12 +49,10 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class BeamSelection:
-    """Chosen codeword indices for one slot plus search bookkeeping."""
+    """Chosen codeword indices for one slot and the number of candidates scored."""
 
     indices: tuple[int, ...]
-    objective: float
     iteration_count: int
-    anchor: tuple[float, float]
 
 
 def _slice_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -82,8 +71,9 @@ def _factor_grid(t_bs: int) -> tuple[int, int]:
     return t_bs // n_el, n_el
 
 
-def build_anchor_grid(t_bs: int, sector: SectorRanges) -> AnchorGrid:
-    """Uniform slice-center lattice over the sector, azimuth-major ordering."""
+def build_anchor_grid(t_bs: int, sector: SectorRanges) -> np.ndarray:
+    """One (azimuth, elevation) anchor per synchronization time-slot, shape
+    (t_bs, 2): a uniform slice-center lattice over the sector, azimuth-major."""
     if t_bs < 1:
         raise ValueError("t_bs must be >= 1")
     if sector.elevation is None:
@@ -93,8 +83,7 @@ def build_anchor_grid(t_bs: int, sector: SectorRanges) -> AnchorGrid:
         n_az, n_el = _factor_grid(t_bs)
         el = _slice_centers(*sector.elevation, n_el)
     az = _slice_centers(*sector.azimuth, n_az)
-    anchors = np.array([(a, e) for a in az for e in el])
-    return AnchorGrid(t_bs=t_bs, anchors=anchors, grid_shape=(n_az, n_el))
+    return np.array([(a, e) for a in az for e in el])
 
 
 def select_single_beam(
@@ -113,13 +102,7 @@ def select_single_beam(
     a_tx = steering_vector(geometry, anchor[0], anchor[1])
     gains = np.abs(np.conj(a_tx) @ codebook.codewords.T) ** 2
     objectives = sqnr_lower_bound_single(gains, bound.lambda_max, bound.xi_max, bound.noise_var)
-    best = int(np.argmax(objectives))
-    return BeamSelection(
-        indices=(best,),
-        objective=float(objectives[best]),
-        iteration_count=codebook.n_beam,
-        anchor=tuple(anchor),
-    )
+    return BeamSelection(indices=(int(np.argmax(objectives)),), iteration_count=codebook.n_beam)
 
 
 def multi_beam_gains(
@@ -152,33 +135,17 @@ def multi_beam_gains(
     return np.abs(reduce(np.add.outer, c)) ** 2
 
 
-def select_from_gains(
-    codebook: Codebook,
-    gains: np.ndarray,
-    geometry: ArrayGeometry,
-    anchor: tuple[float, float],
-    bound: BoundParams,
-) -> BeamSelection:
+def select_from_gains(gains: np.ndarray, bound: BoundParams) -> BeamSelection:
     """Best codeword tuple of a ``multi_beam_gains`` table under the bound.
 
-    ``gains`` is the table for the same codebook, geometry and anchor; the
-    iteration count is its size.  The C-order flat index has q_0 most
-    significant, so the first-occurrence argmax is the lexicographically
-    smallest tie.
+    The iteration count is the table's size.  The C-order flat index has q_0
+    most significant, so the first-occurrence argmax is the
+    lexicographically smallest tie.
     """
     objectives = sqnr_lower_bound_single(gains, bound.lambda_max, bound.xi_max, bound.noise_var)
     flat = int(np.argmax(objectives))
     indices = tuple(int(i) for i in np.unravel_index(flat, gains.shape))
-    # store the objective as the scalar re-evaluation of the chosen set
-    a_tx = steering_vector(geometry, anchor[0], anchor[1])
-    gain = abs(composite_beam_gain(BeamSet(codebook=codebook, indices=indices), a_tx)) ** 2
-    objective = sqnr_lower_bound_single(gain, bound.lambda_max, bound.xi_max, bound.noise_var)
-    return BeamSelection(
-        indices=indices,
-        objective=float(objective),
-        iteration_count=gains.size,
-        anchor=tuple(anchor),
-    )
+    return BeamSelection(indices=indices, iteration_count=gains.size)
 
 
 @dataclass(frozen=True)

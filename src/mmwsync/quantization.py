@@ -63,12 +63,12 @@ class AdcModel:
     """Per-rail uniform midrise quantizer with clipping.
 
     ``bits`` is an integer in [1, 16] or ``math.inf`` for an ideal converter.
-    ``clip_scale`` is the clipping point in units of the per-rail rms; the
-    default minimizes the Gaussian MSE for the given resolution.
+    ``clip_scale`` is the clipping point in units of the per-rail rms that
+    minimizes the Gaussian MSE at that resolution (``optimal_clip_scale``).
     """
 
     bits: float
-    clip_scale: float = field(default=math.nan)
+    clip_scale: float = field(init=False)
     step: float = field(init=False)
 
     def __post_init__(self):
@@ -77,13 +77,9 @@ class AdcModel:
             object.__setattr__(self, "step", 0.0)
             return
         b = _validate_bits(self.bits)
-        clip = self.clip_scale
-        if math.isnan(clip):
-            clip = optimal_clip_scale(b)
-        elif clip <= 0:
-            raise ValueError(f"clip_scale must be positive, got {clip}")
+        clip = optimal_clip_scale(b)
         object.__setattr__(self, "bits", float(b))
-        object.__setattr__(self, "clip_scale", float(clip))
+        object.__setattr__(self, "clip_scale", clip)
         object.__setattr__(self, "step", 2.0 * clip / 2**b)
 
     @property
@@ -158,26 +154,18 @@ def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarr
     return out
 
 
-def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """Quantize a complex stream: scale by 1/agc_rms, midrise per rail, rescale.
+def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
+    """Quantize a complex stream into a new array: scale by 1/agc_rms,
+    midrise per rail, rescale.
 
     ``samples`` meet ``check_finite`` and ``agc_rms`` meets ``check_agc``: the
     positive per-rail rms the AGC normalizes to (scalar or broadcastable).
     The scaling is a multiply by 1/agc_rms (``agc_scale``).  An
     infinite-resolution model returns a copy of the input.
-
-    The result is written to ``out`` when it is given: a C-contiguous
-    complex128 array of the output's shape (the broadcast shape of the
-    samples and agc_rms; the samples' own at infinite resolution), which may
-    be ``samples`` itself.  The input is never modified unless ``out`` is
-    the input.
     """
     samples = check_finite(samples)
     check_agc(agc_rms)
     if adc.is_infinite:
-        out = _out_array(out, samples.shape)
-        np.copyto(out, samples)
-        return out
-    scaled = agc_scale(samples, agc_rms, out)
+        return samples.copy()
+    scaled = agc_scale(samples, agc_rms)
     return quantize_scaled(adc, scaled, agc_rms, out=scaled)

@@ -24,7 +24,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class ZcSequence:
     """Constant-amplitude Zadoff-Chu sequence with impulse-like cyclic autocorrelation."""
 
-    root: int
     length: int
     samples: np.ndarray
 
@@ -34,15 +33,12 @@ class OfdmGrid:
     """Frequency-domain symbols with the sync sequence on the central band.
 
     ``symbols`` is stored in the index order consumed by the IDFT; the
-    DC carrier sits at index ``n_subcarriers // 2`` in this convention.
-    ``band_start``/``band_length`` delimit the mapped band.
+    DC carrier sits at index ``n_subcarriers // 2`` in this convention
+    (``map_to_grid`` places the band).
     """
 
     n_subcarriers: int
     symbols: np.ndarray
-    dc_index: int
-    band_start: int
-    band_length: int
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ def generate_zc(root: int, length: int) -> ZcSequence:
         raise ValueError(f"ZC root must be in [0, {length}), got {root}")
     m = np.arange(length, dtype=np.float64)
     samples = np.exp(-1j * np.pi * m * (m + 1) * root / length)
-    return ZcSequence(root=root, length=length, samples=_frozen(samples))
+    return ZcSequence(length=length, samples=_frozen(samples))
 
 
 def map_to_grid(seq: ZcSequence, n_subcarriers: int) -> OfdmGrid:
@@ -84,13 +80,7 @@ def map_to_grid(seq: ZcSequence, n_subcarriers: int) -> OfdmGrid:
     dc = n_subcarriers // 2
     if start < dc < start + n_zc - 1:
         symbols[dc] = 0.0
-    return OfdmGrid(
-        n_subcarriers=n_subcarriers,
-        symbols=_frozen(symbols),
-        dc_index=dc,
-        band_start=start,
-        band_length=n_zc,
-    )
+    return OfdmGrid(n_subcarriers=n_subcarriers, symbols=_frozen(symbols))
 
 
 def modulate(grid: OfdmGrid, cp_length: int) -> SyncWaveform:

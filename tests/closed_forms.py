@@ -9,9 +9,8 @@ on library code:
   Lemma 1 checks;
 * ``distortion_factor``: the empirical Bussgang gain of
   ``quantization.apply``, compared with 1 - xi from ``xi_for_bits``;
-* ``cyclic_autocorrelation`` and ``extract_band``: the impulse
-  autocorrelation of ``waveform.generate_zc`` and the band that
-  ``waveform.map_to_grid`` writes;
+* ``cyclic_autocorrelation``: the impulse autocorrelation of
+  ``waveform.generate_zc``;
 * ``zero_lag_freq_correlation``: the frequency-domain zero-lag value of a
   ``channel.propagate`` burst, and the time-domain antenna rule the sqnr
   experiment uses;
@@ -104,11 +103,6 @@ def cyclic_autocorrelation(seq: ZcSequence, normalized: bool = True) -> np.ndarr
     if normalized:
         return raw / seq.length
     return raw
-
-
-def extract_band(grid: OfdmGrid) -> np.ndarray:
-    """Return the mapped (possibly DC-punctured) band of the grid."""
-    return grid.symbols[grid.band_start : grid.band_start + grid.band_length].copy()
 
 
 def zero_lag_freq_correlation(received_burst: np.ndarray, reference_grid: OfdmGrid) -> complex:
@@ -252,4 +246,4 @@ def select_multi_beam(
     smallest index tuple.
     """
     gains = optimizer.multi_beam_gains(codebook, n_rf, geometry, anchor, budget)
-    return optimizer.select_from_gains(codebook, gains, geometry, anchor, bound)
+    return optimizer.select_from_gains(gains, bound)

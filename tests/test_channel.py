@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwsync import channel
-from mmwsync.channel import ArrayGeometry, NyquistPulse, RaisedCosinePulse
+from mmwsync.channel import ArrayGeometry, NyquistPulse, PathSet, RaisedCosinePulse
 
 
 ULA8 = ArrayGeometry(kind="ula", n_elements=8)
@@ -85,7 +85,7 @@ class TestBuildChannel:
 
     def test_channel_energy_single_path(self):
         gain = 0.8 - 0.3j
-        paths = channel.single_path(aod_az=0.5, aoa=0.3, gain=gain, delay=0.0)
+        paths = channel.single_path(aod_az=0.5, aoa=0.3, gain=gain)
         ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=NyquistPulse())
         energy = np.sum(np.abs(ch.taps) ** 2)
         assert energy == pytest.approx(abs(gain) ** 2 * 8 * 4, rel=1e-9)
@@ -106,7 +106,8 @@ class TestBuildChannel:
         assert energy == pytest.approx((0.81 + 0.25) * 32, rel=1e-9)
 
     def test_isi_warning_flag(self):
-        paths = channel.single_path(aod_az=0.0, aoa=0.0, delay=80.0)
+        paths = PathSet(gains=np.ones(1, complex), aod_az=np.zeros(1), aod_el=np.zeros(1),
+                        aoa=np.zeros(1), delays=np.array([80.0]))
         ch = channel.build_channel(paths, ULA8, ULA4, tap_count=90, cp_length=64)
         assert ch.isi_warning
 
@@ -208,8 +209,9 @@ class TestGeometryAndDrops:
     def test_min_distance_respected(self):
         layout = channel.single_cell_layout(150.0, 20.0)
         drop = channel.drop_users(layout, 200, 42)
-        assert np.all(drop.distances >= 20.0)
-        assert np.all(drop.distances <= 150.0)
+        distances = np.hypot(drop.positions[:, 0], drop.positions[:, 1])
+        assert np.all(distances >= 20.0)
+        assert np.all(distances <= 150.0)
 
     def test_same_seed_same_drop(self):
         layout = channel.single_cell_layout()
@@ -226,7 +228,7 @@ class TestGeometryAndDrops:
 
     def test_hex_layout_neighbor_roots_distinct(self):
         layout = channel.hex_layout(500.0, roots=(25, 29, 34))
-        assert layout.n_cells == 7
+        assert layout.centers.shape == (7, 2)
         ring = layout.roots[1:]
         for i in range(6):
             assert ring[i] != ring[(i + 1) % 6]

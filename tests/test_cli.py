@@ -80,6 +80,23 @@ class TestParseConfig:
             ("bs_geometry: upa\nbs_upa_shape: [-4, -8]\n", "bs_upa_shape"),
             ("bs_geometry: upa\nbs_upa_shape: [2, 4, 4]\n", "bs_upa_shape"),
             ("bs_upa_shape: [4, 8]\n", "bs_upa_shape"),
+            ("adc_bits: [2, 2.0]\n", "adc_bits"),
+            ("snr_db_grid: [0.0, 0.0]\n", "snr_db_grid"),
+            ("cfo_grid: [0.5, 0.5]\n", "cfo_grid"),
+            ("t_bs: 0\n", "t_bs"),
+            ("m_tot: 0\n", "m_tot"),
+            ("n_tot: 0\n", "n_tot"),
+            ("codebook_oversampling: 0\n", "codebook_oversampling"),
+            ("search_budget: 65535\n", "search_budget"),
+            ("seed: -1\n", "seed"),
+            ("trials: 2.5\n", "trials"),
+            ("sector:\n  azimuth_deg: [60, -60]\n", "sector.azimuth_deg"),
+            ("sector:\n  elevation_deg: [10, 10]\n", "sector.elevation_deg"),
+            ("channel:\n  n_clusters: 0\n", "channel.n_clusters"),
+            ("channel:\n  delay_spread_samples: -1\n", "channel.delay_spread_samples"),
+            ("mode: multi_ue_cell\ncell:\n  min_distance_m: 150\n", "cell.min_distance_m"),
+            ("mode: multi_cell\ncell:\n  min_distance_m: 250\n", "cell.min_distance_m"),
+            ("cell:\n  shadowing_sigma_db: .nan\n", "cell.shadowing_sigma_db"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -88,7 +105,11 @@ class TestParseConfig:
             "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
             "sector_asymmetric", "n_rf_zero", "lambda_nan", "lambda_neg_inf", "lambda_inf",
             "lambda_overflow", "upa_no_shape", "upa_shape_product", "upa_shape_negative",
-            "upa_shape_three_axes", "ula_with_upa_shape",
+            "upa_shape_three_axes", "ula_with_upa_shape", "adc_bits_repeated", "snr_repeated",
+            "cfo_repeated", "t_bs_zero", "m_tot_zero", "n_tot_zero", "oversampling_zero",
+            "search_budget_short", "seed_negative", "trials_fractional", "azimuth_decreasing",
+            "elevation_empty", "n_clusters_zero", "delay_spread_negative",
+            "min_distance_at_radius", "min_distance_at_half_isd", "shadowing_nan",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
