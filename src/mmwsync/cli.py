@@ -45,38 +45,35 @@ class RunConfig:
 _SECTION_TYPES = {"sector": SectorConfig, "channel": ChannelConfig, "cell": CellConfig}
 
 
-def _coerce_section(cls, data: dict, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ValueError(f"unknown configuration key '{path}{key}'")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
 def parse_config(path: str | Path) -> Scenario:
-    """Load and validate a scenario file; defaults fill unspecified keys."""
+    """Load and validate a scenario file; defaults fill unspecified keys.
+
+    A section of ``_SECTION_TYPES`` is built as the file is, by recursion,
+    and its keys are named with the section's prefix.
+    """
     raw = yaml.safe_load(Path(path).read_text())
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"scenario file {path} must hold a mapping")
-    known = {f.name for f in dataclasses.fields(Scenario)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise ValueError(f"unknown configuration key {key!r}")
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ValueError(f"section {key!r} must be a mapping")
-            value = _coerce_section(_SECTION_TYPES[key], value, f"{key}.")
-        elif isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[key] = value
-    return Scenario(**kwargs)
+
+    def build(cls, data: dict, prefix: str):
+        known = {f.name for f in dataclasses.fields(cls)}
+        kwargs = {}
+        for key, value in data.items():
+            if key not in known:
+                name = f"{prefix}{key}" if prefix else key
+                raise ValueError(f"unknown configuration key {name!r}")
+            if key in _SECTION_TYPES:
+                if not isinstance(value, dict):
+                    raise ValueError(f"section {key!r} must be a mapping")
+                value = build(_SECTION_TYPES[key], value, f"{key}.")
+            elif isinstance(value, list):
+                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+            kwargs[key] = value
+        return cls(**kwargs)
+
+    return build(Scenario, raw, "")
 
 
 def _format_cell(value) -> str:
@@ -117,7 +114,6 @@ def _run_complexity(scenario: Scenario, out_dir: Path) -> list[Path]:
         t_bs=scenario.t_bs,
         n_beam=n_beam,
         n_rf=scenario.n_rf,
-        n_triggers=1,
         n=scenario.n_subcarriers,
         t_ue=scenario.t_ue,
         m_tot=scenario.m_tot,

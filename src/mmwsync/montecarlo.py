@@ -6,6 +6,11 @@ Conventions shared by all experiments:
 * Transmit SNR is the average received sync-sample SNR before beamforming
   and receive processing, referenced to the cell-edge path gain; the noise
   variance is sigma^2 = (E_d / N) * 10^(-snr_db/10) with E_d the grid energy.
+* One runner, ``_run``, serves all three experiments from one table,
+  ``_EXPERIMENTS``: the modes each runs in, its chunk function, its
+  aggregate keys and its per-point statistics.  It builds the arms
+  ``(method, bits, AdcModel, tx_vectors)`` once per run and sigma^2 once per
+  SNR, and hands both to every chunk; nothing is cached across runs.
 * Beam plans are semi-static: selected once per scenario from the anchor
   grid, then reused by every trial (no channel knowledge).  Each slot is
   searched once for every ADC resolution: the bound's maximizer depends on
@@ -35,8 +40,8 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache, partial
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +52,14 @@ from . import beamforming, channel, detector, optimizer, quantization, waveform
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
+
+
+def _check_integers(config, prefix: str = "") -> None:
+    """Fields annotated ``int`` hold integers (a bool is not one)."""
+    for f in fields(config):  # the annotations are strings (postponed evaluation)
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +80,16 @@ class ChannelConfig:
     def __post_init__(self):
         if self.regime not in ("flat", "clustered"):
             raise ValueError(f"unknown channel regime {self.regime!r}")
-        if self.n_clusters < 1:
-            raise ValueError(f"channel.n_clusters must be >= 1, got {self.n_clusters}")
+        _check_integers(self, "channel.")
+        for key in ("n_clusters", "paths_per_cluster"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"channel.{key} must be >= 1, got {getattr(self, key)}")
+        if not 0 <= self.angle_spread_deg < math.inf:
+            raise ValueError(f"channel.angle_spread_deg must be finite and >= 0, got {self.angle_spread_deg}")
         if not self.delay_spread_samples >= 0:
             raise ValueError(f"channel.delay_spread_samples must be >= 0, got {self.delay_spread_samples}")
+        if not 0 <= self.rolloff <= 1:
+            raise ValueError(f"channel.rolloff must be in [0, 1], got {self.rolloff}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +101,11 @@ class CellConfig:
     roots: tuple[int, int, int] = (25, 29, 34)
     pathloss_exponent: float = 3.2
     shadowing_sigma_db: float = 8.0
+
+    def __post_init__(self):
+        _check_integers(self, "cell.")
+        if not math.isfinite(self.pathloss_exponent):
+            raise ValueError(f"cell.pathloss_exponent must be finite, got {self.pathloss_exponent}")
 
 
 def _check_zc_root(key: str, root: int, n_zc: int) -> None:
@@ -123,10 +147,7 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("single_ue", "multi_ue_cell", "multi_cell"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for f in fields(self):  # the annotations are strings (postponed evaluation)
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        _check_integers(self)
         for key, least in (("n_tot", 1), ("n_rf", 1), ("m_tot", 1), ("codebook_oversampling", 1),
                            ("t_bs", 1), ("trials", 1), ("seed", 0)):
             if getattr(self, key) < least:
@@ -249,7 +270,6 @@ def sector_ranges(scenario: Scenario) -> optimizer.SectorRanges:
     return optimizer.SectorRanges(azimuth=az, elevation=el)
 
 
-@lru_cache(maxsize=64)
 def sync_waveform(scenario: Scenario, root: int | None = None) -> waveform.SyncWaveform:
     return waveform.make_sync_waveform(
         root if root is not None else scenario.zc_root,
@@ -259,7 +279,6 @@ def sync_waveform(scenario: Scenario, root: int | None = None) -> waveform.SyncW
     )
 
 
-@lru_cache(maxsize=256)
 def noise_variance(scenario: Scenario, snr_db: float) -> float:
     """sigma^2 for the given transmit SNR (pre-beamforming, edge-referenced)."""
     wf = sync_waveform(scenario)
@@ -335,13 +354,7 @@ def _draw_paths(scenario: Scenario, rng: np.random.Generator, aod_az: float,
         angle_spread=math.radians(scenario.channel.angle_spread_deg),
         delay_spread=scenario.channel.delay_spread_samples,
     )
-    return channel.PathSet(
-        gains=ps.gains * amp,
-        aod_az=ps.aod_az,
-        aod_el=ps.aod_el,
-        aoa=ps.aoa,
-        delays=ps.delays,
-    )
+    return replace(ps, gains=ps.gains * amp)
 
 
 def _tap_count(scenario: Scenario, paths: channel.PathSet) -> int:
@@ -401,19 +414,6 @@ class _Correlated:
                 x[:, self._pad : -self._pad] = self.samples
             self._values = detector.correlate(x, self.reference).values
         return self._values
-
-
-_MODES = {
-    "sqnr": ("single_ue", "multi_ue_cell"),
-    "timing": ("single_ue", "multi_ue_cell"),
-    "multicell": ("multi_cell",),
-}
-
-
-def _check_mode(scenario: Scenario, experiment: str) -> None:
-    if scenario.mode not in _MODES[experiment]:
-        modes = " or ".join(_MODES[experiment])
-        raise ValueError(f"the {experiment} experiment runs in mode {modes}, got {scenario.mode!r}")
 
 
 def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
@@ -508,19 +508,16 @@ def _check_window_agc(agc: np.ndarray) -> None:
     quantization.check_agc(agc)
 
 
-def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
+def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
     """Zero-lag SQNR rows: per (trial, SNR), every arm's |mean|^2 / var of its
     repetitions' zero-lag correlations, all arms' moments in one pass."""
     rows = []
-    arms = [(method, bits, quantization.AdcModel(bits=bits), plan.tx_vectors)
-            for (method, bits), plan in plans.items()]
     conj_reference = np.conj(sync_waveform(scenario).time_samples)
     quantized = np.empty((scenario.inner_repeats, scenario.n_subcarriers), np.complex128)
     z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
     for _, rng, slot, _, burst in _trials(scenario, trial_lo, trial_hi):
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
-        for snr_db in scenario.snr_db_grid:
-            sigma2 = noise_variance(scenario, snr_db)
+        for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
             windows: dict = {}  # the arms of one transmit vector share its window
             for i, (_, _, adc, tx_vectors) in enumerate(arms):
                 tx_vec = tx_vectors[slot]
@@ -540,30 +537,18 @@ def _sqnr_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list
     return rows
 
 
+def _sqnr_stats(scenario: Scenario, sel: list[dict]) -> dict:
+    vals = np.array([r["sqnr_db_sample"] for r in sel])
+    mean = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return {"mean_sqnr_db": mean, "ci95_lo": mean - 1.96 * se, "ci95_hi": mean + 1.96 * se, "n": len(vals)}
+
+
 def run_sqnr_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     """Empirical zero-lag SQNR samples per method and resolution (CDF material)."""
-    _check_mode(scenario, "sqnr")
     if math.inf in scenario.snr_db_grid:
         raise ValueError("snr_db_grid must be finite for the sqnr experiment (no noise, no SQNR)")
-    plans = slot_beam_plans(scenario)
-    rows = _run_chunked(_sqnr_chunk, scenario, plans, workers)
-    aggregates = []
-    for (method, bits, snr_db), sel in _group(rows, ("method", "bits", "snr_db")).items():
-        vals = np.array([r["sqnr_db_sample"] for r in sel])
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        aggregates.append(
-            {
-                "method": method,
-                "bits": bits,
-                "snr_db": snr_db,
-                "mean_sqnr_db": mean,
-                "ci95_lo": mean - 1.96 * se,
-                "ci95_hi": mean + 1.96 * se,
-                "n": len(vals),
-            }
-        )
-    return StatSummary(rows=rows, aggregates=aggregates, meta=_meta(scenario, "sqnr", plans))
+    return _run("sqnr", scenario, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +628,7 @@ def _detect_window(
     return detector.detect(detector.CorrelationProfile(values), nu_true=t)
 
 
-def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
+def _timing_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
     window = scenario.n_subcarriers * scenario.t_ue
     max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
     rows = []
@@ -651,12 +636,10 @@ def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> li
     for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, max_t, endpoint=True))
         noise = _Correlated(_unit_noise(rng, scenario.m_tot, window), reference)
-        for (method, bits), plan in plans.items():
-            adc = quantization.AdcModel(bits=bits)
+        for method, bits, adc, tx_vectors in arms:
             for cfo in scenario.cfo_grid:
-                clean = burst(plan.tx_vectors[slot], cfo)
-                for snr_db in scenario.snr_db_grid:
-                    sigma2 = noise_variance(scenario, snr_db)
+                clean = burst(tx_vectors[slot], cfo)
+                for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
                     out = _detect_window(clean, noise, sigma2, t, adc, work)
                     rows.append({"method": method, "trial": trial, "slot": slot, "snr_db": snr_db,
                                  "cfo": cfo, "bits": bits, "nu_true": t, "nu_hat": out.nu_hat,
@@ -665,31 +648,17 @@ def _timing_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> li
     return rows
 
 
+def _timing_stats(scenario: Scenario, sel: list[dict]) -> dict:
+    nmse = detector.timing_nmse([r["nu_true"] for r in sel], [r["nu_hat"] for r in sel])
+    successes = sum(r["success"] for r in sel)
+    lo, hi = wilson_interval(successes, len(sel))
+    return {"nmse": nmse, "success_rate": successes / len(sel), "wilson_lo": lo, "wilson_hi": hi,
+            "n": len(sel)}
+
+
 def run_timing_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     """Per-trial detection outcomes and per-point NMSE / success-rate aggregates."""
-    _check_mode(scenario, "timing")
-    plans = slot_beam_plans(scenario)
-    rows = _run_chunked(_timing_chunk, scenario, plans, workers)
-    aggregates = []
-    for key, sel in _group(rows, ("method", "bits", "snr_db", "cfo")).items():
-        method, bits, snr_db, cfo = key
-        nmse = detector.timing_nmse([r["nu_true"] for r in sel], [r["nu_hat"] for r in sel])
-        successes = sum(r["success"] for r in sel)
-        lo, hi = wilson_interval(successes, len(sel))
-        aggregates.append(
-            {
-                "method": method,
-                "bits": bits,
-                "snr_db": snr_db,
-                "cfo": cfo,
-                "nmse": nmse,
-                "success_rate": successes / len(sel),
-                "wilson_lo": lo,
-                "wilson_hi": hi,
-                "n": len(sel),
-            }
-        )
-    return StatSummary(rows=rows, aggregates=aggregates, meta=_meta(scenario, "timing", plans))
+    return _run("timing", scenario, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -697,17 +666,15 @@ def run_timing_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
 # ---------------------------------------------------------------------------
 
 
-def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) -> list[dict]:
+def _multicell_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
     window = scenario.n_subcarriers * scenario.t_ue
     max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
     rows = []
     work = _window_workspace(scenario)
     for trial, rng, slot0, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, max_t, endpoint=True))
-        for (method, bits), plan in plans.items():
-            adc = quantization.AdcModel(bits=bits)
-            for snr_idx, snr_db in enumerate(scenario.snr_db_grid):
-                sigma2 = noise_variance(scenario, snr_db)
+        for method, bits, adc, tx_vectors in arms:
+            for snr_idx, (snr_db, sigma2) in enumerate(zip(scenario.snr_db_grid, sigma2_grid)):
                 serving_success = None
                 first_slot = -1
                 for tau in range(scenario.t_bs):
@@ -716,7 +683,7 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
                         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial, tau, snr_idx))
                     )
                     noise = _Correlated(_unit_noise(rng_slot, scenario.m_tot, window), reference)
-                    out = _detect_window(burst(plan.tx_vectors[tau]), noise, sigma2, t, adc, work)
+                    out = _detect_window(burst(tx_vectors[tau]), noise, sigma2, t, adc, work)
                     if tau == slot0:
                         serving_success = bool(out.success)
                     if out.success and first_slot < 0:
@@ -729,36 +696,22 @@ def _multicell_chunk(scenario: Scenario, plans, trial_lo: int, trial_hi: int) ->
     return rows
 
 
+def _multicell_stats(scenario: Scenario, sel: list[dict]) -> dict:
+    # detection succeeds when some slot of the frame yields the exact timing
+    frame_successes = sum(r["first_success_slot"] >= 0 for r in sel)
+    lo, hi = wilson_interval(frame_successes, len(sel))
+    stats = {"detection_probability": frame_successes / len(sel), "wilson_lo": lo, "wilson_hi": hi,
+             "serving_slot_success_rate": sum(r["success"] for r in sel) / len(sel), "n": len(sel)}
+    for tau in range(scenario.t_bs):
+        stats[f"access_prob_slot_{tau}"] = float(np.mean([r["first_success_slot"] == tau for r in sel]))
+    stats["access_prob_none"] = float(np.mean([r["first_success_slot"] < 0 for r in sel]))
+    return stats
+
+
 def run_multicell_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     """Central-cell detection probability and slot-access statistics under
     actual cross-cell synchronization interference."""
-    _check_mode(scenario, "multicell")
-    plans = slot_beam_plans(scenario)
-    rows = _run_chunked(_multicell_chunk, scenario, plans, workers)
-    aggregates = []
-    for key, sel in _group(rows, ("method", "bits", "snr_db")).items():
-        method, bits, snr_db = key
-        # detection succeeds when some slot of the frame yields the exact timing
-        frame_successes = sum(r["first_success_slot"] >= 0 for r in sel)
-        serving_successes = sum(r["success"] for r in sel)
-        lo, hi = wilson_interval(frame_successes, len(sel))
-        agg = {
-            "method": method,
-            "bits": bits,
-            "snr_db": snr_db,
-            "detection_probability": frame_successes / len(sel),
-            "wilson_lo": lo,
-            "wilson_hi": hi,
-            "serving_slot_success_rate": serving_successes / len(sel),
-            "n": len(sel),
-        }
-        for tau in range(scenario.t_bs):
-            agg[f"access_prob_slot_{tau}"] = float(
-                np.mean([r["first_success_slot"] == tau for r in sel])
-            )
-        agg["access_prob_none"] = float(np.mean([r["first_success_slot"] < 0 for r in sel]))
-        aggregates.append(agg)
-    return StatSummary(rows=rows, aggregates=aggregates, meta=_meta(scenario, "multicell", plans))
+    return _run("multicell", scenario, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -766,37 +719,40 @@ def run_multicell_experiment(scenario: Scenario, workers: int = 1) -> StatSummar
 # ---------------------------------------------------------------------------
 
 
-def _group(rows: list[dict], keys: tuple[str, ...]) -> dict:
-    out: dict = {}
-    for r in rows:
-        out.setdefault(tuple(r[k] for k in keys), []).append(r)
-    return out
-
-
-def _meta(scenario: Scenario, experiment: str, plans) -> dict:
-    return {
-        "experiment": experiment,
-        "scenario_hash": scenario_hash(scenario),
-        "seed": scenario.seed,
-        "version": _VERSION,
-        "scenario": asdict(scenario),
-        "beam_plans": {
-            f"{method}/bits={bits}": plan.indices.tolist()
-            for (method, bits), plan in plans.items()
-        },
-        "snr_definition": "transmit SNR before beamforming and receive processing, "
-        "edge-referenced path gain",
-    }
-
+# experiment -> (modes it runs in, chunk function, aggregate keys, per-point
+# statistics).  A chunk function takes (scenario, arms, sigma2_grid, trial_lo,
+# trial_hi) and returns the rows of those trials; the statistics take
+# (scenario, rows of one point) and return the aggregate's remaining columns.
+_EXPERIMENTS = {
+    "sqnr": (("single_ue", "multi_ue_cell"), _sqnr_chunk, ("method", "bits", "snr_db"), _sqnr_stats),
+    "timing": (("single_ue", "multi_ue_cell"), _timing_chunk, ("method", "bits", "snr_db", "cfo"),
+               _timing_stats),
+    "multicell": (("multi_cell",), _multicell_chunk, ("method", "bits", "snr_db"), _multicell_stats),
+}
 
 _CHUNK = 64
 
 
-def _run_chunked(chunk_fn, scenario: Scenario, plans, workers: int) -> list[dict]:
-    """Split trials into fixed chunks; identical output for any worker count."""
+def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
+    """One experiment of ``_EXPERIMENTS`` over the arms of ``slot_beam_plans``.
+
+    The arms ``(method, bits, AdcModel, tx_vectors)`` and sigma^2 per entry
+    of ``snr_db_grid`` are built once and passed to every chunk.  Trials run
+    in fixed chunks, so the rows are identical for any worker count; each
+    aggregate row is a point of the experiment's keys, in order of first
+    appearance, and its statistics.
+    """
+    modes, chunk_fn, keys, stats = _EXPERIMENTS[experiment]
+    if scenario.mode not in modes:
+        raise ValueError(f"the {experiment} experiment runs in mode {' or '.join(modes)}, "
+                         f"got {scenario.mode!r}")
+    plans = slot_beam_plans(scenario)
+    arms = [(method, bits, quantization.AdcModel(bits=bits), plan.tx_vectors)
+            for (method, bits), plan in plans.items()]
+    sigma2_grid = [noise_variance(scenario, snr_db) for snr_db in scenario.snr_db_grid]
+    run_chunk = partial(chunk_fn, scenario, arms, sigma2_grid)
     los = range(0, scenario.trials, _CHUNK)
     his = [min(lo + _CHUNK, scenario.trials) for lo in los]
-    run_chunk = partial(chunk_fn, scenario, plans)
     if workers <= 1 or len(los) == 1:
         parts = map(run_chunk, los, his)
     else:
@@ -804,4 +760,15 @@ def _run_chunked(chunk_fn, scenario: Scenario, plans, workers: int) -> list[dict
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, los, his))
-    return [row for part in parts for row in part]
+    rows = [row for part in parts for row in part]
+    points: dict = {}
+    for row in rows:
+        points.setdefault(tuple(row[k] for k in keys), []).append(row)
+    meta = {"experiment": experiment, "scenario_hash": scenario_hash(scenario), "seed": scenario.seed,
+            "version": _VERSION, "scenario": asdict(scenario),
+            "beam_plans": {f"{method}/bits={bits}": plan.indices.tolist()
+                           for (method, bits), plan in plans.items()},
+            "snr_definition": "transmit SNR before beamforming and receive processing, "
+                              "edge-referenced path gain"}
+    aggregates = [dict(zip(keys, point)) | stats(scenario, sel) for point, sel in points.items()]
+    return StatSummary(rows=rows, aggregates=aggregates, meta=meta)

@@ -162,24 +162,23 @@ def complexity_report(
     t_bs: int,
     n_beam: int,
     n_rf: int,
-    n_triggers: int,
     n: int,
     t_ue: int,
     m_tot: int,
 ) -> ComplexityReport:
     """Search iteration counts and per-synchronization-period UE operation counts.
 
-    BS: n_triggers * t_bs * n_beam single-stream iterations versus
-    n_triggers * t_bs * n_beam^n_rf for the multi-beam search.  UE: the
+    BS, per synchronization period: t_bs * n_beam single-stream iterations
+    versus t_bs * n_beam^n_rf for the multi-beam search.  UE: the
     sliding correlation costs m_tot * n * (n+1) * (t_ue-1) complex multiplies
     and m_tot * n * (n-1) * (t_ue-1) complex additions, independent of the
     transmit-side method.
     """
-    if min(t_bs, n_beam, n_rf, n_triggers, n, t_ue, m_tot) < 1:
+    if min(t_bs, n_beam, n_rf, n, t_ue, m_tot) < 1:
         raise ValueError("all complexity inputs must be positive")
     return ComplexityReport(
-        bs_iterations_single_stream=n_triggers * t_bs * n_beam,
-        bs_iterations_multi_beam=n_triggers * t_bs * n_beam**n_rf,
+        bs_iterations_single_stream=t_bs * n_beam,
+        bs_iterations_multi_beam=t_bs * n_beam**n_rf,
         ue_complex_multiplications=m_tot * n * (n + 1) * (t_ue - 1),
         ue_complex_additions=m_tot * n * (n - 1) * (t_ue - 1),
     )

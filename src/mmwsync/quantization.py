@@ -86,10 +86,6 @@ class AdcModel:
     def is_infinite(self) -> bool:
         return self.bits == INFINITE_BITS
 
-    def xi(self) -> float:
-        """Lloyd-Max quantization MSE for this resolution (0 for infinite bits)."""
-        return 0.0 if self.is_infinite else xi_for_bits(int(self.bits))
-
 
 def check_finite(samples) -> np.ndarray:
     """The sample contract of ``apply``: finite complex values of any shape,

@@ -47,7 +47,6 @@ class SyncWaveform:
 
     grid: OfdmGrid
     time_samples: np.ndarray
-    cp_length: int
     samples_with_cp: np.ndarray
 
 
@@ -96,7 +95,6 @@ def modulate(grid: OfdmGrid, cp_length: int) -> SyncWaveform:
     return SyncWaveform(
         grid=grid,
         time_samples=_frozen(time_samples),
-        cp_length=cp_length,
         samples_with_cp=_frozen(with_cp),
     )
 

@@ -146,7 +146,7 @@ def correlation_ratio_check(
     form (ratio - 1) / length is compared against the analytic SQNR; the
     identity predicts ratio = 1 + length * gamma.
     """
-    eta = 1.0 - AdcModel(bits=bits).xi()
+    eta = 1.0 - quantization.xi_for_bits(bits)
     s = solve_gain_for_gamma(gamma_target, eta)
     ratio = _measured_ratio(s, bits, trials, seed, length, root)
     gamma_emp = (ratio - 1.0) / length
@@ -181,7 +181,7 @@ def codebook_ratio_argmax(
     geom = ArrayGeometry(kind="ula", n_elements=n_a)
     a = channel.steering_vector(geom, ue_az)
     gains = base_gain * np.abs(np.conj(a) @ cb.codewords.T) ** 2
-    eta = 1.0 - AdcModel(bits=bits).xi()
+    eta = 1.0 - quantization.xi_for_bits(bits)
     measured = np.zeros(cb.n_beam)
     analytic = np.zeros(cb.n_beam)
     for q in range(cb.n_beam):

@@ -97,6 +97,11 @@ class TestParseConfig:
             ("mode: multi_ue_cell\ncell:\n  min_distance_m: 150\n", "cell.min_distance_m"),
             ("mode: multi_cell\ncell:\n  min_distance_m: 250\n", "cell.min_distance_m"),
             ("cell:\n  shadowing_sigma_db: .nan\n", "cell.shadowing_sigma_db"),
+            ("channel:\n  paths_per_cluster: 0\n", "channel.paths_per_cluster"),
+            ("channel:\n  angle_spread_deg: -1\n", "channel.angle_spread_deg"),
+            ("channel:\n  n_clusters: 2.5\n", "channel.n_clusters"),
+            ("channel:\n  rolloff: .nan\n", "channel.rolloff"),
+            ("mode: multi_ue_cell\ncell:\n  pathloss_exponent: .nan\n", "cell.pathloss_exponent"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -110,6 +115,8 @@ class TestParseConfig:
             "search_budget_short", "seed_negative", "trials_fractional", "azimuth_decreasing",
             "elevation_empty", "n_clusters_zero", "delay_spread_negative",
             "min_distance_at_radius", "min_distance_at_half_isd", "shadowing_nan",
+            "paths_per_cluster_zero", "angle_spread_negative", "n_clusters_fractional",
+            "rolloff_nan", "pathloss_exponent_nan",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):

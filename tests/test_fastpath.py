@@ -309,7 +309,8 @@ def test_slot_beam_plans_match_per_resolution_search(path):
     sub_cb = beamforming.dft_codebook(scenario.n_tot // scenario.n_rf, scenario.codebook_oversampling)
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
     for bits in every_bits:
-        bound = optimizer.BoundParams(scenario.lambda_max, quantization.AdcModel(bits=bits).xi())
+        xi = 0.0 if bits == math.inf else quantization.xi_for_bits(int(bits))
+        bound = optimizer.BoundParams(scenario.lambda_max, xi)
         multi = [select_multi_beam(sub_cb, scenario.n_rf, geom, a, bound, scenario.search_budget)
                  for a in anchors]
         single = [optimizer.select_single_beam(full_cb, geom, a, bound) for a in anchors]
@@ -381,3 +382,18 @@ def test_nonfinite_noise_sample_is_rejected(monkeypatch, run, scenario, bits, ba
     monkeypatch.setattr(mc, "_unit_noise", planted)
     with pytest.raises(ValueError, match="samples must be finite"):
         run(replace(scenario, adc_bits=(bits,)))
+
+
+@pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS[::3], ids=WINDOW_IDS[::3])
+def test_one_adc_model_per_arm_per_run(monkeypatch, run, scenario):
+    original = quantization.AdcModel
+    built = []
+
+    def counting(*args, **kwargs):
+        adc = original(*args, **kwargs)
+        built.append(adc.bits)
+        return adc
+
+    monkeypatch.setattr(quantization, "AdcModel", counting)
+    run(scenario)
+    assert sorted(built) == sorted(2 * scenario.adc_bits)  # two methods per resolution
