@@ -106,13 +106,6 @@ class RaisedCosinePulse:
         return out
 
 
-class NyquistPulse(RaisedCosinePulse):
-    """Ideal Nyquist pulse: 1 at tau = 0, 0 at other integer sample offsets."""
-
-    def __init__(self):
-        super().__init__(rolloff=0.0)
-
-
 @dataclass
 class BeamSpaceChannel:
     """Delay-tap MIMO channel."""

@@ -21,7 +21,7 @@ import yaml
 
 from . import __version__ as _VERSION
 from . import montecarlo, optimizer
-from .montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig, StatSummary
+from .montecarlo import Scenario, StatSummary
 
 EXPERIMENTS = ("sqnr", "timing", "cfo", "multicell", "complexity")
 
@@ -42,14 +42,11 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
-_SECTION_TYPES = {"sector": SectorConfig, "channel": ChannelConfig, "cell": CellConfig}
-
-
 def parse_config(path: str | Path) -> Scenario:
     """Load and validate a scenario file; defaults fill unspecified keys.
 
-    A section of ``_SECTION_TYPES`` is built as the file is, by recursion,
-    and its keys are named with the section's prefix.
+    A field with a ``default_factory`` is a section, built as the file is,
+    by recursion, and its keys are named with the section's prefix.
     """
     raw = yaml.safe_load(Path(path).read_text())
     if raw is None:
@@ -58,16 +55,15 @@ def parse_config(path: str | Path) -> Scenario:
         raise ValueError(f"scenario file {path} must hold a mapping")
 
     def build(cls, data: dict, prefix: str):
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name: f.default_factory for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in data.items():
             if key not in known:
-                name = f"{prefix}{key}" if prefix else key
-                raise ValueError(f"unknown configuration key {name!r}")
-            if key in _SECTION_TYPES:
+                raise ValueError(f"unknown configuration key {prefix + key!r}")
+            if known[key] is not dataclasses.MISSING:
                 if not isinstance(value, dict):
-                    raise ValueError(f"section {key!r} must be a mapping")
-                value = build(_SECTION_TYPES[key], value, f"{key}.")
+                    raise ValueError(f"section {prefix + key!r} must be a mapping")
+                value = build(known[key], value, f"{prefix}{key}.")
             elif isinstance(value, list):
                 value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
             kwargs[key] = value

@@ -54,18 +54,47 @@ from . import beamforming, channel, detector, optimizer, quantization, waveform
 # ---------------------------------------------------------------------------
 
 
-def _check_integers(config, prefix: str = "") -> None:
-    """Fields annotated ``int`` hold integers (a bool is not one)."""
+def _check_fields(config, prefix: str = "", least: dict[str, float] | None = None) -> None:
+    """Each field's annotation is its rule, checked before any comparison.
+
+    An ``int`` field, and each entry of a ``tuple[int, ...]``, is an integer;
+    a ``float`` field, and each entry of a ``tuple[float, float]``, is a
+    finite real number; each entry of a ``tuple[float, ...]`` grid is a real
+    number, bounded by the grid's own rule.  A bool or a string is neither.
+    A fixed-length tuple holds that many entries, and ``| None`` admits None.
+    A field named in ``least`` is at least that value.
+    """
     for f in fields(config):  # the annotations are strings (postponed evaluation)
-        value = getattr(config, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
+        key, value, kind = prefix + f.name, getattr(config, f.name), f.type.removesuffix(" | None")
+        scalar = kind in ("int", "float")
+        if not (scalar or kind.startswith("tuple[")) or value is None and kind != f.type:
+            continue
+        kinds = [kind] if scalar else kind[len("tuple["):-1].split(", ")
+        entries = (value,) if scalar else value
+        grid = kinds[-1] == "..."
+        number = numbers.Integral if kinds[0] == "int" else numbers.Real
+        if not (isinstance(entries, tuple) and (grid or len(entries) == len(kinds)) and all(
+            isinstance(v, number) and not isinstance(v, bool)
+            and (grid or number is numbers.Integral or math.isfinite(v)) for v in entries
+        )):
+            what = "an integer" if kinds[0] == "int" else "a real number" if grid else "a finite real number"
+            rule = what if scalar else f"{kind} holding {what} in each entry"
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+        if f.name in (least or {}) and value < least[f.name]:
+            raise ValueError(f"{key} must be >= {least[f.name]}, got {value}")
 
 
 @dataclass(frozen=True)
 class SectorConfig:
     azimuth_deg: tuple[float, float] = (-60.0, 60.0)
     elevation_deg: tuple[float, float] = (-45.0, 45.0)
+
+    def __post_init__(self):
+        _check_fields(self, "sector.")
+        for key in ("azimuth_deg", "elevation_deg"):
+            lo, hi = getattr(self, key)
+            if not lo < hi:
+                raise ValueError(f"sector.{key} must be two increasing angles, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -79,16 +108,10 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.regime not in ("flat", "clustered"):
-            raise ValueError(f"unknown channel regime {self.regime!r}")
-        _check_integers(self, "channel.")
-        for key in ("n_clusters", "paths_per_cluster"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"channel.{key} must be >= 1, got {getattr(self, key)}")
-        if not 0 <= self.angle_spread_deg < math.inf:
-            raise ValueError(f"channel.angle_spread_deg must be finite and >= 0, got {self.angle_spread_deg}")
-        if not self.delay_spread_samples >= 0:
-            raise ValueError(f"channel.delay_spread_samples must be >= 0, got {self.delay_spread_samples}")
-        if not 0 <= self.rolloff <= 1:
+            raise ValueError(f"unknown channel.regime {self.regime!r}; choose flat or clustered")
+        _check_fields(self, "channel.", least={"n_clusters": 1, "paths_per_cluster": 1, "angle_spread_deg": 0,
+                                               "delay_spread_samples": 0, "rolloff": 0})
+        if self.rolloff > 1:
             raise ValueError(f"channel.rolloff must be in [0, 1], got {self.rolloff}")
 
 
@@ -103,9 +126,7 @@ class CellConfig:
     shadowing_sigma_db: float = 8.0
 
     def __post_init__(self):
-        _check_integers(self, "cell.")
-        if not math.isfinite(self.pathloss_exponent):
-            raise ValueError(f"cell.pathloss_exponent must be finite, got {self.pathloss_exponent}")
+        _check_fields(self, "cell.", least={"shadowing_sigma_db": 0})
 
 
 def _check_zc_root(key: str, root: int, n_zc: int) -> None:
@@ -145,19 +166,18 @@ class Scenario:
     cell: CellConfig = field(default_factory=CellConfig)
 
     def __post_init__(self):
+        # a window needs noise-only lags (t_ue), an SQNR estimate a variance (inner_repeats),
+        # and past +-3000 dB lambda_max leaves the float range
+        _check_fields(self, least={"n_tot": 1, "n_rf": 1, "m_tot": 1, "codebook_oversampling": 1, "t_bs": 1,
+                                   "t_ue": 2, "trials": 1, "inner_repeats": 2, "seed": 0,
+                                   "lambda_max_inv_db": -3000.0})
         if self.mode not in ("single_ue", "multi_ue_cell", "multi_cell"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        _check_integers(self)
-        for key, least in (("n_tot", 1), ("n_rf", 1), ("m_tot", 1), ("codebook_oversampling", 1),
-                           ("t_bs", 1), ("trials", 1), ("seed", 0)):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.bs_geometry not in ("ula", "upa"):
             raise ValueError(f"unknown bs_geometry {self.bs_geometry!r}")
         shape = self.bs_upa_shape
         if self.bs_geometry == "upa" and not (
-            isinstance(shape, tuple) and len(shape) == 2 and min(shape) >= 1
-            and shape[0] * shape[1] == self.n_tot
+            shape is not None and min(shape) >= 1 and shape[0] * shape[1] == self.n_tot
         ):
             raise ValueError(f"bs_upa_shape must be two positive factors of n_tot={self.n_tot} "
                              f"for bs_geometry 'upa', got {shape}")
@@ -181,32 +201,20 @@ class Scenario:
             _check_zc_root("cell.roots", root, self.n_zc)
         if len(set(self.cell.roots)) != 3:
             raise ValueError(f"cell.roots must be three distinct roots, got {self.cell.roots}")
-        if self.t_ue < 2:
-            raise ValueError("t_ue must be >= 2 (window needs noise-only lags)")
-        if self.inner_repeats < 2:
-            raise ValueError("inner_repeats must be >= 2 (the SQNR estimate needs a variance)")
         for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
-            if not getattr(self, key):
-                raise ValueError(f"{key} must be nonempty")
+            grid = getattr(self, key)
+            # an empty grid has no rows; a repeat counts each trial twice in one aggregate, or merges two arms
+            if not grid or len(set(grid)) != len(grid):
+                raise ValueError(f"{key} must be nonempty with no repeated entry, got {grid}")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db_grid):
             raise ValueError("snr_db_grid must not hold NaN or -inf")
         if not all(map(math.isfinite, self.cfo_grid)):
             raise ValueError("cfo_grid must be finite (no NaN or inf)")
-        for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
-            # a repeat counts each trial twice in one aggregate, or merges two arms
-            if len(set(getattr(self, key))) != len(getattr(self, key)):
-                raise ValueError(f"{key} must not repeat an entry, got {getattr(self, key)}")
         for b in self.adc_bits:
-            if b != math.inf and (b != int(b) or not 1 <= b <= 16):
-                raise ValueError(f"adc bits must be integers in [1,16] or inf, got {b}")
-        if not -3000.0 <= self.lambda_max_inv_db <= 3000.0:
-            # NaN fails the comparison; past +-3000 dB lambda_max leaves the float range
-            raise ValueError(f"lambda_max_inv_db must be a number in [-3000, 3000], "
-                             f"got {self.lambda_max_inv_db}")
-        for key in ("azimuth_deg", "elevation_deg"):
-            span = getattr(self.sector, key)
-            if not (len(span) == 2 and span[0] < span[1]):
-                raise ValueError(f"sector.{key} must be two increasing angles, got {span}")
+            if b != math.inf and not (1 <= b <= 16 and b == int(b)):  # NaN fails the range
+                raise ValueError(f"adc_bits must be integers in [1, 16] or inf, got {b}")
+        if self.lambda_max_inv_db > 3000.0:
+            raise ValueError(f"lambda_max_inv_db must be <= 3000, got {self.lambda_max_inv_db}")
         cell = self.cell
         if self.mode == "multi_cell":
             limit, name = cell.isd_m / 2, "cell.isd_m / 2"
@@ -214,8 +222,6 @@ class Scenario:
             limit, name = cell.radius_m, "cell.radius_m"
         if not cell.min_distance_m < limit:
             raise ValueError(f"cell.min_distance_m must be below {name} = {limit}, got {cell.min_distance_m}")
-        if not cell.shadowing_sigma_db >= 0:
-            raise ValueError(f"cell.shadowing_sigma_db must be >= 0, got {cell.shadowing_sigma_db}")
         lo, hi = self.sector.azimuth_deg
         if self.mode != "single_ue" and lo != -hi:
             # the cell modes drop users over +-hi, so the anchors must span the same sector
@@ -365,17 +371,13 @@ def _tap_count(scenario: Scenario, paths: channel.PathSet) -> int:
 
 
 def _build_channel(scenario: Scenario, paths: channel.PathSet) -> channel.BeamSpaceChannel:
-    pulse = (
-        channel.NyquistPulse()
-        if scenario.channel.regime == "flat"
-        else channel.RaisedCosinePulse(scenario.channel.rolloff)
-    )
+    # a flat link's one tap samples the pulse at 0, where every rolloff gives exactly 1
     return channel.build_channel(
         paths,
         bs_geometry(scenario),
         ue_geometry(scenario),
         tap_count=_tap_count(scenario, paths),
-        pulse=pulse,
+        pulse=channel.RaisedCosinePulse(scenario.channel.rolloff),
         cp_length=scenario.cp_length,
     )
 

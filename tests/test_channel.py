@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwsync import channel
-from mmwsync.channel import ArrayGeometry, NyquistPulse, PathSet, RaisedCosinePulse
+from mmwsync.channel import ArrayGeometry, PathSet, RaisedCosinePulse
 
 
 ULA8 = ArrayGeometry(kind="ula", n_elements=8)
@@ -52,7 +52,7 @@ class TestSteeringVector:
 class TestBuildChannel:
     def test_single_path_flat_rank_one(self):
         paths = channel.single_path(aod_az=0.4, aoa=-0.2, gain=0.7 + 0.1j)
-        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=3, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=3, pulse=RaisedCosinePulse(0.0))
         a_tx = channel.steering_vector(ULA8, 0.4)
         a_rx = channel.steering_vector(ULA4, -0.2)
         expect = (0.7 + 0.1j) * np.outer(a_rx, np.conj(a_tx))
@@ -67,7 +67,7 @@ class TestBuildChannel:
             aoa=np.array([0.1, 0.1]),
             delays=np.array([0.0, 1.0]),
         )
-        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=4, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=4, pulse=RaisedCosinePulse(0.0))
         n = 64
         freq = np.fft.fft(ch.taps[:, 0, 0], n)
         # direct two-tap DFT oracle
@@ -86,7 +86,7 @@ class TestBuildChannel:
     def test_channel_energy_single_path(self):
         gain = 0.8 - 0.3j
         paths = channel.single_path(aod_az=0.5, aoa=0.3, gain=gain)
-        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=RaisedCosinePulse(0.0))
         energy = np.sum(np.abs(ch.taps) ** 2)
         assert energy == pytest.approx(abs(gain) ** 2 * 8 * 4, rel=1e-9)
 
@@ -101,7 +101,7 @@ class TestBuildChannel:
             aoa=np.arcsin(sin_rx),
             delays=np.zeros(2),
         )
-        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=RaisedCosinePulse(0.0))
         energy = np.sum(np.abs(ch.taps) ** 2)
         assert energy == pytest.approx((0.81 + 0.25) * 32, rel=1e-9)
 
@@ -129,7 +129,7 @@ class TestRaisedCosine:
 class TestPropagate:
     def test_noiseless_flat_burst(self):
         paths = channel.single_path(aod_az=0.3, aoa=0.1, gain=1.0)
-        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=RaisedCosinePulse(0.0))
         rng = np.random.default_rng(0)
         d = np.exp(2j * np.pi * rng.random(32))
         f = channel.steering_vector(ULA8, 0.3) / math.sqrt(8)
@@ -142,7 +142,7 @@ class TestPropagate:
 
     def test_zero_cfo_is_unit_phasor(self):
         paths = channel.single_path(aod_az=0.0, aoa=0.0)
-        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=RaisedCosinePulse(0.0))
         d = np.ones(16, complex)
         f = np.ones(8) / math.sqrt(8)
         y0 = channel.propagate(ch, d, f, 0.0, 0.0, 0, 32, np.random.default_rng(1))
@@ -171,7 +171,7 @@ class TestPropagate:
 
     def test_cfo_sign_preserves_magnitudes(self):
         paths = channel.single_path(aod_az=0.2, aoa=0.0, gain=1.0)
-        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1, pulse=RaisedCosinePulse(0.0))
         d = np.exp(2j * np.pi * np.random.default_rng(2).random(64))
         f = np.ones(8) / math.sqrt(8)
         yp = channel.propagate(ch, d, f, 0.0, 0.7, 0, 64, np.random.default_rng(0))

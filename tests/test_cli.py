@@ -1,10 +1,15 @@
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from mmwsync import cli, montecarlo
+from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
 
 
 MINIMAL = "mode: single_ue\n"
@@ -18,6 +23,15 @@ adc_bits: [2, .inf]
 snr_db_grid: [0.0]
 seed: 77
 """
+
+
+# (section, field) of every number and number-tuple field a scenario file can set
+NUMBER_FIELDS = [
+    (section, f)
+    for section, cls in (("", Scenario), ("sector", SectorConfig), ("channel", ChannelConfig), ("cell", CellConfig))
+    for f in fields(cls)
+    if f.type in ("int", "float") or f.type.startswith("tuple[")
+]
 
 
 def write(tmp_path: Path, text: str) -> Path:
@@ -102,6 +116,21 @@ class TestParseConfig:
             ("channel:\n  n_clusters: 2.5\n", "channel.n_clusters"),
             ("channel:\n  rolloff: .nan\n", "channel.rolloff"),
             ("mode: multi_ue_cell\ncell:\n  pathloss_exponent: .nan\n", "cell.pathloss_exponent"),
+            # YAML 1.1 reads 1.0e308 and -1.0e6 as strings (no sign after the e)
+            ("channel:\n  angle_spread_deg: 1.0e308\n", "channel.angle_spread_deg"),
+            ("mode: multi_ue_cell\ncell:\n  pathloss_exponent: -1.0e6\n", "cell.pathloss_exponent"),
+            ("channel:\n  regime: clustered\n  delay_spread_samples: .inf\n", "channel.delay_spread_samples"),
+            ("mode: multi_ue_cell\ncell:\n  radius_m: .inf\n", "cell.radius_m"),
+            ("sector:\n  azimuth_deg: [-.inf, .inf]\n", "sector.azimuth_deg"),
+            ("snr_db_grid: [1e3]\n", "snr_db_grid"),
+            ("cfo_grid: [1e-3]\n", "cfo_grid"),
+            ("adc_bits: [true]\n", "adc_bits"),
+            ("cell:\n  roots: [25.0, 29, 34]\n", "cell.roots"),
+            ("bs_geometry: upa\nbs_upa_shape: [4.0, 8]\n", "bs_upa_shape"),
+            ("sector:\n  elevation_deg: [0, 1e3]\n", "sector.elevation_deg"),
+            ("adc_bits: [99]\n", "adc_bits"),
+            ("adc_bits: [.nan]\n", "adc_bits"),
+            ("channel:\n  regime: warp\n", "channel.regime"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -116,11 +145,27 @@ class TestParseConfig:
             "elevation_empty", "n_clusters_zero", "delay_spread_negative",
             "min_distance_at_radius", "min_distance_at_half_isd", "shadowing_nan",
             "paths_per_cluster_zero", "angle_spread_negative", "n_clusters_fractional",
-            "rolloff_nan", "pathloss_exponent_nan",
+            "rolloff_nan", "pathloss_exponent_nan", "angle_spread_string", "pathloss_exponent_string",
+            "delay_spread_inf", "radius_inf", "azimuth_inf", "snr_string", "cfo_string", "adc_bits_bool",
+            "cell_roots_float", "upa_shape_float", "elevation_string", "adc_bits_out_of_range",
+            "adc_bits_nan", "regime_unknown",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            cli.parse_config(write(tmp_path, text))
+
+    @given(field=st.sampled_from(NUMBER_FIELDS), bad=st.sampled_from(("1e-3", "true", ".nan", ".inf", "-.inf")))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_non_number_rejected_at_parse_naming_key(self, tmp_path, field, bad):
+        section, f = field
+        assume(not (bad == ".inf" and f.name in ("adc_bits", "snr_db_grid")))  # an ideal ADC, no noise
+        value = bad
+        if f.type.startswith("tuple["):  # one entry for a grid, every entry of a fixed-length tuple
+            value = "[" + ", ".join([bad] * (1 if f.type.endswith("...]") else f.type.count(",") + 1)) + "]"
+        text = f"{section}:\n  {f.name}: {value}\n" if section else f"{f.name}: {value}\n"
+        key = f"{section}.{f.name}" if section else f.name
+        with pytest.raises(ValueError, match=re.escape(key)):
             cli.parse_config(write(tmp_path, text))
 
     def test_infinite_bits_parse(self, tmp_path):

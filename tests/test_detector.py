@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from closed_forms import zero_lag_freq_correlation
 from mmwsync import channel, detector, montecarlo, quantization, waveform
-from mmwsync.channel import ArrayGeometry, NyquistPulse
+from mmwsync.channel import ArrayGeometry, RaisedCosinePulse
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ class TestDetect:
         geom_tx = ArrayGeometry(kind="ula", n_elements=8)
         geom_rx = ArrayGeometry(kind="ula", n_elements=4)
         paths = channel.single_path(aod_az=0.3, aoa=-0.4)
-        ch = channel.build_channel(paths, geom_tx, geom_rx, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, geom_tx, geom_rx, tap_count=1, pulse=RaisedCosinePulse(0.0))
         f = channel.steering_vector(geom_tx, 0.3) / math.sqrt(8)
         y = channel.propagate(
             ch, wf.time_samples, f, 0.0, 0.0, 37, 512 * 3, np.random.default_rng(0)
@@ -197,7 +197,7 @@ class TestZeroLagFreqCorrelation:
         geom_rx = ArrayGeometry(kind="ula", n_elements=4)
         g = 0.8 - 0.5j
         paths = channel.single_path(aod_az=0.25, aoa=0.1, gain=g)
-        ch = channel.build_channel(paths, geom_tx, geom_rx, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, geom_tx, geom_rx, tap_count=1, pulse=RaisedCosinePulse(0.0))
         f = channel.steering_vector(geom_tx, 0.25) / math.sqrt(8)
         y = channel.propagate(ch, wf.time_samples, f, 0.0, 0.0, 0, 512, np.random.default_rng(0))
         b = 2
@@ -212,7 +212,7 @@ class TestZeroLagFreqCorrelation:
         geom_rx = ArrayGeometry(kind="ula", n_elements=4)
         rng = np.random.default_rng(6)
         paths = channel.single_path(aod_az=0.2, aoa=0.3, gain=1.0)
-        ch = channel.build_channel(paths, geom_tx, geom_rx, tap_count=1, pulse=NyquistPulse())
+        ch = channel.build_channel(paths, geom_tx, geom_rx, tap_count=1, pulse=RaisedCosinePulse(0.0))
         f = channel.steering_vector(geom_tx, 0.2) / math.sqrt(8)
         y = channel.propagate(ch, wf.time_samples, f, 0.1, 0.0, 0, 512, rng)
         freq_bhat = np.argmax(

@@ -19,8 +19,9 @@ in ``tests/`` do not count:
   callee's name; ``*args`` passes every positional parameter and
   ``**kwargs`` every name.  A definition the program handles as a value
   (outside annotations) rather than calls by name may be called with
-  anything, so all its parameters count as passed: ``cli._SECTION_TYPES``
-  builds the YAML-parsed config sections that way, and ``Scenario`` is
+  anything, so all its parameters count as passed: ``cli.parse_config``
+  builds the YAML-parsed config sections that way, through the
+  ``default_factory`` of ``Scenario``'s section fields, and ``Scenario`` is
   built from ``**kwargs``, so config fields are judged by reads alone.
 
 Matching is by name alone, so a name used anywhere counts everywhere: the
