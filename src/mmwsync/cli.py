@@ -99,7 +99,7 @@ def write_outputs(summary: StatSummary, experiment: str, out_dir: Path) -> list[
     agg = out_dir / f"{experiment}_aggregates.csv"
     _write_csv(agg, meta["scenario_hash"], meta["seed"], summary.aggregates)
     manifest = out_dir / f"{experiment}_manifest.yaml"
-    manifest.write_text(yaml.safe_dump(meta, sort_keys=True))
+    manifest.write_text(yaml.safe_dump(meta | {"experiment": experiment}, sort_keys=True))
     return [samples, agg, manifest]
 
 

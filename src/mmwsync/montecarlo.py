@@ -15,18 +15,18 @@ Conventions shared by all experiments:
   grid, then reused by every trial (no channel knowledge).  Each slot is
   searched once for every ADC resolution: the bound's maximizer depends on
   neither the quantization MSE nor the noise variance (``slot_beam_plans``).
-* Every experiment draws its trials through ``_trials``: the UE drop the
-  mode implies, the serving link and, in ``multi_cell``, the six
-  interfering links, all from one generator per trial.
-* Two noise keys.  The trial stream is spawned from (seed, scenario hash,
-  trial index) and draws the channel, the timing and the sqnr and timing
-  noise.  Multicell slot noise is spawned from (seed, trial, slot, SNR
-  index) instead.  All method/resolution arms of a trial share the same
-  channel, timing and noise draws, so method comparisons are paired.  In the
-  sqnr experiment the arms of one (trial, SNR, transmit vector) also share
-  the noisy window, its AGC and its 1/AGC scaling: only the quantizer
-  differs between them.  Their zero-lag correlations fill one buffer per
-  chunk, whose means and variances are taken for all arms in one pass.
+* One draw rule.  Every random number of a trial comes from one generator
+  spawned from (seed, trial index), in one order: the links ``_trials``
+  draws (the UE drop the mode implies, the serving link and, in
+  ``multi_cell``, the six interfering links), the burst timing (timing,
+  multicell), then the noise: an (inner_repeats, N) block (sqnr), one
+  (m_tot, window) window (timing) or t_bs of them in slot order
+  (multicell).  Every arm and SNR of a trial share its channel, timing and
+  noise, so comparisons are paired (common random numbers).  In the sqnr
+  experiment the arms of one (trial, SNR, transmit vector) also share the
+  noisy window, its AGC and its 1/AGC scaling: only the quantizer differs
+  between them.  Their zero-lag correlations fill one buffer per chunk,
+  whose means and variances are taken for all arms in one pass.
 * The timing and multicell windows of one chunk share one workspace
   (``_window_workspace``): each window is built, AGC-scaled, quantized and
   correlated in the same fixed buffers, so no window allocates its own.
@@ -120,13 +120,12 @@ class CellConfig:
     radius_m: float = 150.0
     isd_m: float = 500.0
     min_distance_m: float = 20.0
-    n_ue: int = 10
     roots: tuple[int, int, int] = (25, 29, 34)
     pathloss_exponent: float = 3.2
     shadowing_sigma_db: float = 8.0
 
     def __post_init__(self):
-        _check_fields(self, "cell.", least={"shadowing_sigma_db": 0})
+        _check_fields(self, "cell.", least={"min_distance_m": 0, "shadowing_sigma_db": 0})
 
 
 def _check_zc_root(key: str, root: int, n_zc: int) -> None:
@@ -144,7 +143,6 @@ class Scenario:
     cp_length: int = 64
     n_zc: int = 63
     zc_root: int = 34
-    subcarrier_spacing_khz: float = 270.0
     n_tot: int = 32
     n_rf: int = 4
     m_tot: int = 16
@@ -182,7 +180,7 @@ class Scenario:
             raise ValueError(f"bs_upa_shape must be two positive factors of n_tot={self.n_tot} "
                              f"for bs_geometry 'upa', got {shape}")
         if self.bs_geometry == "ula" and shape is not None:
-            # an unused field would still enter scenario_hash and re-draw every trial
+            # an unused field would still enter scenario_hash, moving every output's header
             raise ValueError(f"bs_upa_shape is only for bs_geometry 'upa', got {shape} with 'ula'")
         if self.n_tot % self.n_rf != 0:
             raise ValueError("n_tot must be a multiple of n_rf")
@@ -437,9 +435,8 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     waveforms = [sync_waveform(scenario, root=r) for r in layout.roots]
     reference = waveforms[0].time_samples
     az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
-    key = int(scenario_hash(scenario), 16) & 0xFFFFFFFF
     for trial in range(trial_lo, trial_hi):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(key, trial)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,)))
         if scenario.mode == "single_ue":
             ue_pos, aod, amp = None, rng.uniform(az_lo, az_hi), 1.0
         else:
@@ -485,12 +482,14 @@ def _sqnr_window(clean: np.ndarray, conj_reference: np.ndarray, sigma2: float,
                  noise_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window every ADC arm of one (trial, SNR, transmit vector) measures.
 
-    The antenna with the strongest noiseless zero-lag response is measured:
-    each row is its burst plus sqrt(sigma2) times one repetition of unit noise.
-    Returns the window, its per-row AGC rms, checked by ``_check_window_agc``,
-    and the window scaled by 1/AGC.
+    The antenna with the strongest noiseless zero-lag response is measured,
+    the smallest index of those within a relative 1e-9 of the largest power
+    (in a flat channel all tie): each row is its burst plus sqrt(sigma2)
+    times one repetition of unit noise.  Returns the window, its per-row AGC
+    rms, checked by ``_check_window_agc``, and the window scaled by 1/AGC.
     """
-    b_hat = int(np.argmax(np.abs(clean @ conj_reference) ** 2))
+    power = np.abs(clean @ conj_reference) ** 2
+    b_hat = int(np.argmax(power >= (1.0 - 1e-9) * power.max()))
     y = np.multiply(math.sqrt(sigma2), noise_unit)
     y += clean[b_hat]
     agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
@@ -675,16 +674,14 @@ def _multicell_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
     work = _window_workspace(scenario)
     for trial, rng, slot0, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, max_t, endpoint=True))
+        # one noise window per slot, drawn in slot order and shared by every arm and SNR
+        noises = [_Correlated(_unit_noise(rng, scenario.m_tot, window), reference)
+                  for _ in range(scenario.t_bs)]
         for method, bits, adc, tx_vectors in arms:
-            for snr_idx, (snr_db, sigma2) in enumerate(zip(scenario.snr_db_grid, sigma2_grid)):
+            for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
                 serving_success = None
                 first_slot = -1
-                for tau in range(scenario.t_bs):
-                    # noise keyed by (trial, slot, snr) only, so arms are paired
-                    rng_slot = np.random.default_rng(
-                        np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial, tau, snr_idx))
-                    )
-                    noise = _Correlated(_unit_noise(rng_slot, scenario.m_tot, window), reference)
+                for tau, noise in enumerate(noises):
                     out = _detect_window(burst(tx_vectors[tau]), noise, sigma2, t, adc, work)
                     if tau == slot0:
                         serving_success = bool(out.success)
@@ -766,7 +763,7 @@ def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
     points: dict = {}
     for row in rows:
         points.setdefault(tuple(row[k] for k in keys), []).append(row)
-    meta = {"experiment": experiment, "scenario_hash": scenario_hash(scenario), "seed": scenario.seed,
+    meta = {"scenario_hash": scenario_hash(scenario), "seed": scenario.seed,
             "version": _VERSION, "scenario": asdict(scenario),
             "beam_plans": {f"{method}/bits={bits}": plan.indices.tolist()
                            for (method, bits), plan in plans.items()},

@@ -45,7 +45,6 @@ class TestParseConfig:
         scenario = cli.parse_config(write(tmp_path, MINIMAL))
         assert scenario.n_subcarriers == 512
         assert scenario.cp_length == 64
-        assert scenario.subcarrier_spacing_khz == 270.0
         assert scenario.n_zc == 63
         assert scenario.m_tot == 16
 
@@ -131,6 +130,8 @@ class TestParseConfig:
             ("adc_bits: [99]\n", "adc_bits"),
             ("adc_bits: [.nan]\n", "adc_bits"),
             ("channel:\n  regime: warp\n", "channel.regime"),
+            ("mode: multi_ue_cell\ncell:\n  min_distance_m: -50.0\n", "cell.min_distance_m"),
+            ("mode: multi_ue_cell\ncell:\n  radius_m: -10.0\n  min_distance_m: -20.0\n", "cell.min_distance_m"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -148,7 +149,7 @@ class TestParseConfig:
             "rolloff_nan", "pathloss_exponent_nan", "angle_spread_string", "pathloss_exponent_string",
             "delay_spread_inf", "radius_inf", "azimuth_inf", "snr_string", "cfo_string", "adc_bits_bool",
             "cell_roots_float", "upa_shape_float", "elevation_string", "adc_bits_out_of_range",
-            "adc_bits_nan", "regime_unknown",
+            "adc_bits_nan", "regime_unknown", "min_distance_negative", "radius_negative",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):

@@ -207,13 +207,14 @@ def test_one_propagate_per_distinct_input(monkeypatch, run, scenario):
 def empirical_zero_lag_sqnr(burst_clean, reference, sigma2, adc, noise_unit) -> float:
     """One arm measured on its own, window included: the oracle for the sqnr rows.
 
-    The antenna with the strongest noiseless zero-lag response is measured;
-    each repetition adds fresh noise, runs the per-window AGC and ADC, and
-    correlates at the true alignment.  The estimate is |mean|^2 / var of the
-    complex correlation samples.
+    The antenna with the strongest noiseless zero-lag response is measured,
+    the smallest index among those within a relative 1e-9 of the largest
+    power; each repetition adds fresh noise, runs the per-window AGC and ADC,
+    and correlates at the true alignment.  The estimate is |mean|^2 / var of
+    the complex correlation samples.
     """
-    zl = burst_clean @ np.conj(reference)
-    b_hat = int(np.argmax(np.abs(zl) ** 2))
+    power = np.abs(burst_clean @ np.conj(reference)) ** 2
+    b_hat = min(i for i, p in enumerate(power) if p >= (1.0 - 1e-9) * power.max())
     y = burst_clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
     agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
     q = quantization.apply(adc, y, agc)

@@ -3,9 +3,9 @@
 Each directory under ``tests/golden/`` is named after an experiment and holds
 its ``scenario.yaml`` next to the exact files a run of that experiment
 writes.  A change that keeps these bytes keeps the rows, the aggregates, the
-manifests and the headers.  They change only with the trial draws (the
-random streams or the scenario hash), and then the files are regenerated in
-that same change.
+manifests and the headers.  The files were regenerated once, when every
+random number of a trial came to be drawn from one generator keyed on
+(seed, trial); from then on a change is held to these bytes.
 """
 
 from pathlib import Path

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -114,6 +114,21 @@ class TestReproducibility:
         serial = run(scenario, workers=1)
         parallel = run(scenario, workers=3)
         assert serial.rows == parallel.rows
+
+    # a trial's draws depend on (seed, trial) alone, so adding an arm or trials keeps the rows
+    @pytest.mark.parametrize(
+        "run, scenario",
+        [
+            (mc.run_sqnr_experiment, TINY),
+            (mc.run_timing_experiment, Scenario(**{**TINY.__dict__, "m_tot": 4})),
+            (mc.run_multicell_experiment, Scenario(mode="multi_cell", t_bs=2, t_ue=2, m_tot=4, seed=12)),
+        ],
+        ids=["sqnr", "timing", "multicell"],
+    )
+    def test_added_arm_and_trials_keep_the_rows(self, run, scenario):
+        alone = run(replace(scenario, adc_bits=(2,), trials=2)).rows
+        extended = run(replace(scenario, adc_bits=(2, math.inf), trials=3)).rows
+        assert alone == [r for r in extended if r["bits"] == 2][: len(alone)]
 
     def test_timing_rows_identical(self):
         s = Scenario(**{**TINY.__dict__, "trials": 6})

@@ -38,10 +38,6 @@ LIBRARY = sorted((ROOT / "src" / "mmwsync").glob("*.py"))
 PROGRAM = LIBRARY + sorted((ROOT / "bench").rglob("*.py"))
 
 EXEMPT = {
-    "montecarlo.CellConfig.n_ue":
-        "enters scenario_hash, so removing it re-draws every trial (goes with the draw re-keying)",
-    "montecarlo.Scenario.subcarrier_spacing_khz":
-        "enters scenario_hash, so removing it re-draws every trial (goes with the draw re-keying)",
     "channel.BeamSpaceChannel.isi_warning":
         "set from build_channel's cp_length, which bench/microbench.py passes",
     "optimizer.BoundParams(noise_var)":
