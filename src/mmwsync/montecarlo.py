@@ -8,13 +8,17 @@ Conventions shared by all experiments:
   variance is sigma^2 = (E_d / N) * 10^(-snr_db/10) with E_d the grid energy.
 * One runner, ``_run``, serves all three experiments from one table,
   ``_EXPERIMENTS``: the modes each runs in, its chunk function, its
-  aggregate keys and its per-point statistics.  It builds the arms
+  aggregate keys and its per-point statistics.  An experiment whose keys
+  hold no ``cfo`` runs at zero CFO and rejects any other ``cfo_grid``
+  before a trial runs.  It builds the arms
   ``(method, bits, AdcModel, tx_vectors)`` once per run and sigma^2 once per
   SNR, and hands both to every chunk; nothing is cached across runs.
 * Beam plans are semi-static: selected once per scenario from the anchor
-  grid, then reused by every trial (no channel knowledge).  Each slot is
-  searched once for every ADC resolution: the bound's maximizer depends on
-  neither the quantization MSE nor the noise variance (``slot_beam_plans``).
+  grid, then reused by every trial (no channel knowledge).  One search
+  serves both methods, single-stream being its one-chain case, and each
+  slot is searched once for every ADC resolution: the bound's maximizer
+  depends on neither the quantization MSE nor the noise variance
+  (``slot_beam_plans``).
 * One draw rule.  Every random number of a trial comes from one generator
   spawned from (seed, trial index), in one order: the links ``_trials``
   draws (the UE drop the mode implies, the serving link and, in
@@ -125,7 +129,8 @@ class CellConfig:
     shadowing_sigma_db: float = 8.0
 
     def __post_init__(self):
-        _check_fields(self, "cell.", least={"min_distance_m": 0, "shadowing_sigma_db": 0})
+        _check_fields(self, "cell.", least={"radius_m": 0, "isd_m": 0, "min_distance_m": 0,
+                                            "shadowing_sigma_db": 0})
 
 
 def _check_zc_root(key: str, root: int, n_zc: int) -> None:
@@ -184,10 +189,10 @@ class Scenario:
             raise ValueError(f"bs_upa_shape is only for bs_geometry 'upa', got {shape} with 'ula'")
         if self.n_tot % self.n_rf != 0:
             raise ValueError("n_tot must be a multiple of n_rf")
-        iterations = (self.n_tot // self.n_rf * self.codebook_oversampling) ** self.n_rf
+        iterations = max((self.n_tot // n_rf * self.codebook_oversampling) ** n_rf for n_rf in (self.n_rf, 1))
         if self.search_budget < iterations:
             raise ValueError(f"search_budget {self.search_budget} is below the {iterations} "
-                             f"candidates of the multi-beam search")
+                             f"candidates of the beam search")
         if not 0 <= self.cp_length < self.n_subcarriers:
             raise ValueError("cp_length must be in [0, n_subcarriers)")
         if self.cp_length == 0 and self.channel.regime == "clustered":
@@ -303,38 +308,30 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
     """Beam plans keyed ``(method, bits)``: for each entry of ``adc_bits``,
     "proposed" then "single_stream".
 
-    The proposed plan's indices are each slot's per-subarray codeword tuple,
-    (t_bs, n_rf), found by exhaustive search; the single-stream plan's are
-    one full-array codeword per slot, (t_bs, 1).  ``tx_vectors`` are the
-    unit-power transmit vectors, (t_bs, n_tot), and ``iteration_count`` sums
-    the candidates scored over the slots.  Each slot is searched once, under
-    xi_max = 0, and the arms of every resolution share that selection: the
-    bound's maximizer depends on neither xi_max nor the noise variance
-    (``sqnr``), so each arm holds what a search under its own resolution
-    finds.
+    Both methods run one search: "proposed" over the per-subarray codeword
+    tuples of ``n_rf`` chains, (t_bs, n_rf) indices, and "single_stream" as
+    its one-chain case, one full-array codeword per slot, (t_bs, 1).
+    ``tx_vectors`` are the unit-power transmit vectors, (t_bs, n_tot), and
+    ``iteration_count`` sums the candidates scored over the slots.  Each
+    slot is searched once per method, under xi_max = 0, and the arms of
+    every resolution share that selection: the bound's maximizer depends on
+    neither xi_max nor the noise variance (``sqnr``), so each arm holds what
+    a search under its own resolution finds.
     """
     geom = bs_geometry(scenario)
     anchors = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
-    n_a = scenario.n_tot // scenario.n_rf
-    sub_cb = beamforming.dft_codebook(n_a, scenario.codebook_oversampling)
-    full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
     bound = optimizer.BoundParams(scenario.lambda_max, 0.0)
-    multi, single = [], []
-    for anchor in map(tuple, anchors):
-        gains = optimizer.multi_beam_gains(sub_cb, scenario.n_rf, geom, anchor, scenario.search_budget)
-        multi.append(optimizer.select_from_gains(gains, bound))
-        single.append(optimizer.select_single_beam(full_cb, geom, anchor, bound))
-    shared = {}
-    for method, sels in (("proposed", multi), ("single_stream", single)):
-        indices = np.array([sel.indices for sel in sels])
-        if method == "proposed":
-            tx = np.array([beamforming.effective_tx_vector(beamforming.BeamSet(sub_cb, sel.indices))
-                           for sel in sels])
-        else:
-            tx = full_cb.codewords[indices[:, 0]]
-        shared[method] = (indices, tx, sum(s.iteration_count for s in sels))
-    return {(method, bits): BeamPlan(*shared[method])
-            for bits in scenario.adc_bits for method in ("proposed", "single_stream")}
+    plans = {}
+    for method, n_rf in (("proposed", scenario.n_rf), ("single_stream", 1)):
+        codebook = beamforming.dft_codebook(scenario.n_tot // n_rf, scenario.codebook_oversampling)
+        sels = []
+        for anchor in map(tuple, anchors):
+            gains = optimizer.multi_beam_gains(codebook, n_rf, geom, anchor, scenario.search_budget)
+            sels.append(optimizer.select_from_gains(gains, bound))
+        tx = [beamforming.effective_tx_vector(beamforming.BeamSet(codebook, sel.indices)) for sel in sels]
+        plans[method] = BeamPlan(np.array([sel.indices for sel in sels]), np.array(tx),
+                                 sum(sel.iteration_count for sel in sels))
+    return {(method, bits): plan for bits in scenario.adc_bits for method, plan in plans.items()}
 
 
 def serving_slot(anchors: np.ndarray, az: float) -> int:
@@ -745,6 +742,10 @@ def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
     if scenario.mode not in modes:
         raise ValueError(f"the {experiment} experiment runs in mode {' or '.join(modes)}, "
                          f"got {scenario.mode!r}")
+    if "cfo" not in keys and scenario.cfo_grid != (0.0,):
+        # an experiment without a CFO axis would run at zero CFO whatever the grid says
+        raise ValueError(f"the {experiment} experiment runs at zero CFO; cfo_grid must be [0.0], "
+                         f"got {list(scenario.cfo_grid)}")
     plans = slot_beam_plans(scenario)
     arms = [(method, bits, quantization.AdcModel(bits=bits), plan.tx_vectors)
             for (method, bits), plan in plans.items()]

@@ -2,8 +2,9 @@
 
 Each synchronization time-slot is represented by one anchor direction; the
 slot's beams are chosen by maximizing the worst-case SQNR lower bound at that
-anchor, either over single full-array codewords or over all per-subarray
-codeword combinations (exact enumeration, no pruning).
+anchor over all per-subarray codeword combinations (exact enumeration, no
+pruning).  One search serves both methods: single-stream beamforming is the
+one-chain case, n_rf = 1 on the full-array codebook.
 """
 
 from __future__ import annotations
@@ -86,25 +87,6 @@ def build_anchor_grid(t_bs: int, sector: SectorRanges) -> np.ndarray:
     return np.array([(a, e) for a in az for e in el])
 
 
-def select_single_beam(
-    codebook: Codebook,
-    geometry: ArrayGeometry,
-    anchor: tuple[float, float],
-    bound: BoundParams,
-) -> BeamSelection:
-    """Best single full-array codeword at the anchor under the bound objective.
-
-    Ties resolve to the lowest codeword index; iteration count is the
-    codebook size.
-    """
-    if codebook.n_beam < 1:
-        raise ValueError("empty codebook")
-    a_tx = steering_vector(geometry, anchor[0], anchor[1])
-    gains = np.abs(np.conj(a_tx) @ codebook.codewords.T) ** 2
-    objectives = sqnr_lower_bound_single(gains, bound.lambda_max, bound.xi_max, bound.noise_var)
-    return BeamSelection(indices=(int(np.argmax(objectives)),), iteration_count=codebook.n_beam)
-
-
 def multi_beam_gains(
     codebook: Codebook,
     n_rf: int,
@@ -116,7 +98,11 @@ def multi_beam_gains(
 
     Entry (q_0, ..., q_{n_rf-1}) belongs to the tuple that puts codeword q_i
     on subarray i.  The table does not depend on the bound, so one table
-    serves every resolution's search at the anchor.
+    serves every resolution's search at the anchor.  With n_rf = 1 on the
+    full-array codebook it is the single-stream table |conj(a) . w_q|^2.
+    The entry is |sum_i c_i|^2, n_rf times the gain of the unit-power vector
+    ``beamforming.effective_tx_vector`` sends; the two scales coincide at
+    n_rf = 1.
     """
     n_beam = codebook.n_beam
     iterations = n_beam**n_rf

@@ -4,7 +4,8 @@ synchronization SQNR.
 The bound assumes the flat synchronization channel: one scalar effective
 gain per user, a common per-sample distortion factor, and Gaussian
 signaling at the quantizer input.  ``optimizer`` maximizes it over the
-codebook; the closed-form SQNR it bounds is in the tests
+composite-gain table of each method (single-stream is the one-chain table);
+the closed-form SQNR it bounds is in the tests
 (``tests/closed_forms.py``), which check the chain bound <= gamma.
 
 The maximizer does not depend on ``xi_max`` or ``noise_var``.  With
@@ -14,7 +15,9 @@ positive at every gain (27 noise_var / 4 > (1 - xi_max)^2, which the default
 noise_var = 1 meets) the bound peaks at s = 2 lambda_max and orders any set
 of gains alike for every xi_max and noise_var.
 ``montecarlo.slot_beam_plans`` therefore searches each slot once for every
-ADC resolution.
+ADC resolution.  The bound rises with s below 2 lambda_max, so a table whose
+gains all lie below it picks its maximum gain: both methods do at the
+default lambda_max_inv_db = -20 (2 lambda_max = 200).
 """
 
 from __future__ import annotations

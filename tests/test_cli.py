@@ -131,7 +131,11 @@ class TestParseConfig:
             ("adc_bits: [.nan]\n", "adc_bits"),
             ("channel:\n  regime: warp\n", "channel.regime"),
             ("mode: multi_ue_cell\ncell:\n  min_distance_m: -50.0\n", "cell.min_distance_m"),
-            ("mode: multi_ue_cell\ncell:\n  radius_m: -10.0\n  min_distance_m: -20.0\n", "cell.min_distance_m"),
+            ("mode: multi_ue_cell\ncell:\n  radius_m: -10.0\n  min_distance_m: -20.0\n", "cell.radius_m"),
+            ("mode: multi_cell\ncell:\n  radius_m: -10.0\n", "cell.radius_m"),
+            ("cell:\n  isd_m: -10.0\n", "cell.isd_m"),
+            # one codeword per subarray, but the one-chain search scores all four full-array codewords
+            ("n_tot: 4\nn_rf: 4\ncodebook_oversampling: 1\nsearch_budget: 3\n", "search_budget"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -150,6 +154,7 @@ class TestParseConfig:
             "delay_spread_inf", "radius_inf", "azimuth_inf", "snr_string", "cfo_string", "adc_bits_bool",
             "cell_roots_float", "upa_shape_float", "elevation_string", "adc_bits_out_of_range",
             "adc_bits_nan", "regime_unknown", "min_distance_negative", "radius_negative",
+            "radius_negative_multi_cell", "isd_negative", "search_budget_short_one_chain",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
@@ -234,6 +239,20 @@ class TestRun:
         assert cli.run(cli.RunConfig(str(path), "timing", str(out))) == 0
         lines = (out / "timing_samples.csv").read_text().splitlines()
         assert lines[1] == "method,trial,slot,snr_db,cfo,bits,nu_true,nu_hat,b_hat,peak_power,success"
+
+    @pytest.mark.parametrize("experiment, text", [
+        ("sqnr", TINY_SQNR + "cfo_grid: [0.5]\n"),
+        ("multicell", "mode: multi_cell\ntrials: 1\nt_bs: 2\ncfo_grid: [0.0, 0.5]\n"),
+    ])
+    def test_cfo_grid_rejected_without_cfo_axis(self, tmp_path, capsys, monkeypatch, experiment, text):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_trials", no_trials)
+        out = tmp_path / "out"
+        assert cli.run(cli.RunConfig(str(write(tmp_path, text)), experiment, str(out))) == 1
+        assert "cfo_grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_nonzero_exit(self, tmp_path):
         path = write(tmp_path, "bogus_key: 1\n")

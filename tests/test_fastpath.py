@@ -283,16 +283,20 @@ def test_one_sqnr_window_per_trial_snr_and_transmit_vector(monkeypatch):
 
 @pytest.mark.parametrize("bits", [(2.0,), (1.0, 2.0, 4.0, 12.0, math.inf)], ids=["one_arm", "five_arms"])
 def test_one_search_per_slot_for_every_arm(monkeypatch, bits):
-    calls = {"select_from_gains": 0, "select_single_beam": 0}
-    for name in calls:
-        def counting(*args, name=name, original=getattr(optimizer, name)):
-            calls[name] += 1
-            return original(*args)
+    calls = []
+    original = optimizer.select_from_gains
 
-        monkeypatch.setattr(optimizer, name, counting)
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "select_from_gains", counting)
     scenario = replace(SQNR_ARMS, adc_bits=bits)
     assert len(mc.slot_beam_plans(scenario)) == 2 * len(bits)
-    assert calls == {"select_from_gains": scenario.t_bs, "select_single_beam": scenario.t_bs}
+    # one search per slot and method: the proposed n_rf-chain table, then the one-chain table
+    ovs = scenario.codebook_oversampling
+    proposed = (scenario.n_tot // scenario.n_rf * ovs,) * scenario.n_rf
+    assert calls == [proposed] * scenario.t_bs + [(scenario.n_tot * ovs,)] * scenario.t_bs
 
 
 SCENARIO_FILES = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
@@ -312,10 +316,8 @@ def test_slot_beam_plans_match_per_resolution_search(path):
     for bits in every_bits:
         xi = 0.0 if bits == math.inf else quantization.xi_for_bits(int(bits))
         bound = optimizer.BoundParams(scenario.lambda_max, xi)
-        multi = [select_multi_beam(sub_cb, scenario.n_rf, geom, a, bound, scenario.search_budget)
-                 for a in anchors]
-        single = [optimizer.select_single_beam(full_cb, geom, a, bound) for a in anchors]
-        for method, sels in (("proposed", multi), ("single_stream", single)):
+        for method, cb, n_rf in (("proposed", sub_cb, scenario.n_rf), ("single_stream", full_cb, 1)):
+            sels = [select_multi_beam(cb, n_rf, geom, a, bound, scenario.search_budget) for a in anchors]
             plan = plans[(method, bits)]
             assert plan.indices.tolist() == [list(sel.indices) for sel in sels]
             assert plan.iteration_count == sum(sel.iteration_count for sel in sels)
