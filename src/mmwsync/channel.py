@@ -248,7 +248,7 @@ class UserDrop:
 def drop_users(
     layout: CellLayout,
     n_ue: int,
-    rng_seed: int | np.random.Generator,
+    rng: np.random.Generator,
     sector_halfwidth: float = math.radians(60.0),
     pathloss_exponent: float = 3.2,
     shadowing_sigma_db: float = 8.0,
@@ -257,11 +257,6 @@ def drop_users(
     min-distance respected."""
     if n_ue < 1:
         raise ValueError("n_ue must be >= 1")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
     r_min, r_max = layout.min_distance_m, layout.cell_radius_m
     radii = np.sqrt(rng.uniform(r_min**2, r_max**2, size=n_ue))
     azimuths = rng.uniform(-sector_halfwidth, sector_halfwidth, size=n_ue)

@@ -14,13 +14,13 @@ import csv
 import dataclasses
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from . import __version__ as _VERSION
-from . import montecarlo, optimizer
+from . import detector, montecarlo
 from .montecarlo import Scenario, StatSummary
 
 EXPERIMENTS = ("sqnr", "timing", "cfo", "multicell", "complexity")
@@ -104,23 +104,21 @@ def write_outputs(summary: StatSummary, experiment: str, out_dir: Path) -> list[
 
 
 def _run_complexity(scenario: Scenario, out_dir: Path) -> list[Path]:
-    n_a = scenario.n_tot // scenario.n_rf
-    n_beam = n_a * scenario.codebook_oversampling
-    report = optimizer.complexity_report(
-        t_bs=scenario.t_bs,
-        n_beam=n_beam,
-        n_rf=scenario.n_rf,
-        n=scenario.n_subcarriers,
-        t_ue=scenario.t_ue,
-        m_tot=scenario.m_tot,
-    )
-    print(f"BS iterations (single-stream): {report.bs_iterations_single_stream}")
-    print(f"BS iterations (multi-beam):    {report.bs_iterations_multi_beam}")
-    print(f"UE complex multiplications:    {report.ue_complex_multiplications}")
-    print(f"UE complex additions:          {report.ue_complex_additions}")
+    """The BS counts are the candidates ``slot_beam_plans`` scores, one plan
+    serving every resolution; the UE counts are the correlator's closed form."""
+    plans = montecarlo.slot_beam_plans(scenario)
+    bits = scenario.adc_bits[0]
+    single, multi = plans["single_stream", bits].iteration_count, plans["proposed", bits].iteration_count
+    mults, adds = detector.correlator_operation_counts(scenario.n_subcarriers, scenario.t_ue, scenario.m_tot)
+    print(f"BS iterations (single-stream): {single}")
+    print(f"BS iterations (multi-beam):    {multi}")
+    print(f"UE complex multiplications:    {mults}")
+    print(f"UE complex additions:          {adds}")
+    row = {"bs_iterations_single_stream": single, "bs_iterations_multi_beam": multi,
+           "ue_complex_multiplications": mults, "ue_complex_additions": adds, "t_bs": scenario.t_bs,
+           "n_beam": scenario.n_tot // scenario.n_rf * scenario.codebook_oversampling, "n_rf": scenario.n_rf}
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "complexity.csv"
-    row = asdict(report) | {"t_bs": scenario.t_bs, "n_beam": n_beam, "n_rf": scenario.n_rf}
     _write_csv(path, montecarlo.scenario_hash(scenario), scenario.seed, [row])
     return [path]
 

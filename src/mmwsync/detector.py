@@ -86,6 +86,17 @@ def correlate(received: np.ndarray, reference: np.ndarray,
     return CorrelationProfile(values=corr[:, : window - n + 1])
 
 
+def correlator_operation_counts(n: int, t_ue: int, m_tot: int) -> tuple[int, int]:
+    """Complex multiplies and additions of a direct sliding correlator over
+    one synchronization period, whatever the transmit-side method.
+
+    Each of m_tot antennas tests n * (t_ue - 1) lags of the length-n
+    reference: n products and one squared magnitude, n - 1 additions.
+    """
+    lags = m_tot * n * (t_ue - 1)
+    return lags * (n + 1), lags * (n - 1)
+
+
 def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutcome:
     """Joint argmax of |correlation|^2 over lag and antenna.
 

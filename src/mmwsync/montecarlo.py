@@ -529,9 +529,13 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
             var = np.mean(np.abs(z - mean[:, None]) ** 2, axis=1)
             power = np.abs(mean) ** 2
             for (method, bits, _, _), p, v in zip(arms, power.tolist(), var.tolist()):
-                g = math.inf if v == 0.0 else p / v
+                g = p / v if v > 0.0 else math.inf
+                if not 0.0 < g < math.inf:
+                    # past float resolution every repetition's correlation is equal
+                    raise ValueError(f"snr_db_grid entry {snr_db} gives a non-finite SQNR sample for "
+                                     f"{method} at {bits} bits (|mean|^2 / var = {p!r} / {v!r})")
                 rows.append({"method": method, "bits": bits, "snr_db": snr_db,
-                             "sqnr_db_sample": 10.0 * math.log10(g) if g > 0 else -math.inf})
+                             "sqnr_db_sample": 10.0 * math.log10(g)})
     return rows
 
 

@@ -133,38 +133,3 @@ def select_from_gains(gains: np.ndarray, bound: BoundParams) -> BeamSelection:
     indices = tuple(int(i) for i in np.unravel_index(flat, gains.shape))
     return BeamSelection(indices=indices, iteration_count=gains.size)
 
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Operation counts for the beam search and the UE correlator."""
-
-    bs_iterations_single_stream: int
-    bs_iterations_multi_beam: int
-    ue_complex_multiplications: int
-    ue_complex_additions: int
-
-
-def complexity_report(
-    t_bs: int,
-    n_beam: int,
-    n_rf: int,
-    n: int,
-    t_ue: int,
-    m_tot: int,
-) -> ComplexityReport:
-    """Search iteration counts and per-synchronization-period UE operation counts.
-
-    BS, per synchronization period: t_bs * n_beam single-stream iterations
-    versus t_bs * n_beam^n_rf for the multi-beam search.  UE: the
-    sliding correlation costs m_tot * n * (n+1) * (t_ue-1) complex multiplies
-    and m_tot * n * (n-1) * (t_ue-1) complex additions, independent of the
-    transmit-side method.
-    """
-    if min(t_bs, n_beam, n_rf, n, t_ue, m_tot) < 1:
-        raise ValueError("all complexity inputs must be positive")
-    return ComplexityReport(
-        bs_iterations_single_stream=t_bs * n_beam,
-        bs_iterations_multi_beam=t_bs * n_beam**n_rf,
-        ue_complex_multiplications=m_tot * n * (n + 1) * (t_ue - 1),
-        ue_complex_additions=m_tot * n * (n - 1) * (t_ue - 1),
-    )

@@ -208,15 +208,15 @@ class TestPropagate:
 class TestGeometryAndDrops:
     def test_min_distance_respected(self):
         layout = channel.single_cell_layout(150.0, 20.0)
-        drop = channel.drop_users(layout, 200, 42)
+        drop = channel.drop_users(layout, 200, np.random.default_rng(42))
         distances = np.hypot(drop.positions[:, 0], drop.positions[:, 1])
         assert np.all(distances >= 20.0)
         assert np.all(distances <= 150.0)
 
     def test_same_seed_same_drop(self):
         layout = channel.single_cell_layout()
-        a = channel.drop_users(layout, 10, 7)
-        b = channel.drop_users(layout, 10, 7)
+        a = channel.drop_users(layout, 10, np.random.default_rng(7))
+        b = channel.drop_users(layout, 10, np.random.default_rng(7))
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.amp_gains, b.amp_gains)
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from dataclasses import fields
@@ -8,10 +9,11 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mmwsync import cli, montecarlo
+from mmwsync import cli, detector, montecarlo
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
 
 
+ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = "mode: single_ue\n"
 
 TINY_SQNR = """
@@ -38,6 +40,17 @@ def write(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
     return path
+
+
+def read_rows(path: Path) -> list[dict]:
+    """The rows of a CSV the CLI wrote, below its header comment."""
+    with path.open() as fh:
+        next(fh)
+        return list(csv.DictReader(fh))
+
+
+COMPLEXITY_CASES = sorted((ROOT / "configs").glob("*.yaml")) + [ROOT / "tests/golden/complexity/scenario.yaml"]
+COMPLEXITY_IDS = [f"{p.parent.name}/{p.stem}" for p in COMPLEXITY_CASES]
 
 
 class TestParseConfig:
@@ -230,7 +243,37 @@ class TestRun:
         assert cli.run(cli.RunConfig(str(path), "complexity", str(out))) == 0
         captured = capsys.readouterr().out
         assert "524288" in captured
+        assert "BS iterations (single-stream): 512\n" in captured  # 8 slots x 64 full-array codewords
         assert (out / "complexity.csv").exists()
+
+    @pytest.mark.parametrize("path", COMPLEXITY_CASES, ids=COMPLEXITY_IDS)
+    def test_complexity_bs_counts_are_the_searched_plans(self, tmp_path, path):
+        assert cli.run(cli.RunConfig(str(path), "complexity", str(tmp_path))) == 0
+        row = read_rows(tmp_path / "complexity.csv")[0]
+        scenario = cli.parse_config(path)
+        plans = montecarlo.slot_beam_plans(scenario)
+        for bits in scenario.adc_bits:
+            assert int(row["bs_iterations_multi_beam"]) == plans["proposed", bits].iteration_count
+            assert int(row["bs_iterations_single_stream"]) == plans["single_stream", bits].iteration_count
+
+    def test_ue_counts_independent_of_method(self, tmp_path):
+        rows = []
+        for n_rf in (4, 2):
+            out = tmp_path / str(n_rf)
+            path = write(tmp_path, f"t_bs: 2\nn_tot: 16\nn_rf: {n_rf}\nm_tot: 4\nt_ue: 3\n")
+            assert cli.run(cli.RunConfig(str(path), "complexity", str(out))) == 0
+            rows.append(read_rows(out / "complexity.csv")[0])
+        assert rows[0]["bs_iterations_multi_beam"] != rows[1]["bs_iterations_multi_beam"]
+        ue = [(int(r["ue_complex_multiplications"]), int(r["ue_complex_additions"])) for r in rows]
+        assert ue == [detector.correlator_operation_counts(n=512, t_ue=3, m_tot=4)] * 2
+
+    def test_sqnr_past_float_resolution_rejected(self, tmp_path, capsys):
+        # at 400 dB the noise falls below float resolution: every repetition correlates alike
+        text = "trials: 2\nt_bs: 2\ninner_repeats: 4\nsnr_db_grid: [400.0]\n"
+        out = tmp_path / "out"
+        assert cli.run(cli.RunConfig(str(write(tmp_path, text)), "sqnr", str(out))) == 1
+        assert "snr_db_grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_timing_csv_schema(self, tmp_path):
         text = "trials: 4\nt_bs: 4\nadc_bits: [2]\nsnr_db_grid: [0.0]\nseed: 5\n"

@@ -270,3 +270,14 @@ class TestTimingNmse:
     def test_unpaired_rejected(self):
         with pytest.raises(ValueError):
             detector.timing_nmse([5, 6], [5])
+
+
+class TestCorrelatorOperationCounts:
+    def test_ue_operation_counts(self):
+        mults, adds = detector.correlator_operation_counts(n=512, t_ue=10, m_tot=16)
+        assert mults == 16 * 512 * 513 * 9 == 37_822_464
+        assert adds == 16 * 512 * 511 * 9
+
+    def test_counts_scale_with_antennas_and_noise_only_symbols(self):
+        one = detector.correlator_operation_counts(n=64, t_ue=2, m_tot=1)
+        assert detector.correlator_operation_counts(n=64, t_ue=5, m_tot=3) == tuple(3 * 4 * c for c in one)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict, replace
+import re
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closed_forms import codebook_ratio_argmax, correlation_ratio_check
 from mmwsync import montecarlo as mc
@@ -262,3 +265,63 @@ class TestBussgangValidation:
     def test_codebook_argmax_agreement(self):
         res = codebook_ratio_argmax(bits=2, trials_per_codeword=6000, seed=21)
         assert res["argmax_measured"] == res["argmax_analytic"]
+
+
+# every key a scenario file can set, a section's keys prefixed with its name
+CONFIG_KEYS = [f"{prefix}{f.name}" for prefix, cls in (("", Scenario), ("sector.", SectorConfig),
+                                                        ("channel.", ChannelConfig), ("cell.", CellConfig))
+               for f in fields(cls)]
+
+
+def names_a_key(exc: ValueError) -> bool:
+    return any(re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", str(exc)) for key in CONFIG_KEYS)
+
+
+@st.composite
+def small_configs(draw) -> dict:
+    """Scenario keyword arguments of a small array and grid; some break a rule across fields."""
+    n_tot = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    upa = draw(st.booleans())
+    rows = draw(st.sampled_from([d for d in (1, 2, 4) if n_tot % d == 0]))
+    return dict(
+        mode=draw(st.sampled_from(("single_ue", "multi_ue_cell", "multi_cell"))),
+        n_subcarriers=draw(st.integers(64, 128)),  # above the default n_zc = 63
+        cp_length=draw(st.integers(0, 32)),
+        n_tot=n_tot,
+        n_rf=draw(st.sampled_from((1, 2, 4))),
+        m_tot=draw(st.integers(1, 4)),
+        bs_geometry="upa" if upa else "ula",
+        bs_upa_shape=(rows, n_tot // rows) if upa else None,
+        codebook_oversampling=draw(st.integers(1, 2)),
+        t_bs=draw(st.integers(1, 4)),
+        t_ue=draw(st.integers(2, 3)),
+        adc_bits=tuple(draw(st.lists(st.sampled_from((1, 2, 3, 8, 16, math.inf)), min_size=1, max_size=3,
+                                     unique=True))),
+        snr_db_grid=tuple(draw(st.lists(st.floats(-30.0, 1000.0), min_size=1, max_size=2, unique=True))),
+        trials=draw(st.integers(1, 2)),
+        inner_repeats=draw(st.integers(2, 8)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        channel=ChannelConfig(regime=draw(st.sampled_from(("flat", "clustered")))),
+    )
+
+
+class TestAcceptedScenariosRun:
+    @given(config=small_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_rejected_naming_a_key_or_finite_aggregates(self, config):
+        try:
+            scenario = Scenario(**config)
+        except ValueError as exc:
+            assert names_a_key(exc), exc
+            return
+        for experiment, (modes, _, keys, _) in mc._EXPERIMENTS.items():
+            if scenario.mode not in modes:
+                continue
+            try:
+                summary = mc._run(experiment, scenario, 1)
+            except ValueError as exc:
+                assert names_a_key(exc), (experiment, exc)
+                continue
+            for row in summary.aggregates:
+                stats = {k: v for k, v in row.items() if k not in keys}
+                assert all(math.isfinite(v) for v in stats.values()), (experiment, row)

@@ -230,28 +230,3 @@ class TestGainDistortionTradeOff:
                 bracket |= {float(above.min())} if above.size else set()
                 assert float(gain) in bracket, (method, gain, bracket)
 
-
-class TestComplexityReport:
-    def test_bs_iterations(self):
-        rep = optimizer.complexity_report(
-            t_bs=8, n_beam=16, n_rf=4, n=512, t_ue=10, m_tot=16
-        )
-        assert rep.bs_iterations_multi_beam == 8 * 65536 == 524288
-        assert rep.bs_iterations_single_stream == 8 * 16
-
-    def test_ue_operation_counts(self):
-        rep = optimizer.complexity_report(
-            t_bs=8, n_beam=16, n_rf=4, n=512, t_ue=10, m_tot=16
-        )
-        assert rep.ue_complex_multiplications == 16 * 512 * 513 * 9 == 37_822_464
-        assert rep.ue_complex_additions == 16 * 512 * 511 * 9
-
-    def test_ue_counts_independent_of_method(self):
-        a = optimizer.complexity_report(8, 16, 4, 512, 10, 16)
-        b = optimizer.complexity_report(8, 64, 1, 512, 10, 16)
-        assert a.ue_complex_multiplications == b.ue_complex_multiplications
-        assert a.ue_complex_additions == b.ue_complex_additions
-
-    def test_positive_validation(self):
-        with pytest.raises(ValueError):
-            optimizer.complexity_report(0, 16, 4, 512, 10, 16)

@@ -10,10 +10,9 @@ in ``tests/`` do not count:
   deleted.
 * Every field and property of a public library dataclass is read as an
   attribute.  ``asdict(x)`` reads every field of x's dataclass when x was
-  built in the same function by a call whose return annotation names it
-  (``cli`` writing a ``ComplexityReport``); ``asdict`` of a value received
-  as a parameter echoes an input and reads nothing (the manifest's and the
-  hash's copy of the scenario).
+  built in the same function by a call whose return annotation names it;
+  ``asdict`` of a value received as a parameter echoes an input and reads
+  nothing (the manifest's and the hash's copy of the scenario).
 * Every defaulted parameter of a public function, public method or
   dataclass constructor is passed by some call.  Calls match on the
   callee's name; ``*args`` passes every positional parameter and
