@@ -17,47 +17,37 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear or planar array with half-wavelength element spacing."""
+    """Uniform linear array with half-wavelength element spacing."""
 
-    kind: str  # "ula" | "upa"
+    kind: str  # "ula", the one array model
     n_elements: int
-    shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ula", "upa"):
-            raise ValueError(f"unknown array kind {self.kind!r}")
+        if self.kind != "ula":
+            raise ValueError(f"unknown array kind {self.kind!r}; only 'ula' is modeled")
         if self.n_elements < 1:
             raise ValueError("array needs at least one element")
-        if self.kind == "upa":
-            if self.shape is None or self.shape[0] * self.shape[1] != self.n_elements:
-                raise ValueError(f"UPA shape {self.shape} inconsistent with {self.n_elements} elements")
 
 
-def steering_vector(geom: ArrayGeometry, azimuth: float, elevation: float = 0.0) -> np.ndarray:
-    """Unit-modulus array response; boresight (0, 0) gives the all-ones vector.
+def steering_vector(geom: ArrayGeometry, azimuth: float) -> np.ndarray:
+    """Unit-modulus array response; boresight gives the all-ones vector.
 
-    ULA elements ride the azimuth phase ramp exp(-j*pi*m*sin(az)) of
-    half-wavelength spacing.  A UPA is the Kronecker product of the two axis
-    ramps with direction cosines u = cos(el)*sin(az) and v = sin(el).
+    The elements ride the azimuth phase ramp exp(-j*pi*m*sin(az)) of
+    half-wavelength spacing.
     """
-    if geom.kind == "ula":
-        m = np.arange(geom.n_elements)
-        return np.exp(-1j * np.pi * m * math.sin(azimuth))
-    nx, ny = geom.shape
-    u = math.cos(elevation) * math.sin(azimuth)
-    v = math.sin(elevation)
-    ax = np.exp(-1j * np.pi * np.arange(nx) * u)
-    ay = np.exp(-1j * np.pi * np.arange(ny) * v)
-    return np.kron(ax, ay)
+    m = np.arange(geom.n_elements)
+    return np.exp(-1j * np.pi * m * math.sin(azimuth))
 
 
 @dataclass(frozen=True)
 class PathSet:
-    """Discrete multipath rays: complex gains, departure/arrival angles, delays in samples."""
+    """Discrete multipath rays: complex gains, departure/arrival azimuths, delays in samples.
+
+    Every ray departs at zero elevation.
+    """
 
     gains: np.ndarray
     aod_az: np.ndarray
-    aod_el: np.ndarray
     aoa: np.ndarray
     delays: np.ndarray
 
@@ -65,7 +55,7 @@ class PathSet:
         n = len(self.gains)
         if n < 1:
             raise ValueError("path set needs at least one path")
-        for name in ("aod_az", "aod_el", "aoa", "delays"):
+        for name in ("aod_az", "aoa", "delays"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
         if np.any(np.asarray(self.delays) < 0):
@@ -73,11 +63,10 @@ class PathSet:
 
 
 def single_path(aod_az: float, aoa: float, gain: complex = 1.0) -> PathSet:
-    """One ray at zero elevation and zero delay."""
+    """One ray at zero delay."""
     return PathSet(
         gains=np.array([gain], dtype=np.complex128),
         aod_az=np.array([aod_az]),
-        aod_el=np.array([0.0]),
         aoa=np.array([aoa]),
         delays=np.array([0.0]),
     )
@@ -135,10 +124,7 @@ def build_channel(
         raise ValueError("tap_count must be >= 1")
     if pulse is None:
         pulse = RaisedCosinePulse()
-    a_tx = np.stack(
-        [steering_vector(geom_tx, az, el) for az, el in zip(paths.aod_az, paths.aod_el)],
-        axis=1,
-    )  # (n_tot, R)
+    a_tx = np.stack([steering_vector(geom_tx, az) for az in paths.aod_az], axis=1)  # (n_tot, R)
     a_rx = np.stack([steering_vector(geom_rx, aoa) for aoa in paths.aoa], axis=1)  # (m_tot, R)
     l_idx = np.arange(tap_count)[:, None]
     g = paths.gains[None, :] * pulse(l_idx - paths.delays[None, :])  # (L, R)
@@ -233,43 +219,37 @@ def hex_layout(isd_m: float = 500.0, min_distance_m: float = 20.0,
 
 @dataclass(frozen=True)
 class UserDrop:
-    """Placed users with geometry-derived large-scale gains.
+    """One placed user with its geometry-derived large-scale gain.
 
-    ``amp_gains`` are linear amplitude scalings referenced to the cell edge:
+    ``amp_gain`` is a linear amplitude scaling referenced to the cell edge:
     log-distance path loss with the configured exponent plus lognormal
     shadowing, so a UE at ``cell_radius_m`` with zero shadowing has gain 1.
     """
 
-    positions: np.ndarray  # (n_ue, 2), meters, relative to the serving BS
-    azimuths: np.ndarray  # AoD seen from the serving BS
-    amp_gains: np.ndarray
+    position: np.ndarray  # (2,), meters
+    azimuth: float  # AoD seen from the serving BS
+    amp_gain: float
 
 
 def drop_users(
     layout: CellLayout,
-    n_ue: int,
     rng: np.random.Generator,
     sector_halfwidth: float = math.radians(60.0),
     pathloss_exponent: float = 3.2,
     shadowing_sigma_db: float = 8.0,
 ) -> UserDrop:
-    """Uniformly place users in the sector wedge of the layout's first cell,
-    min-distance respected."""
-    if n_ue < 1:
-        raise ValueError("n_ue must be >= 1")
+    """Uniformly place one user in the sector wedge of the layout's first
+    cell, min-distance respected; the radius is drawn first, then the
+    azimuth, then the shadowing."""
     r_min, r_max = layout.min_distance_m, layout.cell_radius_m
-    radii = np.sqrt(rng.uniform(r_min**2, r_max**2, size=n_ue))
-    azimuths = rng.uniform(-sector_halfwidth, sector_halfwidth, size=n_ue)
-    positions = layout.centers[0] + np.stack(
-        [radii * np.cos(azimuths), radii * np.sin(azimuths)], axis=1
-    )
-    shadow_db = rng.normal(0.0, shadowing_sigma_db, size=n_ue)
-    power_db = -10.0 * pathloss_exponent * np.log10(radii / r_max) - shadow_db
-    return UserDrop(
-        positions=positions,
-        azimuths=azimuths,
-        amp_gains=10.0 ** (power_db / 20.0),
-    )
+    radius = math.sqrt(rng.uniform(r_min**2, r_max**2))
+    azimuth = rng.uniform(-sector_halfwidth, sector_halfwidth)
+    position = layout.centers[0] + radius * np.array([math.cos(azimuth), math.sin(azimuth)])
+    shadow_db = rng.normal(0.0, shadowing_sigma_db)
+    # numpy's array log10 and power: math's differ from them in the last bit on some
+    # inputs, and the cell-mode golden rows pin these bytes
+    power_db = -10.0 * pathloss_exponent * np.log10(np.array([radius / r_max])) - shadow_db
+    return UserDrop(position, azimuth, float((10.0 ** (power_db / 20.0))[0]))
 
 
 def pathloss_amp_gain(distance_m: float, reference_m: float, pathloss_exponent: float = 3.2,
@@ -295,8 +275,7 @@ def clustered_paths(
     keeps spatial richness), the leading cluster arrives at delay 0 and
     defines the frame-timing reference, and later clusters trail by several
     samples with exponentially distributed excess delays and powers decaying
-    as exp(-k / 0.6) over cluster index k.  Every ray departs at zero
-    elevation.
+    as exp(-k / 0.6) over cluster index k.
     """
     n_paths = n_clusters * paths_per_cluster
     cluster_az = center_az + rng.normal(0.0, angle_spread, size=n_clusters)
@@ -317,7 +296,6 @@ def clustered_paths(
     return PathSet(
         gains=gains,
         aod_az=aod_az,
-        aod_el=np.zeros(n_paths),
         aoa=aoa,
         delays=delays,
     )

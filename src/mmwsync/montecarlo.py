@@ -91,14 +91,12 @@ def _check_fields(config, prefix: str = "", least: dict[str, float] | None = Non
 @dataclass(frozen=True)
 class SectorConfig:
     azimuth_deg: tuple[float, float] = (-60.0, 60.0)
-    elevation_deg: tuple[float, float] = (-45.0, 45.0)
 
     def __post_init__(self):
         _check_fields(self, "sector.")
-        for key in ("azimuth_deg", "elevation_deg"):
-            lo, hi = getattr(self, key)
-            if not lo < hi:
-                raise ValueError(f"sector.{key} must be two increasing angles, got {(lo, hi)}")
+        lo, hi = self.azimuth_deg
+        if not lo < hi:
+            raise ValueError(f"sector.azimuth_deg must be two increasing angles, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +149,6 @@ class Scenario:
     n_tot: int = 32
     n_rf: int = 4
     m_tot: int = 16
-    bs_geometry: str = "ula"  # ula | upa
-    bs_upa_shape: tuple[int, int] | None = None
     codebook_oversampling: int = 2
     t_bs: int = 8
     t_ue: int = 10
@@ -176,17 +172,6 @@ class Scenario:
                                    "lambda_max_inv_db": -3000.0})
         if self.mode not in ("single_ue", "multi_ue_cell", "multi_cell"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.bs_geometry not in ("ula", "upa"):
-            raise ValueError(f"unknown bs_geometry {self.bs_geometry!r}")
-        shape = self.bs_upa_shape
-        if self.bs_geometry == "upa" and not (
-            shape is not None and min(shape) >= 1 and shape[0] * shape[1] == self.n_tot
-        ):
-            raise ValueError(f"bs_upa_shape must be two positive factors of n_tot={self.n_tot} "
-                             f"for bs_geometry 'upa', got {shape}")
-        if self.bs_geometry == "ula" and shape is not None:
-            # an unused field would still enter scenario_hash, moving every output's header
-            raise ValueError(f"bs_upa_shape is only for bs_geometry 'upa', got {shape} with 'ula'")
         if self.n_tot % self.n_rf != 0:
             raise ValueError("n_tot must be a multiple of n_rf")
         iterations = max((self.n_tot // n_rf * self.codebook_oversampling) ** n_rf for n_rf in (self.n_rf, 1))
@@ -262,21 +247,11 @@ def scenario_hash(scenario: Scenario) -> str:
 
 
 def bs_geometry(scenario: Scenario) -> channel.ArrayGeometry:
-    if scenario.bs_geometry == "ula":
-        return channel.ArrayGeometry(kind="ula", n_elements=scenario.n_tot)
-    return channel.ArrayGeometry(kind="upa", n_elements=scenario.n_tot, shape=scenario.bs_upa_shape)
+    return channel.ArrayGeometry(kind="ula", n_elements=scenario.n_tot)
 
 
 def ue_geometry(scenario: Scenario) -> channel.ArrayGeometry:
     return channel.ArrayGeometry(kind="ula", n_elements=scenario.m_tot)
-
-
-def sector_ranges(scenario: Scenario) -> optimizer.SectorRanges:
-    az = tuple(math.radians(a) for a in scenario.sector.azimuth_deg)
-    if scenario.bs_geometry == "ula":
-        return optimizer.SectorRanges(azimuth=az, elevation=None)
-    el = tuple(math.radians(e) for e in scenario.sector.elevation_deg)
-    return optimizer.SectorRanges(azimuth=az, elevation=el)
 
 
 def sync_waveform(scenario: Scenario, root: int | None = None) -> waveform.SyncWaveform:
@@ -319,13 +294,14 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
     a search under its own resolution finds.
     """
     geom = bs_geometry(scenario)
-    anchors = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
+    anchors = optimizer.build_anchor_grid(
+        scenario.t_bs, tuple(map(math.radians, scenario.sector.azimuth_deg)))
     bound = optimizer.BoundParams(scenario.lambda_max, 0.0)
     plans = {}
     for method, n_rf in (("proposed", scenario.n_rf), ("single_stream", 1)):
         codebook = beamforming.dft_codebook(scenario.n_tot // n_rf, scenario.codebook_oversampling)
         sels = []
-        for anchor in map(tuple, anchors):
+        for anchor in anchors:
             gains = optimizer.multi_beam_gains(codebook, n_rf, geom, anchor, scenario.search_budget)
             sels.append(optimizer.select_from_gains(gains, bound))
         tx = [beamforming.effective_tx_vector(beamforming.BeamSet(codebook, sel.indices)) for sel in sels]
@@ -335,9 +311,8 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
 
 
 def serving_slot(anchors: np.ndarray, az: float) -> int:
-    """Slot whose anchor is angularly closest to azimuth ``az`` at zero elevation."""
-    d = (anchors[:, 0] - az) ** 2 + anchors[:, 1] ** 2
-    return int(np.argmin(d))
+    """Slot whose anchor azimuth is closest to ``az``, the first on a tie."""
+    return int(np.argmin((anchors - az) ** 2))
 
 
 def _draw_paths(scenario: Scenario, rng: np.random.Generator, aod_az: float,
@@ -423,7 +398,6 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     ``multi_cell`` adds one interfering link per neighbour.  ``burst`` sums
     every cell's clean burst once per distinct transmit vector and CFO.
     """
-    anchors = optimizer.build_anchor_grid(scenario.t_bs, sector_ranges(scenario))
     cell = scenario.cell
     if scenario.mode == "multi_cell":
         layout = channel.hex_layout(cell.isd_m, cell.min_distance_m, cell.roots)
@@ -432,16 +406,17 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     waveforms = [sync_waveform(scenario, root=r) for r in layout.roots]
     reference = waveforms[0].time_samples
     az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
+    anchors = optimizer.build_anchor_grid(scenario.t_bs, (az_lo, az_hi))
     for trial in range(trial_lo, trial_hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,)))
         if scenario.mode == "single_ue":
             ue_pos, aod, amp = None, rng.uniform(az_lo, az_hi), 1.0
         else:
             drop = channel.drop_users(
-                layout, 1, rng, sector_halfwidth=az_hi, pathloss_exponent=cell.pathloss_exponent,
+                layout, rng, sector_halfwidth=az_hi, pathloss_exponent=cell.pathloss_exponent,
                 shadowing_sigma_db=cell.shadowing_sigma_db,
             )
-            ue_pos, aod, amp = drop.positions[0], float(drop.azimuths[0]), float(drop.amp_gains[0])
+            ue_pos, aod, amp = drop.position, drop.azimuth, drop.amp_gain
         slot = serving_slot(anchors, aod)
         links = []
         for i, centre in enumerate(layout.centers):
@@ -762,7 +737,7 @@ def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
     else:
         from concurrent.futures import ProcessPoolExecutor  # a one-worker run never needs it
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
             parts = list(pool.map(run_chunk, los, his))
     rows = [row for part in parts for row in part]
     points: dict = {}

@@ -235,7 +235,7 @@ def select_multi_beam(
     codebook: Codebook,
     n_rf: int,
     geometry: ArrayGeometry,
-    anchor: tuple[float, float],
+    anchor: float,
     bound: BoundParams,
     budget: int = 2**20,
 ) -> BeamSelection:

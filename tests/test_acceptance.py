@@ -232,9 +232,9 @@ def test_criterion_5_optimizer_exactness():
         cb = beamforming.dft_codebook(n_a, ovs)
         geom = ArrayGeometry(kind="ula", n_elements=n_a * n_rf)
         for _ in range(100):
-            anchor = (rng.uniform(-math.pi / 3, math.pi / 3), 0.0)
+            anchor = rng.uniform(-math.pi / 3, math.pi / 3)
             sel = select_multi_beam(cb, n_rf, geom, anchor, bound)
-            a_tx = channel.steering_vector(geom, *anchor)
+            a_tx = channel.steering_vector(geom, anchor)
             best = None
             for indices in itertools.product(range(cb.n_beam), repeat=n_rf):
                 gain = abs(

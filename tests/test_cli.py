@@ -101,11 +101,10 @@ class TestParseConfig:
             ("lambda_max_inv_db: -.inf\n", "lambda_max_inv_db"),
             ("lambda_max_inv_db: .inf\n", "lambda_max_inv_db"),
             ("lambda_max_inv_db: -4000\n", "lambda_max_inv_db"),
-            ("bs_geometry: upa\n", "bs_upa_shape"),
-            ("bs_geometry: upa\nbs_upa_shape: [4, 4]\n", "bs_upa_shape"),
-            ("bs_geometry: upa\nbs_upa_shape: [-4, -8]\n", "bs_upa_shape"),
-            ("bs_geometry: upa\nbs_upa_shape: [2, 4, 4]\n", "bs_upa_shape"),
-            ("bs_upa_shape: [4, 8]\n", "bs_upa_shape"),
+            # no array or elevation key: the BS is a ULA and each slot an azimuth slice
+            ("bs_geometry: ula\n", "unknown configuration key 'bs_geometry'"),
+            ("bs_upa_shape: [4, 8]\n", "unknown configuration key 'bs_upa_shape'"),
+            ("sector:\n  elevation_deg: [-45, 45]\n", "unknown configuration key 'sector.elevation_deg'"),
             ("adc_bits: [2, 2.0]\n", "adc_bits"),
             ("snr_db_grid: [0.0, 0.0]\n", "snr_db_grid"),
             ("cfo_grid: [0.5, 0.5]\n", "cfo_grid"),
@@ -117,7 +116,6 @@ class TestParseConfig:
             ("seed: -1\n", "seed"),
             ("trials: 2.5\n", "trials"),
             ("sector:\n  azimuth_deg: [60, -60]\n", "sector.azimuth_deg"),
-            ("sector:\n  elevation_deg: [10, 10]\n", "sector.elevation_deg"),
             ("channel:\n  n_clusters: 0\n", "channel.n_clusters"),
             ("channel:\n  delay_spread_samples: -1\n", "channel.delay_spread_samples"),
             ("mode: multi_ue_cell\ncell:\n  min_distance_m: 150\n", "cell.min_distance_m"),
@@ -138,8 +136,6 @@ class TestParseConfig:
             ("cfo_grid: [1e-3]\n", "cfo_grid"),
             ("adc_bits: [true]\n", "adc_bits"),
             ("cell:\n  roots: [25.0, 29, 34]\n", "cell.roots"),
-            ("bs_geometry: upa\nbs_upa_shape: [4.0, 8]\n", "bs_upa_shape"),
-            ("sector:\n  elevation_deg: [0, 1e3]\n", "sector.elevation_deg"),
             ("adc_bits: [99]\n", "adc_bits"),
             ("adc_bits: [.nan]\n", "adc_bits"),
             ("channel:\n  regime: warp\n", "channel.regime"),
@@ -156,16 +152,16 @@ class TestParseConfig:
             "cell_root_out_of_range", "cell_root_not_coprime", "cell_roots_zero",
             "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
             "sector_asymmetric", "n_rf_zero", "lambda_nan", "lambda_neg_inf", "lambda_inf",
-            "lambda_overflow", "upa_no_shape", "upa_shape_product", "upa_shape_negative",
-            "upa_shape_three_axes", "ula_with_upa_shape", "adc_bits_repeated", "snr_repeated",
+            "lambda_overflow", "bs_geometry_removed", "ula_with_upa_shape", "elevation_removed",
+            "adc_bits_repeated", "snr_repeated",
             "cfo_repeated", "t_bs_zero", "m_tot_zero", "n_tot_zero", "oversampling_zero",
             "search_budget_short", "seed_negative", "trials_fractional", "azimuth_decreasing",
-            "elevation_empty", "n_clusters_zero", "delay_spread_negative",
+            "n_clusters_zero", "delay_spread_negative",
             "min_distance_at_radius", "min_distance_at_half_isd", "shadowing_nan",
             "paths_per_cluster_zero", "angle_spread_negative", "n_clusters_fractional",
             "rolloff_nan", "pathloss_exponent_nan", "angle_spread_string", "pathloss_exponent_string",
             "delay_spread_inf", "radius_inf", "azimuth_inf", "snr_string", "cfo_string", "adc_bits_bool",
-            "cell_roots_float", "upa_shape_float", "elevation_string", "adc_bits_out_of_range",
+            "cell_roots_float", "adc_bits_out_of_range",
             "adc_bits_nan", "regime_unknown", "min_distance_negative", "radius_negative",
             "radius_negative_multi_cell", "isd_negative", "search_budget_short_one_chain",
         ],
@@ -190,11 +186,6 @@ class TestParseConfig:
     def test_infinite_bits_parse(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, "adc_bits: [2, .inf]\n"))
         assert scenario.adc_bits == (2, math.inf)
-
-    def test_upa_shape_parses_and_builds(self, tmp_path):
-        scenario = cli.parse_config(write(tmp_path, "bs_geometry: upa\nbs_upa_shape: [8, 4]\n"))
-        assert scenario.bs_upa_shape == (8, 4)
-        assert montecarlo.bs_geometry(scenario).shape == (8, 4)
 
     def test_nested_sections(self, tmp_path):
         text = "mode: multi_cell\ncell:\n  isd_m: 400.0\nchannel:\n  regime: clustered\n"

@@ -310,7 +310,8 @@ def test_slot_beam_plans_match_per_resolution_search(path):
     scenario = replace(cli.parse_config(path), adc_bits=every_bits)
     plans = mc.slot_beam_plans(scenario)
     geom = mc.bs_geometry(scenario)
-    anchors = [tuple(a) for a in optimizer.build_anchor_grid(scenario.t_bs, mc.sector_ranges(scenario))]
+    anchors = optimizer.build_anchor_grid(
+        scenario.t_bs, tuple(map(math.radians, scenario.sector.azimuth_deg)))
     sub_cb = beamforming.dft_codebook(scenario.n_tot // scenario.n_rf, scenario.codebook_oversampling)
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
     for bits in every_bits:

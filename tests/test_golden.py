@@ -5,7 +5,9 @@ its ``scenario.yaml`` next to the exact files a run of that experiment
 writes.  A change that keeps these bytes keeps the rows, the aggregates, the
 manifests and the headers.  The files were regenerated once, when every
 random number of a trial came to be drawn from one generator keyed on
-(seed, trial); from then on a change is held to these bytes.
+(seed, trial); from then on a change is held to these bytes.  They moved
+once more, in their hash lines only, when the array and elevation keys
+left the scenario: every row, aggregate and beam plan kept its bytes.
 """
 
 from pathlib import Path

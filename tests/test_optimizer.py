@@ -11,17 +11,17 @@ from mmwsync import beamforming, channel, cli, optimizer, sqnr
 from mmwsync import montecarlo as mc
 from mmwsync.beamforming import BeamSet
 from mmwsync.channel import ArrayGeometry
-from mmwsync.optimizer import BoundParams, SectorRanges
+from mmwsync.optimizer import BoundParams
 
 
 BOUND = BoundParams(lambda_max=100.0, xi_max=0.1175)
-AZ_SECTOR = SectorRanges(azimuth=(-math.pi / 3, math.pi / 3), elevation=None)
+AZ_SECTOR = (-math.pi / 3, math.pi / 3)
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_multi_beam(codebook, n_rf, geometry, anchor, bound):
     """Independent enumeration oracle: itertools product + public objective."""
-    a_tx = channel.steering_vector(geometry, anchor[0], anchor[1])
+    a_tx = channel.steering_vector(geometry, anchor)
     best = None
     for indices in itertools.product(range(codebook.n_beam), repeat=n_rf):
         gain = abs(
@@ -36,38 +36,26 @@ def brute_force_multi_beam(codebook, n_rf, geometry, anchor, bound):
 class TestAnchorGrid:
     def test_single_slot_center(self):
         anchors = optimizer.build_anchor_grid(1, AZ_SECTOR)
-        np.testing.assert_allclose(anchors, [[0.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(anchors, [0.0], atol=1e-12)
 
     def test_four_slots_uniform_azimuth(self):
         anchors = optimizer.build_anchor_grid(4, AZ_SECTOR)
         expect = np.deg2rad([-45.0, -15.0, 15.0, 45.0])
-        np.testing.assert_allclose(anchors[:, 0], expect, atol=1e-12)
-        np.testing.assert_array_equal(anchors[:, 1], 0.0)
+        np.testing.assert_allclose(anchors, expect, atol=1e-12)
 
     def test_anchors_inside_sector(self):
-        sector = SectorRanges()
-        anchors = optimizer.build_anchor_grid(8, sector)
-        assert np.all(anchors[:, 0] > sector.azimuth[0])
-        assert np.all(anchors[:, 0] < sector.azimuth[1])
-        assert np.all(anchors[:, 1] > sector.elevation[0])
-        assert np.all(anchors[:, 1] < sector.elevation[1])
-
-    def test_two_dimensional_factorization_azimuth_major(self):
-        anchors = optimizer.build_anchor_grid(8, SectorRanges())
-        # 4 azimuths by 2 elevations
-        assert len(set(anchors[:, 0])) == 4 and len(set(anchors[:, 1])) == 2
-        # azimuth-major raster: elevation varies fastest
-        assert anchors[0, 0] == anchors[1, 0]
-        assert anchors[0, 1] != anchors[1, 1]
+        anchors = optimizer.build_anchor_grid(8, AZ_SECTOR)
+        assert np.all(anchors > AZ_SECTOR[0])
+        assert np.all(anchors < AZ_SECTOR[1])
 
     def test_slot_anchor_bijection(self):
-        anchors = optimizer.build_anchor_grid(8, SectorRanges())
-        assert anchors.shape == (8, 2)
-        assert len({tuple(a) for a in anchors}) == 8
+        anchors = optimizer.build_anchor_grid(8, AZ_SECTOR)
+        assert anchors.shape == (8,)
+        assert len(set(anchors)) == 8
 
     def test_empty_sector(self):
         with pytest.raises(ValueError):
-            SectorRanges(azimuth=(0.5, 0.5), elevation=None)
+            optimizer.build_anchor_grid(4, (0.5, 0.5))
         with pytest.raises(ValueError):
             optimizer.build_anchor_grid(0, AZ_SECTOR)
 
@@ -81,7 +69,7 @@ class TestSelectSingleBeam:
         geom = ArrayGeometry(kind="ula", n_elements=n_a)
         # codeword q points at sin(az) = 2q / n_beam (wrapped); pick q = 3
         az = math.asin(2 * 3 / 16)
-        sel = select_multi_beam(cb, 1, geom, (az, 0.0), BOUND)
+        sel = select_multi_beam(cb, 1, geom, az, BOUND)
         assert sel.indices == (3,)
 
     def test_tie_resolves_to_lowest_index(self):
@@ -89,13 +77,13 @@ class TestSelectSingleBeam:
         # codeword 3 again at index 0, so the best gain occurs at indices 0 and 4
         doubled = beamforming.Codebook(codewords=np.concatenate([cb.codewords[[3]], cb.codewords]))
         geom = ArrayGeometry(kind="ula", n_elements=16)
-        sel = select_multi_beam(doubled, 1, geom, (math.asin(2 * 3 / 16), 0.0), BOUND)
+        sel = select_multi_beam(doubled, 1, geom, math.asin(2 * 3 / 16), BOUND)
         assert sel.indices == (0,)
 
     def test_iteration_count(self):
         cb = beamforming.dft_codebook(32, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
-        sel = select_multi_beam(cb, 1, geom, (0.2, 0.0), BOUND)
+        sel = select_multi_beam(cb, 1, geom, 0.2, BOUND)
         assert sel.iteration_count == 64
 
     def test_selection_invariant_to_codebook_order(self):
@@ -105,8 +93,8 @@ class TestSelectSingleBeam:
         perm = rng.permutation(cb.n_beam)
         cb_perm = beamforming.Codebook(codewords=cb.codewords[perm])
         for az in rng.uniform(-1.0, 1.0, size=10):
-            a = select_multi_beam(cb, 1, geom, (az, 0.0), BOUND)
-            b = select_multi_beam(cb_perm, 1, geom, (az, 0.0), BOUND)
+            a = select_multi_beam(cb, 1, geom, az, BOUND)
+            b = select_multi_beam(cb_perm, 1, geom, az, BOUND)
             np.testing.assert_allclose(
                 cb.codewords[a.indices[0]], cb_perm.codewords[b.indices[0]], atol=1e-12
             )
@@ -117,14 +105,14 @@ class TestSelectMultiBeam:
         cb = beamforming.dft_codebook(4, 1)
         single = beamforming.Codebook(codewords=cb.codewords[:1])
         geom = ArrayGeometry(kind="ula", n_elements=12)
-        sel = select_multi_beam(single, 3, geom, (0.1, 0.0), BOUND)
+        sel = select_multi_beam(single, 3, geom, 0.1, BOUND)
         assert sel.indices == (0, 0, 0)
         assert sel.iteration_count == 1
 
     def test_iteration_count_16_4(self):
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
-        sel = select_multi_beam(cb, 4, geom, (0.3, 0.0), BOUND)
+        sel = select_multi_beam(cb, 4, geom, 0.3, BOUND)
         assert sel.iteration_count == 16**4 == 65536
 
     def test_matches_brute_force_small_instances(self):
@@ -134,7 +122,7 @@ class TestSelectMultiBeam:
             cb = beamforming.dft_codebook(n_a, n_beam_ovs)
             geom = ArrayGeometry(kind="ula", n_elements=n_a * n_rf)
             for _ in range(10):
-                anchor = (rng.uniform(-1.0, 1.0), 0.0)
+                anchor = rng.uniform(-1.0, 1.0)
                 sel = select_multi_beam(cb, n_rf, geom, anchor, BOUND)
                 _, indices = brute_force_multi_beam(cb, n_rf, geom, anchor, BOUND)
                 assert sel.indices == indices
@@ -142,9 +130,9 @@ class TestSelectMultiBeam:
     def test_beats_random_candidates(self):
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
-        anchor = (0.42, 0.0)
+        anchor = 0.42
         sel = select_multi_beam(cb, 4, geom, anchor, BOUND)
-        a_tx = channel.steering_vector(geom, *anchor)
+        a_tx = channel.steering_vector(geom, anchor)
 
         def objective(indices):
             gain = abs(
@@ -161,7 +149,7 @@ class TestSelectMultiBeam:
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
         with pytest.raises(ValueError, match="65536"):
-            select_multi_beam(cb, 4, geom, (0.0, 0.0), BOUND, budget=1000)
+            select_multi_beam(cb, 4, geom, 0.0, BOUND, budget=1000)
 
 
 SHIPPED = sorted((ROOT / "configs").glob("*.yaml")) + sorted((ROOT / "bench" / "scenarios").glob("*.yaml"))
@@ -171,11 +159,12 @@ SHIPPED_IDS = [f"{p.parent.name}/{p.stem}" for p in SHIPPED]
 def slot_tables(scenario):
     """{method: [gain table of each slot]}, each table the one ``slot_beam_plans`` searches."""
     geom = mc.bs_geometry(scenario)
-    anchors = optimizer.build_anchor_grid(scenario.t_bs, mc.sector_ranges(scenario))
+    anchors = optimizer.build_anchor_grid(
+        scenario.t_bs, tuple(map(math.radians, scenario.sector.azimuth_deg)))
     tables = {}
     for method, n_rf in (("proposed", scenario.n_rf), ("single_stream", 1)):
         cb = beamforming.dft_codebook(scenario.n_tot // n_rf, scenario.codebook_oversampling)
-        tables[method] = [optimizer.multi_beam_gains(cb, n_rf, geom, tuple(a), scenario.search_budget)
+        tables[method] = [optimizer.multi_beam_gains(cb, n_rf, geom, a, scenario.search_budget)
                           for a in anchors]
     return tables
 
@@ -193,9 +182,10 @@ def test_one_chain_table_is_the_full_array_inner_product(path):
     scenario = cli.parse_config(path)
     geom = mc.bs_geometry(scenario)
     full_cb = beamforming.dft_codebook(scenario.n_tot, scenario.codebook_oversampling)
-    for anchor in optimizer.build_anchor_grid(scenario.t_bs, mc.sector_ranges(scenario)):
-        a_tx = channel.steering_vector(geom, anchor[0], anchor[1])
-        table = optimizer.multi_beam_gains(full_cb, 1, geom, tuple(anchor))
+    sector = tuple(map(math.radians, scenario.sector.azimuth_deg))
+    for anchor in optimizer.build_anchor_grid(scenario.t_bs, sector):
+        a_tx = channel.steering_vector(geom, anchor)
+        table = optimizer.multi_beam_gains(full_cb, 1, geom, anchor)
         np.testing.assert_array_equal(table, np.abs(np.conj(a_tx) @ full_cb.codewords.T) ** 2)
 
 

@@ -9,10 +9,8 @@ in ``tests/`` do not count:
   belongs in the tests (``tests/closed_forms.py``); code nothing calls is
   deleted.
 * Every field and property of a public library dataclass is read as an
-  attribute.  ``asdict(x)`` reads every field of x's dataclass when x was
-  built in the same function by a call whose return annotation names it;
-  ``asdict`` of a value received as a parameter echoes an input and reads
-  nothing (the manifest's and the hash's copy of the scenario).
+  attribute.  ``asdict`` reads nothing: it echoes every field, used or not
+  (the manifest's and the hash's copy of the scenario).
 * Every defaulted parameter of a public function, public method or
   dataclass constructor is passed by some call.  Calls match on the
   callee's name; ``*args`` passes every positional parameter and
@@ -133,7 +131,6 @@ class _Usage:
         self.reads: set[str] = set()  # attribute names loaded
         self.calls = defaultdict(list)  # callee -> [(n positional, keywords, *args, **kwargs)]
         self.values: set[str] = set()  # names handled as values, not called
-        self.built_for_asdict: set[str] = set()  # callees whose results go through asdict
         for tree in trees:
             skipped = {id(a) for a in _annotations(tree)}
             callees = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
@@ -157,19 +154,6 @@ class _Usage:
                         any(isinstance(a, ast.Starred) for a in node.args),
                         any(k.arg is None for k in node.keywords),
                     ))
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._asdict_targets(node)
-
-    def _asdict_targets(self, fn: ast.AST) -> None:
-        built = {}  # local name -> callee of the call that built it
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)):
-                built[node.targets[0].id] = _callee(node.value)
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Call) and _callee(node) == "asdict" and node.args
-                    and isinstance(node.args[0], ast.Name) and node.args[0].id in built):
-                self.built_for_asdict.add(built[node.args[0].id])
 
     def passes(self, callee: str, index: int | None, name: str) -> bool:
         """Whether some call of ``callee`` passes parameter ``name``, which
@@ -185,8 +169,6 @@ def _type_name(node: ast.AST | None) -> str | None:
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.rsplit(".", 1)[-1]
     return None
 
 
@@ -219,12 +201,11 @@ def _defaulted(args: ast.arguments, skip_first: bool) -> list[tuple[int | None, 
     return out
 
 
-def _class_members(cls: ast.ClassDef, prefix: str, usage: _Usage, written: set) -> list[str]:
+def _class_members(cls: ast.ClassDef, prefix: str, usage: _Usage) -> list[str]:
     found = []
     if _is_dataclass(cls):
         fields = [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
-        if cls.name not in written:
-            found += [f"{prefix}.{s.target.id}" for s in fields if s.target.id not in usage.reads]
+        found += [f"{prefix}.{s.target.id}" for s in fields if s.target.id not in usage.reads]
         constructor = [(s.target.id, _field_spec(s)[1]) for s in fields if _field_spec(s)[0]]
         found += [f"{prefix}({name})" for i, (name, default) in enumerate(constructor)
                   if default and not usage.passes(cls.name, i, name)]
@@ -253,14 +234,11 @@ def unused_members(library: dict[str, str], program: list[str]) -> list[str]:
     public = {module: [node for node in ast.parse(src).body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
               for module, src in library.items()}
-    returns = {node.name: _type_name(node.returns)
-               for nodes in public.values() for node in nodes if isinstance(node, ast.FunctionDef)}
-    written = {returns.get(callee) for callee in usage.built_for_asdict}
     found = []
     for module, nodes in public.items():
         for node in nodes:
             if isinstance(node, ast.ClassDef):
-                found += _class_members(node, f"{module}.{node.name}", usage, written)
+                found += _class_members(node, f"{module}.{node.name}", usage)
             else:
                 found += [f"{module}.{node.name}({p})" for i, p in _defaulted(node.args, False)
                           if not usage.passes(node.name, i, p)]
@@ -329,12 +307,13 @@ def main(options):
 
 
 def test_scan_names_exactly_the_unused_members_of_a_module():
-    # label: a field nothing reads; halved: a property nothing reads; offset: a
-    # default nothing passes; rounding: the same, exempted.  scale (not in the
-    # constructor), unit (passed by **options), count (read by asdict of a
-    # built Report), strict (passed by keyword) and target (*args) are used.
+    # label, count and total: fields nothing reads (asdict of a Report reads
+    # none); halved: a property nothing reads; offset: a default nothing
+    # passes; rounding: the same, exempted.  scale (not in the constructor),
+    # unit (passed by **options), strict (passed by keyword) and target
+    # (*args) are used.
     found = unused_members({"toy": TOY}, [TOY])
     exempt = {"toy.summarize(rounding)"}
-    assert sorted(set(found) - exempt) == ["toy.Reading.halved", "toy.Reading.label",
-                                           "toy.summarize(offset)"]
+    assert sorted(set(found) - exempt) == ["toy.Reading.halved", "toy.Reading.label", "toy.Report.count",
+                                           "toy.Report.total", "toy.summarize(offset)"]
     assert exempt <= set(found)
