@@ -188,8 +188,7 @@ class CellLayout:
     roots: tuple[int, ...]
 
 
-def single_cell_layout(radius_m: float = 150.0, min_distance_m: float = 20.0,
-                       root: int = 34) -> CellLayout:
+def single_cell_layout(radius_m: float, min_distance_m: float, root: int) -> CellLayout:
     return CellLayout(
         centers=np.zeros((1, 2)),
         cell_radius_m=radius_m,
@@ -217,13 +216,18 @@ def hex_layout(isd_m: float = 500.0, min_distance_m: float = 20.0,
     )
 
 
+# Edge-referenced log-distance path loss with lognormal shadowing.
+PATHLOSS_EXPONENT = 3.2
+SHADOWING_SIGMA_DB = 8.0
+
+
 @dataclass(frozen=True)
 class UserDrop:
     """One placed user with its geometry-derived large-scale gain.
 
-    ``amp_gain`` is a linear amplitude scaling referenced to the cell edge:
-    log-distance path loss with the configured exponent plus lognormal
-    shadowing, so a UE at ``cell_radius_m`` with zero shadowing has gain 1.
+    ``amp_gain`` is a linear amplitude scaling referenced to the cell edge
+    (``pathloss_amp_gain``), so a UE at ``cell_radius_m`` with zero
+    shadowing has gain 1.
     """
 
     position: np.ndarray  # (2,), meters
@@ -231,13 +235,7 @@ class UserDrop:
     amp_gain: float
 
 
-def drop_users(
-    layout: CellLayout,
-    rng: np.random.Generator,
-    sector_halfwidth: float = math.radians(60.0),
-    pathloss_exponent: float = 3.2,
-    shadowing_sigma_db: float = 8.0,
-) -> UserDrop:
+def drop_users(layout: CellLayout, rng: np.random.Generator, sector_halfwidth: float) -> UserDrop:
     """Uniformly place one user in the sector wedge of the layout's first
     cell, min-distance respected; the radius is drawn first, then the
     azimuth, then the shadowing."""
@@ -245,29 +243,27 @@ def drop_users(
     radius = math.sqrt(rng.uniform(r_min**2, r_max**2))
     azimuth = rng.uniform(-sector_halfwidth, sector_halfwidth)
     position = layout.centers[0] + radius * np.array([math.cos(azimuth), math.sin(azimuth)])
-    shadow_db = rng.normal(0.0, shadowing_sigma_db)
+    shadow_db = rng.normal(0.0, SHADOWING_SIGMA_DB)
+    return UserDrop(position, azimuth, pathloss_amp_gain(radius, r_max, shadow_db))
+
+
+def pathloss_amp_gain(distance_m: float, reference_m: float, shadow_db: float = 0.0) -> float:
+    """Edge-referenced log-distance amplitude gain for an arbitrary link."""
     # numpy's array log10 and power: math's differ from them in the last bit on some
     # inputs, and the cell-mode golden rows pin these bytes
-    power_db = -10.0 * pathloss_exponent * np.log10(np.array([radius / r_max])) - shadow_db
-    return UserDrop(position, azimuth, float((10.0 ** (power_db / 20.0))[0]))
+    power_db = -10.0 * PATHLOSS_EXPONENT * np.log10(np.array([distance_m / reference_m])) - shadow_db
+    return float((10.0 ** (power_db / 20.0))[0])
 
 
-def pathloss_amp_gain(distance_m: float, reference_m: float, pathloss_exponent: float = 3.2,
-                      shadow_db: float = 0.0) -> float:
-    """Edge-referenced log-distance amplitude gain for an arbitrary link."""
-    power_db = -10.0 * pathloss_exponent * math.log10(distance_m / reference_m) - shadow_db
-    return 10.0 ** (power_db / 20.0)
+# Clustered multipath: cluster count, rays per cluster, per-ray angle spread
+# (radians) and mean excess cluster delay (samples).
+N_CLUSTERS = 3
+PATHS_PER_CLUSTER = 4
+ANGLE_SPREAD = math.radians(4.0)
+DELAY_SPREAD_SAMPLES = 12.0
 
 
-def clustered_paths(
-    rng: np.random.Generator,
-    center_az: float,
-    aoa_center: float,
-    n_clusters: int = 3,
-    paths_per_cluster: int = 4,
-    angle_spread: float = math.radians(4.0),
-    delay_spread: float = 12.0,
-) -> PathSet:
+def clustered_paths(rng: np.random.Generator, center_az: float, aoa_center: float) -> PathSet:
     """Parametric clustered multipath generator, unit total path power.
 
     Sample-spaced tapped-delay-line structure: every ray of a cluster shares
@@ -277,21 +273,21 @@ def clustered_paths(
     samples with exponentially distributed excess delays and powers decaying
     as exp(-k / 0.6) over cluster index k.
     """
-    n_paths = n_clusters * paths_per_cluster
-    cluster_az = center_az + rng.normal(0.0, angle_spread, size=n_clusters)
-    cluster_aoa = aoa_center + rng.normal(0.0, angle_spread, size=n_clusters)
-    cluster_delay = np.rint(3.0 + rng.exponential(delay_spread, size=n_clusters))
+    n_paths = N_CLUSTERS * PATHS_PER_CLUSTER
+    cluster_az = center_az + rng.normal(0.0, ANGLE_SPREAD, size=N_CLUSTERS)
+    cluster_aoa = aoa_center + rng.normal(0.0, ANGLE_SPREAD, size=N_CLUSTERS)
+    cluster_delay = np.rint(3.0 + rng.exponential(DELAY_SPREAD_SAMPLES, size=N_CLUSTERS))
     cluster_delay[0] = 0.0
-    cluster_pow = np.exp(-np.arange(n_clusters) / 0.6)
+    cluster_pow = np.exp(-np.arange(N_CLUSTERS) / 0.6)
 
     def laplacian(n, scale):
         u = rng.uniform(-0.5, 0.5, size=n)
         return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
-    aod_az = np.repeat(cluster_az, paths_per_cluster) + laplacian(n_paths, angle_spread)
-    aoa = np.repeat(cluster_aoa, paths_per_cluster) + laplacian(n_paths, angle_spread)
-    delays = np.repeat(cluster_delay, paths_per_cluster)
-    power = np.repeat(cluster_pow / paths_per_cluster, paths_per_cluster)
+    aod_az = np.repeat(cluster_az, PATHS_PER_CLUSTER) + laplacian(n_paths, ANGLE_SPREAD)
+    aoa = np.repeat(cluster_aoa, PATHS_PER_CLUSTER) + laplacian(n_paths, ANGLE_SPREAD)
+    delays = np.repeat(cluster_delay, PATHS_PER_CLUSTER)
+    power = np.repeat(cluster_pow / PATHS_PER_CLUSTER, PATHS_PER_CLUSTER)
     gains = np.sqrt(power / power.sum()) * np.exp(2j * np.pi * rng.random(n_paths))
     return PathSet(
         gains=gains,

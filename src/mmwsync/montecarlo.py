@@ -65,13 +65,13 @@ def _check_fields(config, prefix: str = "", least: dict[str, float] | None = Non
     a ``float`` field, and each entry of a ``tuple[float, float]``, is a
     finite real number; each entry of a ``tuple[float, ...]`` grid is a real
     number, bounded by the grid's own rule.  A bool or a string is neither.
-    A fixed-length tuple holds that many entries, and ``| None`` admits None.
-    A field named in ``least`` is at least that value.
+    A fixed-length tuple holds that many entries.  A field named in ``least``
+    is at least that value.
     """
     for f in fields(config):  # the annotations are strings (postponed evaluation)
-        key, value, kind = prefix + f.name, getattr(config, f.name), f.type.removesuffix(" | None")
+        key, value, kind = prefix + f.name, getattr(config, f.name), f.type
         scalar = kind in ("int", "float")
-        if not (scalar or kind.startswith("tuple[")) or value is None and kind != f.type:
+        if not (scalar or kind.startswith("tuple[")):
             continue
         kinds = [kind] if scalar else kind[len("tuple["):-1].split(", ")
         entries = (value,) if scalar else value
@@ -101,20 +101,11 @@ class SectorConfig:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    regime: str = "flat"  # flat | clustered
-    n_clusters: int = 3
-    paths_per_cluster: int = 4
-    angle_spread_deg: float = 4.0
-    delay_spread_samples: float = 12.0
-    rolloff: float = 0.25
+    regime: str = "flat"  # flat | clustered, whose shape constants live in ``channel``
 
     def __post_init__(self):
         if self.regime not in ("flat", "clustered"):
             raise ValueError(f"unknown channel.regime {self.regime!r}; choose flat or clustered")
-        _check_fields(self, "channel.", least={"n_clusters": 1, "paths_per_cluster": 1, "angle_spread_deg": 0,
-                                               "delay_spread_samples": 0, "rolloff": 0})
-        if self.rolloff > 1:
-            raise ValueError(f"channel.rolloff must be in [0, 1], got {self.rolloff}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +114,9 @@ class CellConfig:
     isd_m: float = 500.0
     min_distance_m: float = 20.0
     roots: tuple[int, int, int] = (25, 29, 34)
-    pathloss_exponent: float = 3.2
-    shadowing_sigma_db: float = 8.0
 
     def __post_init__(self):
-        _check_fields(self, "cell.", least={"radius_m": 0, "isd_m": 0, "min_distance_m": 0,
-                                            "shadowing_sigma_db": 0})
+        _check_fields(self, "cell.", least={"radius_m": 0, "isd_m": 0, "min_distance_m": 0})
 
 
 def _check_zc_root(key: str, root: int, n_zc: int) -> None:
@@ -159,7 +147,6 @@ class Scenario:
     inner_repeats: int = 64
     seed: int = 1
     lambda_max_inv_db: float = -20.0
-    search_budget: int = 2**20
     sector: SectorConfig = field(default_factory=SectorConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     cell: CellConfig = field(default_factory=CellConfig)
@@ -174,10 +161,14 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_tot % self.n_rf != 0:
             raise ValueError("n_tot must be a multiple of n_rf")
-        iterations = max((self.n_tot // n_rf * self.codebook_oversampling) ** n_rf for n_rf in (self.n_rf, 1))
-        if self.search_budget < iterations:
-            raise ValueError(f"search_budget {self.search_budget} is below the {iterations} "
-                             f"candidates of the beam search")
+        for chains in (self.n_rf, 1):
+            n_beam = self.n_tot // chains * self.codebook_oversampling
+            # n_beam >= 2 passes the budget by 21 chains, so the power need go no higher
+            if n_beam > 1 and n_beam ** min(chains, 21) > optimizer.SEARCH_BUDGET:
+                raise ValueError(
+                    f"n_tot = {self.n_tot}, n_rf = {self.n_rf} and codebook_oversampling = "
+                    f"{self.codebook_oversampling} give the {chains}-chain beam search {n_beam}^{chains} "
+                    f"candidates, above optimizer.SEARCH_BUDGET = {optimizer.SEARCH_BUDGET}")
         if not 0 <= self.cp_length < self.n_subcarriers:
             raise ValueError("cp_length must be in [0, n_subcarriers)")
         if self.cp_length == 0 and self.channel.regime == "clustered":
@@ -302,7 +293,7 @@ def slot_beam_plans(scenario: Scenario) -> dict[tuple[str, float], BeamPlan]:
         codebook = beamforming.dft_codebook(scenario.n_tot // n_rf, scenario.codebook_oversampling)
         sels = []
         for anchor in anchors:
-            gains = optimizer.multi_beam_gains(codebook, n_rf, geom, anchor, scenario.search_budget)
+            gains = optimizer.multi_beam_gains(codebook, n_rf, geom, anchor)
             sels.append(optimizer.select_from_gains(gains, bound))
         tx = [beamforming.effective_tx_vector(beamforming.BeamSet(codebook, sel.indices)) for sel in sels]
         plans[method] = BeamPlan(np.array([sel.indices for sel in sels]), np.array(tx),
@@ -321,15 +312,7 @@ def _draw_paths(scenario: Scenario, rng: np.random.Generator, aod_az: float,
     if scenario.channel.regime == "flat":
         phase = np.exp(2j * np.pi * rng.random())
         return channel.single_path(aod_az=aod_az, aoa=aoa, gain=amp * phase)
-    ps = channel.clustered_paths(
-        rng,
-        center_az=aod_az,
-        aoa_center=aoa,
-        n_clusters=scenario.channel.n_clusters,
-        paths_per_cluster=scenario.channel.paths_per_cluster,
-        angle_spread=math.radians(scenario.channel.angle_spread_deg),
-        delay_spread=scenario.channel.delay_spread_samples,
-    )
+    ps = channel.clustered_paths(rng, center_az=aod_az, aoa_center=aoa)
     return replace(ps, gains=ps.gains * amp)
 
 
@@ -341,13 +324,12 @@ def _tap_count(scenario: Scenario, paths: channel.PathSet) -> int:
 
 
 def _build_channel(scenario: Scenario, paths: channel.PathSet) -> channel.BeamSpaceChannel:
-    # a flat link's one tap samples the pulse at 0, where every rolloff gives exactly 1
     return channel.build_channel(
         paths,
         bs_geometry(scenario),
         ue_geometry(scenario),
         tap_count=_tap_count(scenario, paths),
-        pulse=channel.RaisedCosinePulse(scenario.channel.rolloff),
+        pulse=channel.RaisedCosinePulse(),
         cp_length=scenario.cp_length,
     )
 
@@ -412,10 +394,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
         if scenario.mode == "single_ue":
             ue_pos, aod, amp = None, rng.uniform(az_lo, az_hi), 1.0
         else:
-            drop = channel.drop_users(
-                layout, rng, sector_halfwidth=az_hi, pathloss_exponent=cell.pathloss_exponent,
-                shadowing_sigma_db=cell.shadowing_sigma_db,
-            )
+            drop = channel.drop_users(layout, rng, sector_halfwidth=az_hi)
             ue_pos, aod, amp = drop.position, drop.azimuth, drop.amp_gain
         slot = serving_slot(anchors, aod)
         links = []
@@ -424,11 +403,8 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
                 vec = ue_pos - centre
                 aod = math.atan2(vec[1], vec[0]) - math.atan2(-centre[1], -centre[0])
                 aod = (aod + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to [-pi, pi)
-                shadow = rng.normal(0.0, cell.shadowing_sigma_db)
-                amp = channel.pathloss_amp_gain(
-                    float(np.hypot(vec[0], vec[1])), layout.cell_radius_m,
-                    cell.pathloss_exponent, shadow,
-                )
+                shadow = rng.normal(0.0, channel.SHADOWING_SIGMA_DB)
+                amp = channel.pathloss_amp_gain(float(np.hypot(vec[0], vec[1])), layout.cell_radius_m, shadow)
             paths = _draw_paths(scenario, rng, aod, amp)
             links.append((_build_channel(scenario, paths), waveforms[i]))
         memo: dict = {}

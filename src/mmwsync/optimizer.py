@@ -20,6 +20,10 @@ from .beamforming import Codebook
 from .channel import ArrayGeometry, steering_vector
 from .sqnr import sqnr_lower_bound_single
 
+# Most candidates one exhaustive search may score; ``Scenario`` checks both
+# searches against it at parse time.
+SEARCH_BUDGET = 2**20
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -60,7 +64,6 @@ def multi_beam_gains(
     n_rf: int,
     geometry: ArrayGeometry,
     anchor: float,
-    budget: int = 2**20,
 ) -> np.ndarray:
     """Composite gain |h|^2 at the anchor azimuth of every per-subarray codeword tuple.
 
@@ -74,10 +77,10 @@ def multi_beam_gains(
     """
     n_beam = codebook.n_beam
     iterations = n_beam**n_rf
-    if iterations > budget:
+    if iterations > SEARCH_BUDGET:
         raise ValueError(
             f"exhaustive search needs (n_beam)^n_rf = {n_beam}^{n_rf} = {iterations} "
-            f"iterations, above the configured budget {budget}"
+            f"iterations, above SEARCH_BUDGET = {SEARCH_BUDGET}"
         )
     a_tx = steering_vector(geometry, anchor)
     if a_tx.shape[0] != n_rf * codebook.n_a:

@@ -237,7 +237,6 @@ def select_multi_beam(
     geometry: ArrayGeometry,
     anchor: float,
     bound: BoundParams,
-    budget: int = 2**20,
 ) -> BeamSelection:
     """Exhaustive search over all (n_beam)^n_rf per-subarray codeword tuples.
 
@@ -245,5 +244,5 @@ def select_multi_beam(
     |h|^2 of each candidate set; ties resolve to the lexicographically
     smallest index tuple.
     """
-    gains = optimizer.multi_beam_gains(codebook, n_rf, geometry, anchor, budget)
+    gains = optimizer.multi_beam_gains(codebook, n_rf, geometry, anchor)
     return optimizer.select_from_gains(gains, bound)

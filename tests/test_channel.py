@@ -163,7 +163,7 @@ class TestPropagate:
 
     def test_multi_tap_cfo_matches_fft_circular_convolution(self):
         rng = np.random.default_rng(11)
-        paths = channel.clustered_paths(rng, center_az=0.3, aoa_center=-0.2, delay_spread=5.0)
+        paths = channel.clustered_paths(rng, center_az=0.3, aoa_center=-0.2)  # cluster delays 0, 5 and 7
         # fractional delays spread every ray's pulse over all the taps
         paths = dataclasses.replace(paths, delays=paths.delays + 0.4)
         ch = channel.build_channel(paths, ULA8, ULA4, tap_count=20, pulse=RaisedCosinePulse(0.25))
@@ -190,18 +190,18 @@ class TestPropagate:
 
 class TestGeometryAndDrops:
     def test_min_distance_respected(self):
-        layout = channel.single_cell_layout(150.0, 20.0)
+        layout = channel.single_cell_layout(150.0, 20.0, 34)
         rng = np.random.default_rng(42)
         for _ in range(200):
-            drop = channel.drop_users(layout, rng)
+            drop = channel.drop_users(layout, rng, math.radians(60.0))
             assert 20.0 <= math.hypot(*drop.position) <= 150.0
             assert abs(drop.azimuth) <= math.radians(60.0)
 
     def test_same_seed_same_drop(self):
-        layout = channel.single_cell_layout()
+        layout = channel.single_cell_layout(150.0, 20.0, 34)
         a_rng, b_rng = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(10):
-            a, b = channel.drop_users(layout, a_rng), channel.drop_users(layout, b_rng)
+            a, b = (channel.drop_users(layout, rng, math.radians(60.0)) for rng in (a_rng, b_rng))
             np.testing.assert_array_equal(a.position, b.position)
             assert (a.azimuth, a.amp_gain) == (b.azimuth, b.amp_gain)
 

@@ -112,24 +112,27 @@ class TestParseConfig:
             ("m_tot: 0\n", "m_tot"),
             ("n_tot: 0\n", "n_tot"),
             ("codebook_oversampling: 0\n", "codebook_oversampling"),
-            ("search_budget: 65535\n", "search_budget"),
+            # (32 / 4 * 2)^4 = 64^4 = 16777216 candidates, above 2^20
+            ("n_tot: 128\n", "n_tot = 128, n_rf = 4 and codebook_oversampling = 2 give the 4-chain"),
             ("seed: -1\n", "seed"),
             ("trials: 2.5\n", "trials"),
             ("sector:\n  azimuth_deg: [60, -60]\n", "sector.azimuth_deg"),
-            ("channel:\n  n_clusters: 0\n", "channel.n_clusters"),
-            ("channel:\n  delay_spread_samples: -1\n", "channel.delay_spread_samples"),
+            # the channel and cell shape constants live in mmwsync.channel, the budget in optimizer
+            ("channel:\n  n_clusters: 0\n", "unknown configuration key 'channel.n_clusters'"),
+            ("channel:\n  delay_spread_samples: -1\n", "unknown configuration key 'channel.delay_spread_samples'"),
             ("mode: multi_ue_cell\ncell:\n  min_distance_m: 150\n", "cell.min_distance_m"),
             ("mode: multi_cell\ncell:\n  min_distance_m: 250\n", "cell.min_distance_m"),
-            ("cell:\n  shadowing_sigma_db: .nan\n", "cell.shadowing_sigma_db"),
-            ("channel:\n  paths_per_cluster: 0\n", "channel.paths_per_cluster"),
-            ("channel:\n  angle_spread_deg: -1\n", "channel.angle_spread_deg"),
-            ("channel:\n  n_clusters: 2.5\n", "channel.n_clusters"),
-            ("channel:\n  rolloff: .nan\n", "channel.rolloff"),
-            ("mode: multi_ue_cell\ncell:\n  pathloss_exponent: .nan\n", "cell.pathloss_exponent"),
-            # YAML 1.1 reads 1.0e308 and -1.0e6 as strings (no sign after the e)
-            ("channel:\n  angle_spread_deg: 1.0e308\n", "channel.angle_spread_deg"),
-            ("mode: multi_ue_cell\ncell:\n  pathloss_exponent: -1.0e6\n", "cell.pathloss_exponent"),
-            ("channel:\n  regime: clustered\n  delay_spread_samples: .inf\n", "channel.delay_spread_samples"),
+            ("cell:\n  shadowing_sigma_db: .nan\n", "unknown configuration key 'cell.shadowing_sigma_db'"),
+            ("channel:\n  paths_per_cluster: 0\n", "unknown configuration key 'channel.paths_per_cluster'"),
+            ("channel:\n  angle_spread_deg: -1\n", "unknown configuration key 'channel.angle_spread_deg'"),
+            ("channel:\n  rolloff: .nan\n", "unknown configuration key 'channel.rolloff'"),
+            ("mode: multi_ue_cell\ncell:\n  pathloss_exponent: -1.0e6\n",
+             "unknown configuration key 'cell.pathloss_exponent'"),
+            ("search_budget: 1048576\n", "unknown configuration key 'search_budget'"),
+            ("cell:\n  isd_m: .nan\n", "cell.isd_m"),
+            # YAML 1.1 reads 1.0e308 as a string (no sign after the e)
+            ("cell:\n  radius_m: 1.0e308\n", "cell.radius_m"),
+            ("trials: ~\n", "trials"),
             ("mode: multi_ue_cell\ncell:\n  radius_m: .inf\n", "cell.radius_m"),
             ("sector:\n  azimuth_deg: [-.inf, .inf]\n", "sector.azimuth_deg"),
             ("snr_db_grid: [1e3]\n", "snr_db_grid"),
@@ -143,8 +146,10 @@ class TestParseConfig:
             ("mode: multi_ue_cell\ncell:\n  radius_m: -10.0\n  min_distance_m: -20.0\n", "cell.radius_m"),
             ("mode: multi_cell\ncell:\n  radius_m: -10.0\n", "cell.radius_m"),
             ("cell:\n  isd_m: -10.0\n", "cell.isd_m"),
-            # one codeword per subarray, but the one-chain search scores all four full-array codewords
-            ("n_tot: 4\nn_rf: 4\ncodebook_oversampling: 1\nsearch_budget: 3\n", "search_budget"),
+            # one codeword per subarray, but the one-chain search scores all 2^20 + 1 full-array codewords
+            ("n_tot: 1048577\nn_rf: 1048577\ncodebook_oversampling: 1\n", "give the 1-chain beam search 1048577^1"),
+            # 4^(2^40) candidates: the check must not evaluate the power
+            ("n_tot: 2199023255552\nn_rf: 1099511627776\n", "give the 1099511627776-chain beam search 4^1099511627776"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -158,12 +163,12 @@ class TestParseConfig:
             "search_budget_short", "seed_negative", "trials_fractional", "azimuth_decreasing",
             "n_clusters_zero", "delay_spread_negative",
             "min_distance_at_radius", "min_distance_at_half_isd", "shadowing_nan",
-            "paths_per_cluster_zero", "angle_spread_negative", "n_clusters_fractional",
-            "rolloff_nan", "pathloss_exponent_nan", "angle_spread_string", "pathloss_exponent_string",
-            "delay_spread_inf", "radius_inf", "azimuth_inf", "snr_string", "cfo_string", "adc_bits_bool",
+            "paths_per_cluster_zero", "angle_spread_negative",
+            "rolloff_nan", "pathloss_exponent_string", "search_budget_removed", "isd_nan", "radius_string",
+            "trials_null", "radius_inf", "azimuth_inf", "snr_string", "cfo_string", "adc_bits_bool",
             "cell_roots_float", "adc_bits_out_of_range",
             "adc_bits_nan", "regime_unknown", "min_distance_negative", "radius_negative",
-            "radius_negative_multi_cell", "isd_negative", "search_budget_short_one_chain",
+            "radius_negative_multi_cell", "isd_negative", "search_budget_short_one_chain", "n_rf_huge",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):

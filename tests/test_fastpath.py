@@ -318,7 +318,7 @@ def test_slot_beam_plans_match_per_resolution_search(path):
         xi = 0.0 if bits == math.inf else quantization.xi_for_bits(int(bits))
         bound = optimizer.BoundParams(scenario.lambda_max, xi)
         for method, cb, n_rf in (("proposed", sub_cb, scenario.n_rf), ("single_stream", full_cb, 1)):
-            sels = [select_multi_beam(cb, n_rf, geom, a, bound, scenario.search_budget) for a in anchors]
+            sels = [select_multi_beam(cb, n_rf, geom, a, bound) for a in anchors]
             plan = plans[(method, bits)]
             assert plan.indices.tolist() == [list(sel.indices) for sel in sels]
             assert plan.iteration_count == sum(sel.iteration_count for sel in sels)

@@ -145,11 +145,13 @@ class TestSelectMultiBeam:
         for _ in range(1000):
             assert objective(tuple(rng.integers(0, 16, size=4))) <= chosen + 1e-12
 
-    def test_budget_error_names_count(self):
-        cb = beamforming.dft_codebook(8, 2)
-        geom = ArrayGeometry(kind="ula", n_elements=32)
-        with pytest.raises(ValueError, match="65536"):
-            select_multi_beam(cb, 4, geom, 0.0, BOUND, budget=1000)
+    def test_budget_error_names_count(self, monkeypatch):
+        cb = beamforming.dft_codebook(33, 1)  # 33^4 = 1 185 921 tuples, above 2^20
+        geom = ArrayGeometry(kind="ula", n_elements=4 * 33)
+        # the count is checked before the steering vector and the table are built
+        monkeypatch.setattr(optimizer, "steering_vector", None)
+        with pytest.raises(ValueError, match="1185921"):
+            select_multi_beam(cb, 4, geom, 0.0, BOUND)
 
 
 SHIPPED = sorted((ROOT / "configs").glob("*.yaml")) + sorted((ROOT / "bench" / "scenarios").glob("*.yaml"))
@@ -164,8 +166,7 @@ def slot_tables(scenario):
     tables = {}
     for method, n_rf in (("proposed", scenario.n_rf), ("single_stream", 1)):
         cb = beamforming.dft_codebook(scenario.n_tot // n_rf, scenario.codebook_oversampling)
-        tables[method] = [optimizer.multi_beam_gains(cb, n_rf, geom, a, scenario.search_budget)
-                          for a in anchors]
+        tables[method] = [optimizer.multi_beam_gains(cb, n_rf, geom, a) for a in anchors]
     return tables
 
 
