@@ -119,21 +119,12 @@ class CellConfig:
         _check_fields(self, "cell.", least={"radius_m": 0, "isd_m": 0, "min_distance_m": 0})
 
 
-def _check_zc_root(key: str, root: int, n_zc: int) -> None:
-    """A Zadoff-Chu root must lie in [1, n_zc) and be coprime with n_zc."""
-    if not 1 <= root < n_zc or math.gcd(root, n_zc) != 1:
-        raise ValueError(f"{key} must be in [1, n_zc) and coprime with n_zc={n_zc}, got {root}")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Resolved experiment configuration; defaults follow the reference numerology."""
 
     mode: str = "single_ue"  # single_ue | multi_ue_cell | multi_cell
     n_subcarriers: int = 512
-    cp_length: int = 64
-    n_zc: int = 63
-    zc_root: int = 34
     n_tot: int = 32
     n_rf: int = 4
     m_tot: int = 16
@@ -169,15 +160,14 @@ class Scenario:
                     f"n_tot = {self.n_tot}, n_rf = {self.n_rf} and codebook_oversampling = "
                     f"{self.codebook_oversampling} give the {chains}-chain beam search {n_beam}^{chains} "
                     f"candidates, above optimizer.SEARCH_BUDGET = {optimizer.SEARCH_BUDGET}")
-        if not 0 <= self.cp_length < self.n_subcarriers:
-            raise ValueError("cp_length must be in [0, n_subcarriers)")
-        if self.cp_length == 0 and self.channel.regime == "clustered":
-            raise ValueError("cp_length must be >= 1 for a clustered channel (it caps the taps)")
-        if self.n_zc >= self.n_subcarriers:
-            raise ValueError("n_zc must be smaller than n_subcarriers")
-        _check_zc_root("zc_root", self.zc_root, self.n_zc)
+        # a grid longer than the prefix also holds the sequence (N_ZC < CP_LENGTH)
+        if not self.n_subcarriers > waveform.CP_LENGTH:
+            raise ValueError(f"n_subcarriers must exceed waveform.CP_LENGTH = {waveform.CP_LENGTH}, "
+                             f"got {self.n_subcarriers}")
+        n_zc = waveform.N_ZC
         for root in self.cell.roots:
-            _check_zc_root("cell.roots", root, self.n_zc)
+            if not 1 <= root < n_zc or math.gcd(root, n_zc) != 1:
+                raise ValueError(f"cell.roots must be in [1, {n_zc}) and coprime with {n_zc}, got {root}")
         if len(set(self.cell.roots)) != 3:
             raise ValueError(f"cell.roots must be three distinct roots, got {self.cell.roots}")
         for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
@@ -190,8 +180,8 @@ class Scenario:
         if not all(map(math.isfinite, self.cfo_grid)):
             raise ValueError("cfo_grid must be finite (no NaN or inf)")
         for b in self.adc_bits:
-            if b != math.inf and not (1 <= b <= 16 and b == int(b)):  # NaN fails the range
-                raise ValueError(f"adc_bits must be integers in [1, 16] or inf, got {b}")
+            if b != math.inf and not (1 <= b <= quantization.MAX_BITS and b == int(b)):  # NaN fails the range
+                raise ValueError(f"adc_bits must be integers in [1, {quantization.MAX_BITS}] or inf, got {b}")
         if self.lambda_max_inv_db > 3000.0:
             raise ValueError(f"lambda_max_inv_db must be <= 3000, got {self.lambda_max_inv_db}")
         cell = self.cell
@@ -245,19 +235,14 @@ def ue_geometry(scenario: Scenario) -> channel.ArrayGeometry:
     return channel.ArrayGeometry(kind="ula", n_elements=scenario.m_tot)
 
 
-def sync_waveform(scenario: Scenario, root: int | None = None) -> waveform.SyncWaveform:
-    return waveform.make_sync_waveform(
-        root if root is not None else scenario.zc_root,
-        scenario.n_zc,
-        scenario.n_subcarriers,
-        scenario.cp_length,
-    )
+def sync_waveform(scenario: Scenario, root: int = waveform.ZC_ROOT) -> waveform.SyncWaveform:
+    return waveform.make_sync_waveform(root, waveform.N_ZC, scenario.n_subcarriers, waveform.CP_LENGTH)
 
 
 def noise_variance(scenario: Scenario, snr_db: float) -> float:
     """sigma^2 for the given transmit SNR (pre-beamforming, edge-referenced)."""
     wf = sync_waveform(scenario)
-    e_d = float(np.sum(np.abs(wf.grid.symbols) ** 2))
+    e_d = float(np.sum(np.abs(wf.symbols) ** 2))
     return (e_d / scenario.n_subcarriers) * 10.0 ** (-snr_db / 10.0)
 
 
@@ -320,7 +305,7 @@ def _tap_count(scenario: Scenario, paths: channel.PathSet) -> int:
     if scenario.channel.regime == "flat":
         return 1
     # pulse tail of a few samples past the last ray, capped by the CP span
-    return min(scenario.cp_length, int(np.ceil(paths.delays.max())) + 5)
+    return min(waveform.CP_LENGTH, int(np.ceil(paths.delays.max())) + 5)
 
 
 def _build_channel(scenario: Scenario, paths: channel.PathSet) -> channel.BeamSpaceChannel:
@@ -330,7 +315,7 @@ def _build_channel(scenario: Scenario, paths: channel.PathSet) -> channel.BeamSp
         ue_geometry(scenario),
         tap_count=_tap_count(scenario, paths),
         pulse=channel.RaisedCosinePulse(),
-        cp_length=scenario.cp_length,
+        cp_length=waveform.CP_LENGTH,
     )
 
 
@@ -384,7 +369,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     if scenario.mode == "multi_cell":
         layout = channel.hex_layout(cell.isd_m, cell.min_distance_m, cell.roots)
     else:
-        layout = channel.single_cell_layout(cell.radius_m, cell.min_distance_m, scenario.zc_root)
+        layout = channel.single_cell_layout(cell.radius_m, cell.min_distance_m, waveform.ZC_ROOT)
     waveforms = [sync_waveform(scenario, root=r) for r in layout.roots]
     reference = waveforms[0].time_samples
     az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
@@ -426,35 +411,40 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
 # ---------------------------------------------------------------------------
 
 
-def _sqnr_window(clean: np.ndarray, conj_reference: np.ndarray, sigma2: float,
-                 noise_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _window_agc(y: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Per-row AGC rms of the window ``y``, checked as ``quantization.apply``
+    checks its input; ``power``, a float buffer of y's shape, receives |y|^2.
+
+    A NaN or inf sample makes its row's rms NaN or inf, so a finite AGC
+    stands for ``quantization.check_finite`` over the whole window; the rms
+    must then be positive (``quantization.check_agc``).
+    """
+    np.abs(y, out=power)
+    np.square(power, out=power)
+    agc = np.sqrt(np.mean(power, axis=1) / 2.0)[:, None]
+    if not np.all(np.isfinite(agc)):
+        raise ValueError("samples must be finite")
+    quantization.check_agc(agc)
+    return agc
+
+
+def _sqnr_window(clean: np.ndarray, conj_reference: np.ndarray, sigma2: float, noise_unit: np.ndarray,
+                 squared: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window every ADC arm of one (trial, SNR, transmit vector) measures.
 
     The antenna with the strongest noiseless zero-lag response is measured,
     the smallest index of those within a relative 1e-9 of the largest power
     (in a flat channel all tie): each row is its burst plus sqrt(sigma2)
     times one repetition of unit noise.  Returns the window, its per-row AGC
-    rms, checked by ``_check_window_agc``, and the window scaled by 1/AGC.
+    rms from ``_window_agc`` (taken in the float buffer ``squared``), and
+    the window scaled by 1/AGC.
     """
     power = np.abs(clean @ conj_reference) ** 2
     b_hat = int(np.argmax(power >= (1.0 - 1e-9) * power.max()))
     y = np.multiply(math.sqrt(sigma2), noise_unit)
     y += clean[b_hat]
-    agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-    _check_window_agc(agc)
+    agc = _window_agc(y, squared)
     return y, agc, quantization.agc_scale(y, agc)
-
-
-def _check_window_agc(agc: np.ndarray) -> None:
-    """The input checks of ``quantization.apply``, made on a window's AGC.
-
-    A NaN or inf sample makes its row's rms NaN or inf, so a finite AGC
-    stands for ``quantization.check_finite`` over the whole window; the rms
-    must then be positive (``quantization.check_agc``).
-    """
-    if not np.all(np.isfinite(agc)):
-        raise ValueError("samples must be finite")
-    quantization.check_agc(agc)
 
 
 def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
@@ -462,7 +452,8 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     repetitions' zero-lag correlations, all arms' moments in one pass."""
     rows = []
     conj_reference = np.conj(sync_waveform(scenario).time_samples)
-    quantized = np.empty((scenario.inner_repeats, scenario.n_subcarriers), np.complex128)
+    shape = (scenario.inner_repeats, scenario.n_subcarriers)
+    quantized, squared = np.empty(shape, np.complex128), np.empty(shape)
     z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
     for _, rng, slot, _, burst in _trials(scenario, trial_lo, trial_hi):
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
@@ -472,7 +463,7 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
                 tx_vec = tx_vectors[slot]
                 key = tx_vec.tobytes()
                 if key not in windows:
-                    windows[key] = _sqnr_window(burst(tx_vec).samples, conj_reference, sigma2, noise_unit)
+                    windows[key] = _sqnr_window(burst(tx_vec).samples, conj_reference, sigma2, noise_unit, squared)
                 y, agc, scaled = windows[key]
                 q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
                 np.matmul(q, conj_reference, out=z[i])
@@ -546,7 +537,7 @@ def _detect_window(
     """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
 
     ``work`` is the chunk's ``_window_workspace``: the window is built, its
-    AGC taken and checked (``_check_window_agc``), and it is quantized and
+    AGC taken and checked (``_window_agc``), and it is quantized and
     correlated in place there, so the profile is only valid until the next
     window.
 
@@ -564,10 +555,7 @@ def _detect_window(
     if not adc.is_infinite or sigma2 == 0:
         np.multiply(scale, noise.samples, out=y)
         y[:, t : t + n] += burst.samples
-        np.abs(y, out=power)
-        np.square(power, out=power)
-        agc = np.sqrt(np.mean(power, axis=1) / 2.0)[:, None]
-        _check_window_agc(agc)
+        agc = _window_agc(y, power)
         if not adc.is_infinite:
             quantization.quantize_scaled(adc, quantization.agc_scale(y, agc, out=y), agc, out=y)
         return detector.detect(detector.correlate(y, reference, out=spectrum), nu_true=t)

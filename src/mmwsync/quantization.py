@@ -19,7 +19,7 @@ import numpy as np
 
 INFINITE_BITS = math.inf
 
-_MAX_BITS = 16
+MAX_BITS = 16
 
 # Entry b - 1 of each table belongs to b bits.  _XI holds the minimum (Lloyd-Max)
 # MSE of the b-bit scalar quantizer for a unit-variance Gaussian (Max 1960);
@@ -41,8 +41,8 @@ _CLIP = (
 
 
 def _validate_bits(bits: float) -> int:
-    if bits != int(bits) or not 1 <= bits <= _MAX_BITS:
-        raise ValueError(f"bits must be an integer in [1, {_MAX_BITS}], got {bits}")
+    if bits != int(bits) or not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits}")
     return int(bits)
 
 

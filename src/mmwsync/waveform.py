@@ -1,9 +1,10 @@
-"""Zadoff-Chu synchronization waveforms on an OFDM grid.
+"""The reference synchronization symbol: a Zadoff-Chu sequence on an OFDM grid.
 
-A length-``n_zc`` Zadoff-Chu sequence is mapped onto the central subcarriers
-of an N-point grid, transformed to the time domain with a unitary IDFT, and
-prefixed with a cyclic extension.  All arrays are complex128; values are
-immutable after construction.
+The sequence is the LTE primary sync sequence (3GPP TS 36.211 §6.11.1):
+length ``N_ZC``, roots 25, 29 and 34.  It is mapped onto the central
+subcarriers of an N-point grid with the DC carrier punctured, transformed to
+the time domain with a unitary IDFT, and prefixed with a ``CP_LENGTH``-sample
+cyclic extension.  All arrays are complex128 and read-only.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+N_ZC = 63
+ZC_ROOT = 34  # the serving root of the single-cell modes
+CP_LENGTH = 64
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -21,79 +26,59 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ZcSequence:
-    """Constant-amplitude Zadoff-Chu sequence with impulse-like cyclic autocorrelation."""
-
-    length: int
-    samples: np.ndarray
-
-
-@dataclass(frozen=True)
-class OfdmGrid:
-    """Frequency-domain symbols with the sync sequence on the central band.
-
-    ``symbols`` is stored in the index order consumed by the IDFT; the
-    DC carrier sits at index ``n_subcarriers // 2`` in this convention
-    (``map_to_grid`` places the band).
-    """
-
-    n_subcarriers: int
-    symbols: np.ndarray
-
-
-@dataclass(frozen=True)
 class SyncWaveform:
-    """Time-domain sync symbol: unitary IDFT of the grid plus cyclic prefix."""
+    """Time-domain sync symbol: unitary IDFT of the grid ``symbols`` plus cyclic prefix."""
 
-    grid: OfdmGrid
+    symbols: np.ndarray
     time_samples: np.ndarray
     samples_with_cp: np.ndarray
 
 
-def generate_zc(root: int, length: int) -> ZcSequence:
-    """Generate s[m] = exp(-j*pi*m*(m+1)*root/length) for m = 0..length-1."""
+def generate_zc(root: int, length: int) -> np.ndarray:
+    """s[m] = exp(-j*pi*m*(m+1)*root/length) for m = 0..length-1: constant
+    amplitude, impulse-like cyclic autocorrelation."""
     if length < 1:
         raise ValueError(f"ZC length must be >= 1, got {length}")
     if not 0 <= root < length:
         raise ValueError(f"ZC root must be in [0, {length}), got {root}")
     m = np.arange(length, dtype=np.float64)
-    samples = np.exp(-1j * np.pi * m * (m + 1) * root / length)
-    return ZcSequence(length=length, samples=_frozen(samples))
+    return _frozen(np.exp(-1j * np.pi * m * (m + 1) * root / length))
 
 
-def map_to_grid(seq: ZcSequence, n_subcarriers: int) -> OfdmGrid:
-    """Map the sequence onto the central band of an ``n_subcarriers`` grid.
+def map_to_grid(seq: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """The grid symbols with ``seq`` on the central band of ``n_subcarriers``.
 
-    Element m lands on index floor((N - n_zc - 1)/2) + m + 1.  When the band
-    straddles the DC index (N//2) the single element that lands on DC is
-    punctured to zero; a degenerate band that merely touches DC is kept.
+    The symbols are in the index order the IDFT consumes, so the DC carrier
+    sits at index N//2.  Element m lands on index floor((N - n_zc - 1)/2) +
+    m + 1.  When the band straddles DC the single element that lands on it
+    is punctured to zero; a degenerate band that merely touches DC is kept.
     """
-    n_zc = seq.length
+    n_zc = seq.shape[0]
     if n_subcarriers <= n_zc:
         raise ValueError(
             f"grid of {n_subcarriers} subcarriers cannot hold a length-{n_zc} sequence"
         )
     start = (n_subcarriers - n_zc - 1) // 2 + 1
     symbols = np.zeros(n_subcarriers, dtype=np.complex128)
-    symbols[start : start + n_zc] = seq.samples
+    symbols[start : start + n_zc] = seq
     dc = n_subcarriers // 2
     if start < dc < start + n_zc - 1:
         symbols[dc] = 0.0
-    return OfdmGrid(n_subcarriers=n_subcarriers, symbols=_frozen(symbols))
+    return _frozen(symbols)
 
 
-def modulate(grid: OfdmGrid, cp_length: int) -> SyncWaveform:
-    """Unitary IDFT of the grid plus a ``cp_length``-sample cyclic prefix.
+def modulate(symbols: np.ndarray, cp_length: int) -> SyncWaveform:
+    """Unitary IDFT of the grid ``symbols`` plus a ``cp_length``-sample cyclic prefix.
 
     time_samples[n] = (1/sqrt(N)) * sum_k symbols[k] * exp(j*2*pi*k*n/N)
     """
-    n = grid.n_subcarriers
+    n = symbols.shape[0]
     if not 0 <= cp_length < n:
         raise ValueError(f"cp_length must be in [0, {n}), got {cp_length}")
-    time_samples = math.sqrt(n) * np.fft.ifft(grid.symbols)
+    time_samples = math.sqrt(n) * np.fft.ifft(symbols)
     with_cp = np.concatenate([time_samples[n - cp_length :], time_samples])
     return SyncWaveform(
-        grid=grid,
+        symbols=_frozen(np.array(symbols, dtype=np.complex128)),
         time_samples=_frozen(time_samples),
         samples_with_cp=_frozen(with_cp),
     )

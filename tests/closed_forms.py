@@ -40,7 +40,6 @@ from mmwsync.beamforming import Codebook
 from mmwsync.channel import ArrayGeometry
 from mmwsync.optimizer import BeamSelection, BoundParams
 from mmwsync.quantization import AdcModel
-from mmwsync.waveform import OfdmGrid, ZcSequence
 
 # ---------------------------------------------------------------------------
 # zero-lag SQNR
@@ -90,32 +89,31 @@ def distortion_factor(quantized: np.ndarray, analog: np.ndarray) -> float:
     return float(np.real(np.mean(np.conj(quantized) * analog)) / denom)
 
 
-def cyclic_autocorrelation(seq: ZcSequence, normalized: bool = True) -> np.ndarray:
+def cyclic_autocorrelation(seq: np.ndarray, normalized: bool = True) -> np.ndarray:
     """Cyclic autocorrelation chi[v] = sum_m s[m] conj(s[(m+v) mod L]).
 
     With ``normalized`` the result is divided by the lag-0 energy, so a root
     coprime with the length gives 1 at lag 0 and ~0 elsewhere.  The raw form
     carries the factor ``length`` at lag 0.
     """
-    s = seq.samples
-    spec = np.fft.fft(s)
+    spec = np.fft.fft(seq)
     raw = np.fft.ifft(np.abs(spec) ** 2).conj()
     if normalized:
-        return raw / seq.length
+        return raw / seq.shape[0]
     return raw
 
 
-def zero_lag_freq_correlation(received_burst: np.ndarray, reference_grid: OfdmGrid) -> complex:
-    """Unitary DFT of the aligned burst correlated against the grid.
+def zero_lag_freq_correlation(received_burst: np.ndarray, reference_symbols: np.ndarray) -> complex:
+    """Unitary DFT of the aligned burst correlated against the grid symbols.
 
     Equals the time-domain correlation at the true lag.
     """
     burst = np.asarray(received_burst)
-    n = reference_grid.n_subcarriers
+    n = reference_symbols.shape[0]
     if burst.shape[-1] != n:
         raise ValueError(f"burst length {burst.shape[-1]} != grid size {n}")
     spectrum = np.fft.fft(burst) / np.sqrt(n)
-    return complex(np.sum(spectrum * np.conj(reference_grid.symbols)))
+    return complex(np.sum(spectrum * np.conj(reference_symbols)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def _measured_ratio(s: float, bits: int, trials: int, seed: int, length: int = 6
     autocorrelation), flat channel with per-sample signal power s and unit
     noise power, matched AGC; trials run in batches of 20000.
     """
-    u = waveform.generate_zc(root, length).samples
+    u = waveform.generate_zc(root, length)
     adc = AdcModel(bits=bits)
     agc = math.sqrt((s + 1.0) / 2.0)
     rng = np.random.default_rng(seed)

@@ -4,12 +4,13 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mmwsync import cli, detector, montecarlo
+from mmwsync import cli, detector, montecarlo, waveform
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
 
 
@@ -57,9 +58,11 @@ class TestParseConfig:
     def test_minimal_defaults_to_reference_numerology(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, MINIMAL))
         assert scenario.n_subcarriers == 512
-        assert scenario.cp_length == 64
-        assert scenario.n_zc == 63
         assert scenario.m_tot == 16
+        got = montecarlo.sync_waveform(scenario)
+        want = waveform.make_sync_waveform(34, 63, 512, 64)
+        for name in ("symbols", "time_samples", "samples_with_cp"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
     def test_unknown_key_fails_closed(self, tmp_path):
         path = write(tmp_path, "mode: single_ue\nn_subcariers: 64\n")
@@ -82,10 +85,12 @@ class TestParseConfig:
             ("adc_bits: []\n", "adc_bits"),
             ("cfo_grid: []\n", "cfo_grid"),
             ("inner_repeats: 1\n", "inner_repeats"),
-            ("cp_length: 0\nchannel:\n  regime: clustered\n", "cp_length"),
-            ("zc_root: 0\n", "zc_root"),
-            ("zc_root: 21\n", "zc_root"),
-            ("n_zc: 1\nzc_root: 0\n", "zc_root"),
+            # the reference sync symbol's length, root and prefix are constants in mmwsync.waveform
+            ("cp_length: 64\n", "unknown configuration key 'cp_length'"),
+            ("zc_root: 0\n", "unknown configuration key 'zc_root'"),
+            ("n_zc: 1\n", "unknown configuration key 'n_zc'"),
+            # a grid must be longer than the 64-sample cyclic prefix
+            ("n_subcarriers: 64\n", "n_subcarriers"),
             ("cell:\n  roots: [25, 29, 63]\n", "cell.roots"),
             ("cell:\n  roots: [25, 29, 42]\n", "cell.roots"),
             ("cell:\n  roots: [0, 0, 0]\n", "cell.roots"),
@@ -153,7 +158,7 @@ class TestParseConfig:
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
-            "zc_root_zero", "zc_root_not_coprime", "n_zc_one",
+            "zc_root_zero", "n_zc_one", "n_subcarriers_at_cp_length",
             "cell_root_out_of_range", "cell_root_not_coprime", "cell_roots_zero",
             "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
             "sector_asymmetric", "n_rf_zero", "lambda_nan", "lambda_neg_inf", "lambda_inf",

@@ -187,7 +187,7 @@ class TestZeroLagFreqCorrelation:
     def test_matches_time_domain_at_alignment(self, wf):
         rng = np.random.default_rng(4)
         burst = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        freq = zero_lag_freq_correlation(burst, wf.grid)
+        freq = zero_lag_freq_correlation(burst, wf.symbols)
         time = np.sum(burst * np.conj(wf.time_samples))
         assert freq == pytest.approx(time, abs=1e-8)
 
@@ -201,10 +201,10 @@ class TestZeroLagFreqCorrelation:
         f = channel.steering_vector(geom_tx, 0.25) / math.sqrt(8)
         y = channel.propagate(ch, wf.time_samples, f, 0.0, 0.0, 0, 512, np.random.default_rng(0))
         b = 2
-        got = zero_lag_freq_correlation(y[b], wf.grid)
+        got = zero_lag_freq_correlation(y[b], wf.symbols)
         a_rx = channel.steering_vector(geom_rx, 0.1)
         a_tx = channel.steering_vector(geom_tx, 0.25)
-        expect = g * a_rx[b] * (np.conj(a_tx) @ f) * np.sum(np.abs(wf.grid.symbols) ** 2)
+        expect = g * a_rx[b] * (np.conj(a_tx) @ f) * np.sum(np.abs(wf.symbols) ** 2)
         assert got == pytest.approx(expect, rel=1e-9)
 
     def test_antenna_rules_agree_on_flat_channel(self, wf):
@@ -216,7 +216,7 @@ class TestZeroLagFreqCorrelation:
         f = channel.steering_vector(geom_tx, 0.2) / math.sqrt(8)
         y = channel.propagate(ch, wf.time_samples, f, 0.1, 0.0, 0, 512, rng)
         freq_bhat = np.argmax(
-            [abs(zero_lag_freq_correlation(y[b], wf.grid)) ** 2 for b in range(4)]
+            [abs(zero_lag_freq_correlation(y[b], wf.symbols)) ** 2 for b in range(4)]
         )
         time_bhat = np.argmax(np.abs(y @ np.conj(wf.time_samples)) ** 2)
         assert freq_bhat == time_bhat

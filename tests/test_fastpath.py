@@ -164,7 +164,7 @@ SQNR = Scenario(trials=3, t_bs=4, inner_repeats=4, adc_bits=(1.0, 2.0, math.inf)
 TIMING = replace(CFO_TIMING, cfo_grid=(0.0,), seed=29)
 # a 128 x 13 = 1664-sample window transforms at 1680, so the correlator's
 # output is longer than the window that starts in its memory
-ODD_WINDOW_TIMING = replace(TIMING, n_subcarriers=128, cp_length=16, t_ue=13, seed=31)
+ODD_WINDOW_TIMING = replace(TIMING, n_subcarriers=128, t_ue=13, seed=31)
 
 MULTICELL = Scenario(
     mode="multi_cell",
@@ -265,9 +265,9 @@ def test_one_sqnr_window_per_trial_snr_and_transmit_vector(monkeypatch):
     original = mc._sqnr_window
     built = []
 
-    def counting(clean, reference, sigma2, noise_unit):
+    def counting(clean, reference, sigma2, *rest):
         built.append((clean.tobytes(), sigma2))
-        return original(clean, reference, sigma2, noise_unit)
+        return original(clean, reference, sigma2, *rest)
 
     monkeypatch.setattr(mc, "_sqnr_window", counting)
     mc.run_sqnr_experiment(SQNR_ARMS)

@@ -6,10 +6,12 @@ writes.  A change that keeps these bytes keeps the rows, the aggregates, the
 manifests and the headers.  The files were regenerated once, when every
 random number of a trial came to be drawn from one generator keyed on
 (seed, trial); from then on a change is held to these bytes.  They moved
-twice more, in their hash lines only: when the array and elevation keys
-left the scenario, and when the channel and cell shape constants and the
-search budget left it for named constants in the library.  Each time every
-row, aggregate and beam plan kept its bytes.
+three times more, in their hash lines only: when the array and elevation
+keys left the scenario, when the channel and cell shape constants and the
+search budget left it for named constants in the library, and when the
+sync symbol's length, root and cyclic prefix left it for the constants of
+``mmwsync.waveform``.  Each time every row, aggregate and beam plan kept
+its bytes.
 """
 
 from pathlib import Path

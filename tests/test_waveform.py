@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from closed_forms import cyclic_autocorrelation
 from mmwsync import waveform
+from mmwsync.montecarlo import Scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_cyclic_autocorr(samples: np.ndarray) -> np.ndarray:
@@ -32,15 +37,15 @@ def dft_oracle(x: np.ndarray) -> np.ndarray:
 class TestGenerateZc:
     def test_first_sample_is_one(self):
         seq = waveform.generate_zc(34, 63)
-        assert seq.samples[0] == pytest.approx(1 + 0j)
+        assert seq[0] == pytest.approx(1 + 0j)
 
     def test_unit_modulus(self):
         seq = waveform.generate_zc(34, 63)
-        np.testing.assert_allclose(np.abs(seq.samples), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(seq), 1.0, atol=1e-12)
 
     def test_autocorr_impulse_against_brute_force(self):
         seq = waveform.generate_zc(34, 63)
-        oracle = brute_force_cyclic_autocorr(seq.samples) / 63
+        oracle = brute_force_cyclic_autocorr(seq) / 63
         got = cyclic_autocorrelation(seq)
         np.testing.assert_allclose(got, oracle, atol=1e-10)
         assert abs(got[0]) == pytest.approx(1.0, abs=1e-12)
@@ -73,25 +78,25 @@ class TestGenerateZc:
 
 class TestMapToGrid:
     def test_band_indices_512(self):
-        grid = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
-        nz = np.nonzero(grid.symbols)[0]
+        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
+        nz = np.nonzero(symbols)[0]
         assert nz[0] == 225
         assert nz[-1] == 287
 
     def test_dc_punctured(self):
-        grid = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
-        assert grid.symbols[256] == 0
+        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
+        assert symbols[256] == 0
 
     def test_degenerate_single_element(self):
-        grid = waveform.map_to_grid(waveform.generate_zc(0, 1), 4)
-        assert np.count_nonzero(grid.symbols) == 1
+        symbols = waveform.map_to_grid(waveform.generate_zc(0, 1), 4)
+        assert np.count_nonzero(symbols) == 1
 
     def test_band_extraction_recovers_punctured_sequence(self):
         seq = waveform.generate_zc(34, 63)
-        grid = waveform.map_to_grid(seq, 512)
-        expect = seq.samples.copy()
+        symbols = waveform.map_to_grid(seq, 512)
+        expect = seq.copy()
         expect[256 - 225] = 0.0
-        np.testing.assert_array_equal(grid.symbols[225 : 225 + 63], expect)
+        np.testing.assert_array_equal(symbols[225 : 225 + 63], expect)
 
     def test_sequence_longer_than_grid(self):
         with pytest.raises(ValueError):
@@ -100,21 +105,19 @@ class TestMapToGrid:
 
 class TestModulate:
     def test_all_zero_grid(self):
-        grid = waveform.OfdmGrid(8, np.zeros(8, complex))
-        wf = waveform.modulate(grid, 2)
+        wf = waveform.modulate(np.zeros(8, complex), 2)
         np.testing.assert_array_equal(wf.time_samples, np.zeros(8))
 
     def test_single_dc_bin_gives_constant(self):
         symbols = np.zeros(16, complex)
         symbols[0] = 1.0
-        grid = waveform.OfdmGrid(16, symbols)
-        wf = waveform.modulate(grid, 0)
+        wf = waveform.modulate(symbols, 0)
         np.testing.assert_allclose(wf.time_samples, np.full(16, 1 / 4), atol=1e-12)
 
     def test_round_trip_against_dft_oracle(self):
-        grid = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
-        wf = waveform.modulate(grid, 64)
-        np.testing.assert_allclose(dft_oracle(wf.time_samples), grid.symbols, atol=1e-10)
+        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
+        wf = waveform.modulate(symbols, 64)
+        np.testing.assert_allclose(dft_oracle(wf.time_samples), symbols, atol=1e-10)
 
     def test_cyclic_prefix_copies_tail(self):
         wf = waveform.make_sync_waveform(34, 63, 512, 64)
@@ -122,18 +125,18 @@ class TestModulate:
         np.testing.assert_array_equal(wf.samples_with_cp[64:], wf.time_samples)
 
     def test_cp_length_validation(self):
-        grid = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
+        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
         with pytest.raises(ValueError):
-            waveform.modulate(grid, 512)
+            waveform.modulate(symbols, 512)
         with pytest.raises(ValueError):
-            waveform.modulate(grid, -1)
+            waveform.modulate(symbols, -1)
 
 
 class TestWaveformProperties:
     def test_parseval(self):
         wf = waveform.make_sync_waveform(34, 63, 512, 64)
         time_energy = np.sum(np.abs(wf.time_samples) ** 2)
-        freq_energy = np.sum(np.abs(wf.grid.symbols) ** 2)
+        freq_energy = np.sum(np.abs(wf.symbols) ** 2)
         assert time_energy == pytest.approx(freq_energy, rel=1e-9)
 
     @given(root=st.sampled_from([1, 2, 5, 11, 25, 29, 34, 47, 62]))
@@ -152,5 +155,22 @@ class TestWaveformProperties:
 
     def test_samples_are_immutable(self):
         wf = waveform.make_sync_waveform(34, 63, 512, 64)
-        with pytest.raises(ValueError):
-            wf.time_samples[0] = 0
+        seq = waveform.generate_zc(34, 63)
+        owned = waveform.modulate(np.ones(8, complex), 2).symbols  # a copy of a writeable input
+        for array in (wf.symbols, wf.time_samples, wf.samples_with_cp, seq, waveform.map_to_grid(seq, 512), owned):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+def test_microbenchmark_measures_the_program_numerology():
+    """bench/microbench.py times the layers at constants of its own: read them
+    without importing the module and hold them to the program's."""
+    constants = {}
+    for node in ast.parse((ROOT / "bench" / "microbench.py").read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+            constants.update(zip((t.id for t in node.targets[0].elts), ast.literal_eval(node.value)))
+    scenario = Scenario()
+    program = {"N": scenario.n_subcarriers, "CP": waveform.CP_LENGTH, "N_ZC": waveform.N_ZC,
+               "ROOT": waveform.ZC_ROOT, "M_TOT": scenario.m_tot, "N_TOT": scenario.n_tot,
+               "WINDOW": scenario.n_subcarriers * scenario.t_ue}
+    assert {name: constants[name] for name in program} == program
