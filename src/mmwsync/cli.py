@@ -23,7 +23,14 @@ from . import __version__ as _VERSION
 from . import detector, montecarlo
 from .montecarlo import Scenario, StatSummary
 
-EXPERIMENTS = ("sqnr", "timing", "cfo", "multicell", "complexity")
+# experiment -> its runner; "complexity" runs no trials and is written by ``_run_complexity``
+_RUNNERS = {
+    "sqnr": montecarlo.run_sqnr_experiment,
+    "timing": montecarlo.run_timing_experiment,
+    "cfo": montecarlo.run_timing_experiment,
+    "multicell": montecarlo.run_multicell_experiment,
+}
+EXPERIMENTS = (*_RUNNERS, "complexity")
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -133,12 +140,7 @@ def run(config: RunConfig) -> int:
         if config.experiment == "complexity":
             written = _run_complexity(scenario, out_dir)
         else:
-            if config.experiment == "sqnr":
-                summary = montecarlo.run_sqnr_experiment(scenario, workers=config.workers)
-            elif config.experiment in ("timing", "cfo"):
-                summary = montecarlo.run_timing_experiment(scenario, workers=config.workers)
-            else:
-                summary = montecarlo.run_multicell_experiment(scenario, workers=config.workers)
+            summary = _RUNNERS[config.experiment](scenario, workers=config.workers)
             written = write_outputs(summary, config.experiment, out_dir)
         for path in written:
             print(f"wrote {path}")
@@ -148,26 +150,18 @@ def run(config: RunConfig) -> int:
         return 1
 
 
-def main(argv=None) -> int:
+def main() -> int:
+    """The console entry point: reads its flags from ``sys.argv``."""
     parser = argparse.ArgumentParser(
         prog="mmwsync",
         description="Directional frame-timing synchronization experiments",
     )
-    parser.add_argument("--config", required=True, help="scenario YAML file")
+    parser.add_argument("--config", dest="config_path", required=True, help="scenario YAML file")
     parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--out", dest="out_dir", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
-    args = parser.parse_args(argv)
-    return run(
-        RunConfig(
-            config_path=args.config,
-            experiment=args.experiment,
-            out_dir=args.out,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    )
+    return run(RunConfig(**vars(parser.parse_args())))
 
 
 if __name__ == "__main__":

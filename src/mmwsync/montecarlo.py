@@ -175,8 +175,9 @@ class Scenario:
             # an empty grid has no rows; a repeat counts each trial twice in one aggregate, or merges two arms
             if not grid or len(set(grid)) != len(grid):
                 raise ValueError(f"{key} must be nonempty with no repeated entry, got {grid}")
-        if any(math.isnan(v) or v == -math.inf for v in self.snr_db_grid):
-            raise ValueError("snr_db_grid must not hold NaN or -inf")
+        # below -3000 dB sigma^2, or the noise powers taken from it, leave the float range
+        if not all(v >= -3000.0 for v in self.snr_db_grid):  # NaN fails the comparison
+            raise ValueError(f"snr_db_grid entries must be >= -3000 dB (no NaN), got {self.snr_db_grid}")
         if not all(map(math.isfinite, self.cfo_grid)):
             raise ValueError("cfo_grid must be finite (no NaN or inf)")
         for b in self.adc_bits:
@@ -229,10 +230,6 @@ def scenario_hash(scenario: Scenario) -> str:
 
 def bs_geometry(scenario: Scenario) -> channel.ArrayGeometry:
     return channel.ArrayGeometry(kind="ula", n_elements=scenario.n_tot)
-
-
-def ue_geometry(scenario: Scenario) -> channel.ArrayGeometry:
-    return channel.ArrayGeometry(kind="ula", n_elements=scenario.m_tot)
 
 
 def sync_waveform(scenario: Scenario, root: int = waveform.ZC_ROOT) -> waveform.SyncWaveform:
@@ -291,32 +288,21 @@ def serving_slot(anchors: np.ndarray, az: float) -> int:
     return int(np.argmin((anchors - az) ** 2))
 
 
-def _draw_paths(scenario: Scenario, rng: np.random.Generator, aod_az: float,
-                amp: float = 1.0) -> channel.PathSet:
+def _link(scenario: Scenario, rng: np.random.Generator, aod_az: float, amp: float) -> channel.BeamSpaceChannel:
+    """One cell's link to the UE: its rays, gains scaled by ``amp``, and their taps.
+
+    The AoA is drawn first, then the flat ray's phase or the clustered rays.
+    A flat link has one tap; a clustered one spans a pulse tail of five
+    samples past its last ray, capped by the cyclic prefix.
+    """
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     if scenario.channel.regime == "flat":
-        phase = np.exp(2j * np.pi * rng.random())
-        return channel.single_path(aod_az=aod_az, aoa=aoa, gain=amp * phase)
-    ps = channel.clustered_paths(rng, center_az=aod_az, aoa_center=aoa)
-    return replace(ps, gains=ps.gains * amp)
-
-
-def _tap_count(scenario: Scenario, paths: channel.PathSet) -> int:
-    if scenario.channel.regime == "flat":
-        return 1
-    # pulse tail of a few samples past the last ray, capped by the CP span
-    return min(waveform.CP_LENGTH, int(np.ceil(paths.delays.max())) + 5)
-
-
-def _build_channel(scenario: Scenario, paths: channel.PathSet) -> channel.BeamSpaceChannel:
-    return channel.build_channel(
-        paths,
-        bs_geometry(scenario),
-        ue_geometry(scenario),
-        tap_count=_tap_count(scenario, paths),
-        pulse=channel.RaisedCosinePulse(),
-        cp_length=waveform.CP_LENGTH,
-    )
+        paths, taps = channel.single_path(aod_az, aoa, amp * np.exp(2j * np.pi * rng.random())), 1
+    else:
+        paths = channel.clustered_paths(rng, center_az=aod_az, aoa_center=aoa)
+        paths = replace(paths, gains=paths.gains * amp)
+        taps = min(waveform.CP_LENGTH, math.ceil(paths.delays.max()) + 5)
+    return channel.build_channel(paths, bs_geometry(scenario), channel.ArrayGeometry("ula", scenario.m_tot), taps)
 
 
 def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -390,8 +376,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
                 aod = (aod + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to [-pi, pi)
                 shadow = rng.normal(0.0, channel.SHADOWING_SIGMA_DB)
                 amp = channel.pathloss_amp_gain(float(np.hypot(vec[0], vec[1])), layout.cell_radius_m, shadow)
-            paths = _draw_paths(scenario, rng, aod, amp)
-            links.append((_build_channel(scenario, paths), waveforms[i]))
+            links.append((_link(scenario, rng, aod, amp), waveforms[i]))
         memo: dict = {}
 
         # the defaults bind this trial's links, so a kept burst never sees a later trial's
@@ -451,11 +436,11 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     """Zero-lag SQNR rows: per (trial, SNR), every arm's |mean|^2 / var of its
     repetitions' zero-lag correlations, all arms' moments in one pass."""
     rows = []
-    conj_reference = np.conj(sync_waveform(scenario).time_samples)
     shape = (scenario.inner_repeats, scenario.n_subcarriers)
     quantized, squared = np.empty(shape, np.complex128), np.empty(shape)
     z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
-    for _, rng, slot, _, burst in _trials(scenario, trial_lo, trial_hi):
+    for _, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
+        conj_reference = np.conj(reference)
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
         for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
             windows: dict = {}  # the arms of one transmit vector share its window

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -97,6 +98,9 @@ class TestParseConfig:
             ("cell:\n  roots: [25, 29, 29]\n", "cell.roots"),
             ("snr_db_grid: [0.0, .nan]\n", "snr_db_grid"),
             ("snr_db_grid: [-.inf]\n", "snr_db_grid"),
+            # below -3000 dB the noise variance leaves the float range
+            ("snr_db_grid: [-3100.0]\n", "snr_db_grid"),
+            ("snr_db_grid: [0.0, -3000.5]\n", "snr_db_grid"),
             ("cfo_grid: [0.0, .nan]\n", "cfo_grid"),
             ("cfo_grid: [.inf]\n", "cfo_grid"),
             ("cfo_grid: [-.inf]\n", "cfo_grid"),
@@ -160,7 +164,8 @@ class TestParseConfig:
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
             "zc_root_zero", "n_zc_one", "n_subcarriers_at_cp_length",
             "cell_root_out_of_range", "cell_root_not_coprime", "cell_roots_zero",
-            "cell_roots_repeated", "snr_nan", "snr_neg_inf", "cfo_nan", "cfo_inf", "cfo_neg_inf",
+            "cell_roots_repeated", "snr_nan", "snr_neg_inf", "snr_below_floor", "snr_just_below_floor",
+            "cfo_nan", "cfo_inf", "cfo_neg_inf",
             "sector_asymmetric", "n_rf_zero", "lambda_nan", "lambda_neg_inf", "lambda_inf",
             "lambda_overflow", "bs_geometry_removed", "ula_with_upa_shape", "elevation_removed",
             "adc_bits_repeated", "snr_repeated",
@@ -192,6 +197,9 @@ class TestParseConfig:
         key = f"{section}.{f.name}" if section else f.name
         with pytest.raises(ValueError, match=re.escape(key)):
             cli.parse_config(write(tmp_path, text))
+
+    def test_snr_floor_parses(self, tmp_path):
+        assert cli.parse_config(write(tmp_path, "snr_db_grid: [-3000.0]\n")).snr_db_grid == (-3000.0,)
 
     def test_infinite_bits_parse(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, "adc_bits: [2, .inf]\n"))
@@ -311,10 +319,11 @@ class TestRun:
 
 
 class TestMain:
-    def test_main_end_to_end(self, tmp_path, capsys):
+    def test_main_end_to_end(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, TINY_SQNR)
-        code = cli.main(
-            ["--config", str(path), "--experiment", "sqnr", "--out", str(tmp_path / "o")]
+        monkeypatch.setattr(
+            sys, "argv", ["mmwsync", "--config", str(path), "--experiment", "sqnr", "--out", str(tmp_path / "o")]
         )
+        code = cli.main()
         assert code == 0
         assert "wrote" in capsys.readouterr().out

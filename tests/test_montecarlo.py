@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import codebook_ratio_argmax, correlation_ratio_check
@@ -191,6 +191,34 @@ class TestModes:
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
+class TestLink:
+    def test_flat_link_is_one_tap_of_the_drawn_ray(self):
+        ch = mc._link(Scenario(m_tot=4), np.random.default_rng(5), 0.3, 0.5)
+        rng = np.random.default_rng(5)
+        aoa = rng.uniform(-np.pi / 2, np.pi / 2)
+        want = mc.channel.build_channel(mc.channel.single_path(0.3, aoa, 0.5 * np.exp(2j * np.pi * rng.random())),
+                                        mc.channel.ArrayGeometry("ula", 32), mc.channel.ArrayGeometry("ula", 4), 1)
+        assert ch.tap_count == 1
+        np.testing.assert_array_equal(ch.taps, want.taps)
+
+    def test_clustered_link_spans_its_last_ray_plus_five(self, monkeypatch):
+        seen, original = [], mc.channel.build_channel
+        monkeypatch.setattr(mc.channel, "build_channel", lambda paths, *a: seen.append(paths) or original(paths, *a))
+        ch = mc._link(Scenario(m_tot=4, channel=ChannelConfig("clustered")), np.random.default_rng(5), 0.3, 0.5)
+        rng = np.random.default_rng(5)
+        drawn = mc.channel.clustered_paths(rng, 0.3, rng.uniform(-np.pi / 2, np.pi / 2))
+        assert ch.tap_count == math.ceil(drawn.delays.max()) + 5 < mc.waveform.CP_LENGTH
+        np.testing.assert_array_equal(seen[0].gains, drawn.gains * 0.5)
+        np.testing.assert_array_equal(seen[0].delays, drawn.delays)
+
+    def test_clustered_span_capped_by_the_cyclic_prefix(self, monkeypatch):
+        late = mc.channel.PathSet(gains=np.ones(2, complex), aod_az=np.zeros(2), aoa=np.zeros(2),
+                                  delays=np.array([0.0, 80.0]))
+        monkeypatch.setattr(mc.channel, "clustered_paths", lambda rng, center_az, aoa_center: late)
+        ch = mc._link(Scenario(m_tot=4, channel=ChannelConfig("clustered")), np.random.default_rng(5), 0.3, 1.0)
+        assert ch.tap_count == mc.waveform.CP_LENGTH
+
+
 class TestSqnrExperiment:
     def test_infinite_snr_rejected_before_any_trial(self, monkeypatch):
         def no_trials(*args):
@@ -313,7 +341,7 @@ def small_configs(draw) -> dict:
         t_ue=draw(st.integers(2, 3)),
         adc_bits=tuple(draw(st.lists(st.sampled_from((1, 2, 3, 8, 16, math.inf)), min_size=1, max_size=3,
                                      unique=True))),
-        snr_db_grid=tuple(draw(st.lists(st.floats(-30.0, 1000.0), min_size=1, max_size=2, unique=True))),
+        snr_db_grid=tuple(draw(st.lists(st.floats(-5000.0, 1000.0), min_size=1, max_size=2, unique=True))),
         trials=draw(st.integers(1, 2)),
         inner_repeats=draw(st.integers(2, 8)),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -321,8 +349,15 @@ def small_configs(draw) -> dict:
     )
 
 
+# the SNR floor at the smallest grid, whose sigma^2 is the largest
+FLOOR = dict(n_subcarriers=65, n_tot=8, n_rf=2, m_tot=4, t_bs=2, t_ue=2, adc_bits=(2, math.inf),
+             snr_db_grid=(-3000.0,), trials=2, inner_repeats=4, seed=3, channel=ChannelConfig("clustered"))
+
+
 class TestAcceptedScenariosRun:
     @given(config=small_configs())
+    @example(config=FLOOR)
+    @example(config=FLOOR | {"mode": "multi_cell"})
     @settings(max_examples=100, deadline=None)
     def test_rejected_naming_a_key_or_finite_aggregates(self, config):
         try:
@@ -341,3 +376,6 @@ class TestAcceptedScenariosRun:
             for row in summary.aggregates:
                 stats = {k: v for k, v in row.items() if k not in keys}
                 assert all(math.isfinite(v) for v in stats.values()), (experiment, row)
+            for row in summary.rows:  # bits and snr_db may be inf, an ideal ADC or no noise
+                values = [v for k, v in row.items() if k not in ("bits", "snr_db") and isinstance(v, float)]
+                assert all(math.isfinite(v) for v in values), (experiment, row)

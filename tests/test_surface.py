@@ -41,8 +41,6 @@ EXEMPT = {
         "criterion 5 in tests/test_acceptance.py reads bound.noise_var",
     "beamforming.composite_beam_gain":
         "the brute-force oracle of criterion 5 in tests/test_acceptance.py calls it",
-    "cli.main(argv)":
-        "tests/test_cli.py drives the command line through it; the console script passes none",
 }
 
 
