@@ -72,7 +72,7 @@ def parse_config(path: str | Path) -> Scenario:
                     raise ValueError(f"section {prefix + key!r} must be a mapping")
                 value = build(known[key], value, f"{prefix}{key}.")
             elif isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+                value = tuple(value)
             kwargs[key] = value
         return cls(**kwargs)
 

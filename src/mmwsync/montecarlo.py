@@ -44,6 +44,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -58,15 +59,18 @@ from . import beamforming, channel, detector, optimizer, quantization, waveform
 # ---------------------------------------------------------------------------
 
 
-def _check_fields(config, prefix: str = "", least: dict[str, float] | None = None) -> None:
+def _check_fields(config, prefix: str = "", least: dict[str, float] | None = None,
+                  most: dict[str, float] | None = None) -> None:
     """Each field's annotation is its rule, checked before any comparison.
 
     An ``int`` field, and each entry of a ``tuple[int, ...]``, is an integer;
     a ``float`` field, and each entry of a ``tuple[float, float]``, is a
     finite real number; each entry of a ``tuple[float, ...]`` grid is a real
     number, bounded by the grid's own rule.  A bool or a string is neither.
-    A fixed-length tuple holds that many entries.  A field named in ``least``
-    is at least that value.
+    A fixed-length tuple holds that many entries and a grid at least one, and
+    no tuple repeats an entry (a repeat counts each trial twice in one
+    aggregate, or merges two arms).  Every entry of a field named in
+    ``least`` (``most``) is at least (at most) that value; NaN is neither.
     """
     for f in fields(config):  # the annotations are strings (postponed evaluation)
         key, value, kind = prefix + f.name, getattr(config, f.name), f.type
@@ -84,8 +88,12 @@ def _check_fields(config, prefix: str = "", least: dict[str, float] | None = Non
             what = "an integer" if kinds[0] == "int" else "a real number" if grid else "a finite real number"
             rule = what if scalar else f"{kind} holding {what} in each entry"
             raise ValueError(f"{key} must be {rule}, got {value!r}")
-        if f.name in (least or {}) and value < least[f.name]:
-            raise ValueError(f"{key} must be >= {least[f.name]}, got {value}")
+        if not entries or len(set(entries)) != len(entries):
+            raise ValueError(f"{key} must hold at least one entry and repeat none, got {value}")
+        for bounds, holds, word in ((least, operator.ge, ">="), (most, operator.le, "<=")):
+            if f.name in (bounds or {}) and not all(holds(v, bounds[f.name]) for v in entries):
+                raise ValueError(f"{key} must be {word} {bounds[f.name]}{'' if scalar else ' in each entry'}, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,14 @@ class Scenario:
     cell: CellConfig = field(default_factory=CellConfig)
 
     def __post_init__(self):
-        # a window needs noise-only lags (t_ue), an SQNR estimate a variance (inner_repeats),
-        # and past +-3000 dB lambda_max leaves the float range
-        _check_fields(self, least={"n_tot": 1, "n_rf": 1, "m_tot": 1, "codebook_oversampling": 1, "t_bs": 1,
-                                   "t_ue": 2, "trials": 1, "inner_repeats": 2, "seed": 0,
-                                   "lambda_max_inv_db": -3000.0})
+        # a window needs noise-only lags (t_ue), an SQNR estimate a variance (inner_repeats), a grid
+        # longer than the prefix also holds the sequence (N_ZC < CP_LENGTH), and past +-3000 dB
+        # lambda_max, sigma^2 or the noise powers taken from it leave the float range
+        _check_fields(self, least={"n_subcarriers": waveform.CP_LENGTH + 1, "n_tot": 1, "n_rf": 1, "m_tot": 1,
+                                   "codebook_oversampling": 1, "t_bs": 1, "t_ue": 2, "trials": 1,
+                                   "inner_repeats": 2, "seed": 0, "lambda_max_inv_db": -3000.0,
+                                   "snr_db_grid": -3000.0},
+                      most={"lambda_max_inv_db": 3000.0})
         if self.mode not in ("single_ue", "multi_ue_cell", "multi_cell"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_tot % self.n_rf != 0:
@@ -160,31 +171,15 @@ class Scenario:
                     f"n_tot = {self.n_tot}, n_rf = {self.n_rf} and codebook_oversampling = "
                     f"{self.codebook_oversampling} give the {chains}-chain beam search {n_beam}^{chains} "
                     f"candidates, above optimizer.SEARCH_BUDGET = {optimizer.SEARCH_BUDGET}")
-        # a grid longer than the prefix also holds the sequence (N_ZC < CP_LENGTH)
-        if not self.n_subcarriers > waveform.CP_LENGTH:
-            raise ValueError(f"n_subcarriers must exceed waveform.CP_LENGTH = {waveform.CP_LENGTH}, "
-                             f"got {self.n_subcarriers}")
         n_zc = waveform.N_ZC
         for root in self.cell.roots:
             if not 1 <= root < n_zc or math.gcd(root, n_zc) != 1:
                 raise ValueError(f"cell.roots must be in [1, {n_zc}) and coprime with {n_zc}, got {root}")
-        if len(set(self.cell.roots)) != 3:
-            raise ValueError(f"cell.roots must be three distinct roots, got {self.cell.roots}")
-        for key in ("snr_db_grid", "adc_bits", "cfo_grid"):
-            grid = getattr(self, key)
-            # an empty grid has no rows; a repeat counts each trial twice in one aggregate, or merges two arms
-            if not grid or len(set(grid)) != len(grid):
-                raise ValueError(f"{key} must be nonempty with no repeated entry, got {grid}")
-        # below -3000 dB sigma^2, or the noise powers taken from it, leave the float range
-        if not all(v >= -3000.0 for v in self.snr_db_grid):  # NaN fails the comparison
-            raise ValueError(f"snr_db_grid entries must be >= -3000 dB (no NaN), got {self.snr_db_grid}")
         if not all(map(math.isfinite, self.cfo_grid)):
             raise ValueError("cfo_grid must be finite (no NaN or inf)")
         for b in self.adc_bits:
             if b != math.inf and not (1 <= b <= quantization.MAX_BITS and b == int(b)):  # NaN fails the range
                 raise ValueError(f"adc_bits must be integers in [1, {quantization.MAX_BITS}] or inf, got {b}")
-        if self.lambda_max_inv_db > 3000.0:
-            raise ValueError(f"lambda_max_inv_db must be <= 3000, got {self.lambda_max_inv_db}")
         cell = self.cell
         if self.mode == "multi_cell":
             limit, name = cell.isd_m / 2, "cell.isd_m / 2"
@@ -293,7 +288,9 @@ def _link(scenario: Scenario, rng: np.random.Generator, aod_az: float, amp: floa
 
     The AoA is drawn first, then the flat ray's phase or the clustered rays.
     A flat link has one tap; a clustered one spans a pulse tail of five
-    samples past its last ray, capped by the cyclic prefix.
+    samples past its last ray, capped by the cyclic prefix.  Delays are
+    integers, where the pulse is a Kronecker delta, so the tail taps carry
+    no power and the cap drops every ray at or past ``CP_LENGTH`` whole.
     """
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     if scenario.channel.regime == "flat":

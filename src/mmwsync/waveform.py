@@ -45,47 +45,30 @@ def generate_zc(root: int, length: int) -> np.ndarray:
     return _frozen(np.exp(-1j * np.pi * m * (m + 1) * root / length))
 
 
-def map_to_grid(seq: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """The grid symbols with ``seq`` on the central band of ``n_subcarriers``.
-
-    The symbols are in the index order the IDFT consumes, so the DC carrier
-    sits at index N//2.  Element m lands on index floor((N - n_zc - 1)/2) +
-    m + 1.  When the band straddles DC the single element that lands on it
-    is punctured to zero; a degenerate band that merely touches DC is kept.
-    """
-    n_zc = seq.shape[0]
-    if n_subcarriers <= n_zc:
-        raise ValueError(
-            f"grid of {n_subcarriers} subcarriers cannot hold a length-{n_zc} sequence"
-        )
-    start = (n_subcarriers - n_zc - 1) // 2 + 1
-    symbols = np.zeros(n_subcarriers, dtype=np.complex128)
-    symbols[start : start + n_zc] = seq
-    dc = n_subcarriers // 2
-    if start < dc < start + n_zc - 1:
-        symbols[dc] = 0.0
-    return _frozen(symbols)
-
-
-def modulate(symbols: np.ndarray, cp_length: int) -> SyncWaveform:
-    """Unitary IDFT of the grid ``symbols`` plus a ``cp_length``-sample cyclic prefix.
-
-    time_samples[n] = (1/sqrt(N)) * sum_k symbols[k] * exp(j*2*pi*k*n/N)
-    """
-    n = symbols.shape[0]
-    if not 0 <= cp_length < n:
-        raise ValueError(f"cp_length must be in [0, {n}), got {cp_length}")
-    time_samples = math.sqrt(n) * np.fft.ifft(symbols)
-    with_cp = np.concatenate([time_samples[n - cp_length :], time_samples])
-    return SyncWaveform(
-        symbols=_frozen(np.array(symbols, dtype=np.complex128)),
-        time_samples=_frozen(time_samples),
-        samples_with_cp=_frozen(with_cp),
-    )
-
-
 def make_sync_waveform(
     root: int, n_zc: int, n_subcarriers: int, cp_length: int
 ) -> SyncWaveform:
-    """Convenience chain: generate_zc -> map_to_grid -> modulate."""
-    return modulate(map_to_grid(generate_zc(root, n_zc), n_subcarriers), cp_length)
+    """The length-``n_zc`` ZC sequence of ``root`` on an ``n_subcarriers``-point
+    grid, its unitary IDFT and a ``cp_length``-sample cyclic prefix.
+
+    The grid is in the index order the IDFT consumes, so the DC carrier sits
+    at index N//2.  Element m lands on index floor((N - n_zc - 1)/2) + m + 1.
+    When the band straddles DC the single element that lands on it is
+    punctured to zero; a degenerate band that merely touches DC is kept.
+
+    time_samples[n] = (1/sqrt(N)) * sum_k symbols[k] * exp(j*2*pi*k*n/N)
+    """
+    seq = generate_zc(root, n_zc)
+    n = n_subcarriers
+    if n <= n_zc:
+        raise ValueError(f"grid of {n} subcarriers cannot hold a length-{n_zc} sequence")
+    if not 0 <= cp_length < n:
+        raise ValueError(f"cp_length must be in [0, {n}), got {cp_length}")
+    start = (n - n_zc - 1) // 2 + 1
+    symbols = np.zeros(n, dtype=np.complex128)
+    symbols[start : start + n_zc] = seq
+    if start < n // 2 < start + n_zc - 1:
+        symbols[n // 2] = 0.0
+    time_samples = math.sqrt(n) * np.fft.ifft(symbols)
+    with_cp = np.concatenate([time_samples[n - cp_length :], time_samples])
+    return SyncWaveform(_frozen(symbols), _frozen(time_samples), _frozen(with_cp))

@@ -115,6 +115,9 @@ class TestParseConfig:
             ("bs_upa_shape: [4, 8]\n", "unknown configuration key 'bs_upa_shape'"),
             ("sector:\n  elevation_deg: [-45, 45]\n", "unknown configuration key 'sector.elevation_deg'"),
             ("adc_bits: [2, 2.0]\n", "adc_bits"),
+            # a nested list fails the entry type rule, ahead of the repeat rule's set()
+            ("adc_bits: [[2, 4]]\n", "adc_bits"),
+            ("cell:\n  roots: [[25], 29, 34]\n", "cell.roots"),
             ("snr_db_grid: [0.0, 0.0]\n", "snr_db_grid"),
             ("cfo_grid: [0.5, 0.5]\n", "cfo_grid"),
             ("t_bs: 0\n", "t_bs"),
@@ -168,7 +171,7 @@ class TestParseConfig:
             "cfo_nan", "cfo_inf", "cfo_neg_inf",
             "sector_asymmetric", "n_rf_zero", "lambda_nan", "lambda_neg_inf", "lambda_inf",
             "lambda_overflow", "bs_geometry_removed", "ula_with_upa_shape", "elevation_removed",
-            "adc_bits_repeated", "snr_repeated",
+            "adc_bits_repeated", "adc_bits_nested", "cell_roots_nested", "snr_repeated",
             "cfo_repeated", "t_bs_zero", "m_tot_zero", "n_tot_zero", "oversampling_zero",
             "search_budget_short", "seed_negative", "trials_fractional", "azimuth_decreasing",
             "n_clusters_zero", "delay_spread_negative",

@@ -132,7 +132,10 @@ CFO_TIMING = Scenario(
 )
 
 
-def test_infinite_resolution_rows_match_explicit_detection(monkeypatch):
+def explicit_infinite_resolution(monkeypatch) -> list[tuple]:
+    """Detect each infinite-resolution window of ``_detect_window`` also the plain
+    way (whole window, AGC, ``quantization.apply``, ``detector.correlate``), hold
+    the two to each other, and collect the plain (nu_hat, b_hat, success) in order."""
     fast = mc._detect_window
     checked = []
 
@@ -146,16 +149,21 @@ def test_infinite_resolution_rows_match_explicit_detection(monkeypatch):
             agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
             q = quantization.apply(adc, y, agc)
             ref = detector.detect(detector.correlate(q, reference), nu_true=t)
-            checked.append((out.nu_hat, out.b_hat, out.success, ref.nu_hat, ref.b_hat, ref.success))
+            assert (out.nu_hat, out.b_hat, out.success) == (ref.nu_hat, ref.b_hat, ref.success)
             assert out.peak_power == pytest.approx(ref.peak_power, rel=1e-12)
+            checked.append((ref.nu_hat, ref.b_hat, ref.success))
         return out
 
     monkeypatch.setattr(mc, "_detect_window", explicit)
+    return checked
+
+
+def test_infinite_resolution_rows_match_explicit_detection(monkeypatch):
+    checked = explicit_infinite_resolution(monkeypatch)
     rows = mc.run_timing_experiment(CFO_TIMING).rows
     inf_rows = [r for r in rows if r["bits"] == math.inf]
     assert len(checked) == len(inf_rows) == 3 * 2 * 3 * 2
-    for row, (nu, b, ok, ref_nu, ref_b, ref_ok) in zip(inf_rows, checked):
-        assert (nu, b, ok) == (ref_nu, ref_b, ref_ok)
+    for row, (ref_nu, ref_b, ref_ok) in zip(inf_rows, checked):
         assert (row["nu_hat"], row["b_hat"], row["success"]) == (ref_nu, ref_b, int(ref_ok))
 
 
@@ -178,6 +186,45 @@ MULTICELL = Scenario(
     cell=CellConfig(isd_m=500.0),
     seed=17,
 )
+
+
+NOISELESS = (math.inf,)
+
+
+@pytest.mark.parametrize(
+    "run, scenario",
+    [
+        (mc.run_timing_experiment, replace(TIMING, mode="multi_ue_cell", channel=ChannelConfig("flat"),
+                                           snr_db_grid=NOISELESS)),
+        (mc.run_timing_experiment, replace(CFO_TIMING, snr_db_grid=NOISELESS)),
+        (mc.run_multicell_experiment, replace(MULTICELL, snr_db_grid=NOISELESS)),
+    ],
+    ids=["timing", "cfo", "multicell"],
+)
+def test_noiseless_infinite_resolution_rows_match_explicit_detection(monkeypatch, run, scenario):
+    """At +inf dB sigma^2 is 0 and every window is detected whole, burst alone."""
+    checked = explicit_infinite_resolution(monkeypatch)
+    rows = run(scenario).rows
+    assert all(math.isfinite(v) for r in rows for k, v in r.items()
+               if isinstance(v, float) and k not in ("bits", "snr_db"))
+    inf_rows = [r for r in rows if r["bits"] == math.inf]
+    windows = iter(checked)
+    if run is mc.run_timing_experiment:
+        for row, (ref_nu, ref_b, ref_ok) in zip(inf_rows, windows):
+            assert (row["nu_hat"], row["b_hat"], row["success"]) == (ref_nu, ref_b, int(ref_ok))
+    else:  # the multicell chunk scans the frame until the serving slot and one success have passed
+        for row in inf_rows:
+            first = -1
+            for tau in range(scenario.t_bs):
+                ok = next(windows)[2]
+                if tau == row["slot"]:
+                    assert row["success"] == int(ok)
+                if ok and first < 0:
+                    first = tau
+                if first >= 0 and tau >= row["slot"]:
+                    break
+            assert row["first_success_slot"] == first
+    assert inf_rows and next(windows, None) is None
 
 
 @pytest.mark.parametrize(

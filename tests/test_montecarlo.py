@@ -217,6 +217,9 @@ class TestLink:
         monkeypatch.setattr(mc.channel, "clustered_paths", lambda rng, center_az, aoa_center: late)
         ch = mc._link(Scenario(m_tot=4, channel=ChannelConfig("clustered")), np.random.default_rng(5), 0.3, 1.0)
         assert ch.tap_count == mc.waveform.CP_LENGTH
+        # integer delays sample the pulse at its zeros: the cap drops the delay-80 ray whole, not a pulse tail
+        assert np.max(np.abs(ch.taps[1:])) <= 1e-15
+        np.testing.assert_allclose(ch.taps[0], np.ones((4, 32)), rtol=0, atol=1e-15)
 
 
 class TestSqnrExperiment:
@@ -341,7 +344,9 @@ def small_configs(draw) -> dict:
         t_ue=draw(st.integers(2, 3)),
         adc_bits=tuple(draw(st.lists(st.sampled_from((1, 2, 3, 8, 16, math.inf)), min_size=1, max_size=3,
                                      unique=True))),
-        snr_db_grid=tuple(draw(st.lists(st.floats(-5000.0, 1000.0), min_size=1, max_size=2, unique=True))),
+        # +inf is a noiseless point, which the sqnr experiment rejects
+        snr_db_grid=tuple(draw(st.lists(st.floats(-5000.0, 1000.0) | st.just(math.inf), min_size=1, max_size=2,
+                                        unique=True))),
         trials=draw(st.integers(1, 2)),
         inner_repeats=draw(st.integers(2, 8)),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -358,6 +363,8 @@ class TestAcceptedScenariosRun:
     @given(config=small_configs())
     @example(config=FLOOR)
     @example(config=FLOOR | {"mode": "multi_cell"})
+    @example(config=FLOOR | {"snr_db_grid": (math.inf,)})
+    @example(config=FLOOR | {"mode": "multi_cell", "snr_db_grid": (math.inf,)})
     @settings(max_examples=100, deadline=None)
     def test_rejected_naming_a_key_or_finite_aggregates(self, config):
         try:
@@ -368,11 +375,14 @@ class TestAcceptedScenariosRun:
         for experiment, (modes, _, keys, _) in mc._EXPERIMENTS.items():
             if scenario.mode not in modes:
                 continue
+            noiseless_sqnr = experiment == "sqnr" and math.inf in scenario.snr_db_grid
             try:
-                summary = mc._run(experiment, scenario, 1)
+                summary = getattr(mc, f"run_{experiment}_experiment")(scenario)
             except ValueError as exc:
                 assert names_a_key(exc), (experiment, exc)
+                assert not noiseless_sqnr or "snr_db_grid" in str(exc), exc
                 continue
+            assert not noiseless_sqnr, "the sqnr experiment ran without noise"
             for row in summary.aggregates:
                 stats = {k: v for k, v in row.items() if k not in keys}
                 assert all(math.isfinite(v) for v in stats.values()), (experiment, row)

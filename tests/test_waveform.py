@@ -77,47 +77,47 @@ class TestGenerateZc:
 
 
 class TestMapToGrid:
+    """The grid step of make_sync_waveform: the sequence on the central band, DC punctured."""
+
     def test_band_indices_512(self):
-        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
+        symbols = waveform.make_sync_waveform(34, 63, 512, 64).symbols
         nz = np.nonzero(symbols)[0]
         assert nz[0] == 225
         assert nz[-1] == 287
 
     def test_dc_punctured(self):
-        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
+        symbols = waveform.make_sync_waveform(34, 63, 512, 64).symbols
         assert symbols[256] == 0
 
     def test_degenerate_single_element(self):
-        symbols = waveform.map_to_grid(waveform.generate_zc(0, 1), 4)
+        symbols = waveform.make_sync_waveform(0, 1, 4, 0).symbols
         assert np.count_nonzero(symbols) == 1
 
     def test_band_extraction_recovers_punctured_sequence(self):
         seq = waveform.generate_zc(34, 63)
-        symbols = waveform.map_to_grid(seq, 512)
+        symbols = waveform.make_sync_waveform(34, 63, 512, 64).symbols
         expect = seq.copy()
         expect[256 - 225] = 0.0
         np.testing.assert_array_equal(symbols[225 : 225 + 63], expect)
 
     def test_sequence_longer_than_grid(self):
         with pytest.raises(ValueError):
-            waveform.map_to_grid(waveform.generate_zc(34, 63), 63)
+            waveform.make_sync_waveform(34, 63, 63, 0)
 
 
 class TestModulate:
-    def test_all_zero_grid(self):
-        wf = waveform.modulate(np.zeros(8, complex), 2)
-        np.testing.assert_array_equal(wf.time_samples, np.zeros(8))
+    """The time-domain step of make_sync_waveform: unitary IDFT and cyclic prefix."""
 
     def test_single_dc_bin_gives_constant(self):
-        symbols = np.zeros(16, complex)
-        symbols[0] = 1.0
-        wf = waveform.modulate(symbols, 0)
-        np.testing.assert_allclose(wf.time_samples, np.full(16, 1 / 4), atol=1e-12)
+        # a length-1 sequence touches DC (index N//2) and is kept: the IDFT of
+        # that one bin has constant modulus 1/sqrt(N), alternating in sign
+        wf = waveform.make_sync_waveform(0, 1, 4, 0)
+        assert wf.symbols[2] == 1.0
+        np.testing.assert_allclose(wf.time_samples, [0.5, -0.5, 0.5, -0.5], atol=1e-12)
 
     def test_round_trip_against_dft_oracle(self):
-        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
-        wf = waveform.modulate(symbols, 64)
-        np.testing.assert_allclose(dft_oracle(wf.time_samples), symbols, atol=1e-10)
+        wf = waveform.make_sync_waveform(34, 63, 512, 64)
+        np.testing.assert_allclose(dft_oracle(wf.time_samples), wf.symbols, atol=1e-10)
 
     def test_cyclic_prefix_copies_tail(self):
         wf = waveform.make_sync_waveform(34, 63, 512, 64)
@@ -125,11 +125,10 @@ class TestModulate:
         np.testing.assert_array_equal(wf.samples_with_cp[64:], wf.time_samples)
 
     def test_cp_length_validation(self):
-        symbols = waveform.map_to_grid(waveform.generate_zc(34, 63), 512)
         with pytest.raises(ValueError):
-            waveform.modulate(symbols, 512)
+            waveform.make_sync_waveform(34, 63, 512, 512)
         with pytest.raises(ValueError):
-            waveform.modulate(symbols, -1)
+            waveform.make_sync_waveform(34, 63, 512, -1)
 
 
 class TestWaveformProperties:
@@ -155,9 +154,7 @@ class TestWaveformProperties:
 
     def test_samples_are_immutable(self):
         wf = waveform.make_sync_waveform(34, 63, 512, 64)
-        seq = waveform.generate_zc(34, 63)
-        owned = waveform.modulate(np.ones(8, complex), 2).symbols  # a copy of a writeable input
-        for array in (wf.symbols, wf.time_samples, wf.samples_with_cp, seq, waveform.map_to_grid(seq, 512), owned):
+        for array in (wf.symbols, wf.time_samples, wf.samples_with_cp, waveform.generate_zc(34, 63)):
             with pytest.raises(ValueError):
                 array[0] = 0
 
