@@ -23,14 +23,21 @@ Conventions shared by all experiments:
   spawned from (seed, trial index), in one order: the links ``_trials``
   draws (the UE drop the mode implies, the serving link and, in
   ``multi_cell``, the six interfering links), the burst timing (timing,
-  multicell), then the noise: an (inner_repeats, N) block (sqnr), one
-  (m_tot, window) window (timing) or t_bs of them in slot order
-  (multicell).  Every arm and SNR of a trial share its channel, timing and
-  noise, so comparisons are paired (common random numbers).  In the sqnr
+  multicell), then the noise: an (inner_repeats, N) block (sqnr), or one
+  (m_tot, window) window per slot visited (timing, multicell), drawn when
+  the slot is first visited.  Timing visits the serving slot alone; no
+  multicell window past the furthest slot any arm or SNR visits is drawn.
+  Every arm and SNR of a trial share its channel, timing and noise, so
+  comparisons are paired (common random numbers).  In the sqnr
   experiment the arms of one (trial, SNR, transmit vector) also share the
   noisy window, its AGC and its 1/AGC scaling: only the quantizer differs
   between them.  Their zero-lag correlations fill one buffer per chunk,
   whose means and variances are taken for all arms in one pass.
+* ``sqnr_db_sample`` is |mean|^2 / var of one trial's zero-lag
+  correlations over ``inner_repeats`` noise draws, the channel and the sync
+  sequence held fixed.  Quantization distortion that is a fixed function of
+  the burst lands in the mean, not the variance, so above about 0 dB it
+  departs from the Bussgang gamma the bound models (table in ROADMAP.md).
 * The timing and multicell windows of one chunk share one workspace
   (``_window_workspace``): each window is built, AGC-scaled, quantized and
   correlated in the same fixed buffers, so no window allocates its own.
@@ -431,7 +438,10 @@ def _sqnr_window(clean: np.ndarray, conj_reference: np.ndarray, sigma2: float, n
 
 def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
     """Zero-lag SQNR rows: per (trial, SNR), every arm's |mean|^2 / var of its
-    repetitions' zero-lag correlations, all arms' moments in one pass."""
+    repetitions' zero-lag correlations, all arms' moments in one pass.  The
+    channel and sync sequence stay fixed over the ``inner_repeats`` noise
+    draws, so distortion that is a fixed function of the burst moves the
+    mean, not the variance (see ``sqnr_db_sample`` in the module notes)."""
     rows = []
     shape = (scenario.inner_repeats, scenario.n_subcarriers)
     quantized, squared = np.empty(shape, np.complex128), np.empty(shape)
@@ -478,7 +488,7 @@ def run_sqnr_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
 
 
 # ---------------------------------------------------------------------------
-# timing / CFO experiment
+# detection experiments: timing / CFO and multi-cell
 # ---------------------------------------------------------------------------
 
 
@@ -551,23 +561,40 @@ def _detect_window(
     return detector.detect(detector.CorrelationProfile(values), nu_true=t)
 
 
-def _timing_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
-    window = scenario.n_subcarriers * scenario.t_ue
-    max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
+def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int, *, sweep: bool,
+                     columns: tuple[str, ...]) -> list[dict]:
+    """Detection rows per (trial, arm, CFO, SNR), holding the values ``columns`` names.
+
+    Only the serving slot is visited, or with ``sweep`` the frame's slots
+    from 0 until the first success at or after it.  The i-th slot visited
+    reads the trial's i-th noise window, drawn on its first visit and shared
+    by every arm, CFO and SNR.
+    """
     rows = []
     work = _window_workspace(scenario)
     for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
-        t = int(rng.integers(1, max_t, endpoint=True))
-        noise = _Correlated(_unit_noise(rng, scenario.m_tot, window), reference)
+        t = int(rng.integers(1, scenario.n_subcarriers * (scenario.t_ue - 1), endpoint=True))
+        slots = range(scenario.t_bs) if sweep else (slot,)
+        noises: list[_Correlated] = []
         for method, bits, adc, tx_vectors in arms:
             for cfo in scenario.cfo_grid:
-                clean = burst(tx_vectors[slot], cfo)
                 for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
-                    out = _detect_window(clean, noise, sigma2, t, adc, work)
-                    rows.append({"method": method, "trial": trial, "slot": slot, "snr_db": snr_db,
-                                 "cfo": cfo, "bits": bits, "nu_true": t, "nu_hat": out.nu_hat,
-                                 "b_hat": out.b_hat, "peak_power": out.peak_power,
-                                 "success": int(out.success)})
+                    first_slot = -1
+                    for i, tau in enumerate(slots):
+                        if i == len(noises):
+                            noises.append(_Correlated(_unit_noise(rng, *work[0].shape), reference))
+                        out = _detect_window(burst(tx_vectors[tau], cfo), noises[i], sigma2, t, adc, work)
+                        if tau == slot:
+                            serving = out
+                        if out.success and first_slot < 0:
+                            first_slot = tau
+                        if first_slot >= 0 and tau >= slot:
+                            break
+                    row = {"method": method, "trial": trial, "slot": slot, "snr_db": snr_db, "cfo": cfo,
+                           "bits": bits, "nu_true": t, "nu_hat": serving.nu_hat, "b_hat": serving.b_hat,
+                           "peak_power": serving.peak_power, "success": int(serving.success),
+                           "first_success_slot": first_slot}
+                    rows.append({key: row[key] for key in columns})
     return rows
 
 
@@ -582,39 +609,6 @@ def _timing_stats(scenario: Scenario, sel: list[dict]) -> dict:
 def run_timing_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
     """Per-trial detection outcomes and per-point NMSE / success-rate aggregates."""
     return _run("timing", scenario, workers)
-
-
-# ---------------------------------------------------------------------------
-# multi-cell experiment
-# ---------------------------------------------------------------------------
-
-
-def _multicell_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
-    window = scenario.n_subcarriers * scenario.t_ue
-    max_t = scenario.n_subcarriers * (scenario.t_ue - 1)
-    rows = []
-    work = _window_workspace(scenario)
-    for trial, rng, slot0, reference, burst in _trials(scenario, trial_lo, trial_hi):
-        t = int(rng.integers(1, max_t, endpoint=True))
-        # one noise window per slot, drawn in slot order and shared by every arm and SNR
-        noises = [_Correlated(_unit_noise(rng, scenario.m_tot, window), reference)
-                  for _ in range(scenario.t_bs)]
-        for method, bits, adc, tx_vectors in arms:
-            for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
-                serving_success = None
-                first_slot = -1
-                for tau, noise in enumerate(noises):
-                    out = _detect_window(burst(tx_vectors[tau]), noise, sigma2, t, adc, work)
-                    if tau == slot0:
-                        serving_success = bool(out.success)
-                    if out.success and first_slot < 0:
-                        first_slot = tau
-                    if first_slot >= 0 and tau >= slot0:
-                        break
-                rows.append({"method": method, "trial": trial, "slot": slot0, "snr_db": snr_db,
-                             "bits": bits, "nu_true": t, "success": int(bool(serving_success)),
-                             "first_success_slot": first_slot})
-    return rows
 
 
 def _multicell_stats(scenario: Scenario, sel: list[dict]) -> dict:
@@ -646,9 +640,12 @@ def run_multicell_experiment(scenario: Scenario, workers: int = 1) -> StatSummar
 # (scenario, rows of one point) and return the aggregate's remaining columns.
 _EXPERIMENTS = {
     "sqnr": (("single_ue", "multi_ue_cell"), _sqnr_chunk, ("method", "bits", "snr_db"), _sqnr_stats),
-    "timing": (("single_ue", "multi_ue_cell"), _timing_chunk, ("method", "bits", "snr_db", "cfo"),
-               _timing_stats),
-    "multicell": (("multi_cell",), _multicell_chunk, ("method", "bits", "snr_db"), _multicell_stats),
+    "timing": (("single_ue", "multi_ue_cell"), partial(_detection_chunk, sweep=False, columns=(
+        "method", "trial", "slot", "snr_db", "cfo", "bits", "nu_true", "nu_hat", "b_hat", "peak_power",
+        "success")), ("method", "bits", "snr_db", "cfo"), _timing_stats),
+    "multicell": (("multi_cell",), partial(_detection_chunk, sweep=True, columns=(
+        "method", "trial", "slot", "snr_db", "bits", "nu_true", "success", "first_success_slot")),
+        ("method", "bits", "snr_db"), _multicell_stats),
 }
 
 _CHUNK = 64

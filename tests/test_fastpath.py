@@ -435,6 +435,50 @@ def test_nonfinite_noise_sample_is_rejected(monkeypatch, run, scenario, bits, ba
         run(replace(scenario, adc_bits=(bits,)))
 
 
+def noise_draws_per_trial(monkeypatch) -> list[int]:
+    """Count the ``_unit_noise`` windows each trial draws, in trial order."""
+    trials, unit_noise = mc._trials, mc._unit_noise
+    counts = []
+
+    def counted_trials(*args):
+        for item in trials(*args):
+            counts.append(0)
+            yield item
+
+    def counted_noise(*args):
+        counts[-1] += 1
+        return unit_noise(*args)
+
+    monkeypatch.setattr(mc, "_trials", counted_trials)
+    monkeypatch.setattr(mc, "_unit_noise", counted_noise)
+    return counts
+
+
+@pytest.mark.parametrize("scenario", [TIMING, CFO_TIMING], ids=["timing", "cfo"])
+def test_timing_trial_draws_one_noise_window(monkeypatch, scenario):
+    counts = noise_draws_per_trial(monkeypatch)
+    mc.run_timing_experiment(scenario)
+    assert counts == [1] * scenario.trials
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [cli.parse_config(ROOT / "tests/golden/multicell/scenario.yaml"), replace(MULTICELL, t_bs=4)],
+    ids=["golden", "fastpath"],
+)
+def test_multicell_trial_draws_only_the_windows_it_visits(monkeypatch, scenario):
+    """A slot's window is drawn on its first visit, so the trial draws as many
+    windows as its furthest-reaching arm and SNR visit slots."""
+    counts = noise_draws_per_trial(monkeypatch)
+    rows = mc.run_multicell_experiment(scenario).rows
+    visited = [0] * scenario.trials
+    for r in rows:
+        reach = scenario.t_bs if r["first_success_slot"] < 0 else max(r["slot"], r["first_success_slot"]) + 1
+        visited[r["trial"]] = max(visited[r["trial"]], reach)
+    assert counts == visited
+    assert min(counts) < scenario.t_bs
+
+
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS[::3], ids=WINDOW_IDS[::3])
 def test_one_adc_model_per_arm_per_run(monkeypatch, run, scenario):
     original = quantization.AdcModel

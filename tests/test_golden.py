@@ -11,9 +11,11 @@ keys left the scenario, when the channel and cell shape constants and the
 search budget left it for named constants in the library, and when the
 sync symbol's length, root and cyclic prefix left it for the constants of
 ``mmwsync.waveform``.  Each time every row, aggregate and beam plan kept
-its bytes.
+its bytes.  README.md's table of CSV schemas is held to the golden sample
+files' column headers.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ import pytest
 from mmwsync import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 
 
@@ -36,3 +39,20 @@ def test_outputs_match_golden_bytes(experiment, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     for name in expected:
         assert (tmp_path / name).read_bytes() == (case / name).read_bytes(), name
+
+
+def readme_csv_schemas() -> dict[str, str]:
+    """The README's "CSV schemas (stable)" table: experiment -> column header."""
+    table = README.read_text().split("CSV schemas (stable):", 1)[1].split("\n\n")[1]
+    schemas = {}
+    for name, columns in re.findall(r"^\| ([a-z /]+) \| `([a-z_,]+)` \|$", table, re.MULTILINE):
+        schemas.update(dict.fromkeys(name.split(" / "), columns))
+    return schemas
+
+
+def test_readme_csv_schemas_match_golden_headers():
+    schemas = readme_csv_schemas()
+    assert sorted(schemas) == ["cfo", "multicell", "sqnr", "timing"]
+    for experiment, columns in schemas.items():
+        header = (GOLDEN / experiment / f"{experiment}_samples.csv").read_text().splitlines()[1]
+        assert header == columns, experiment
