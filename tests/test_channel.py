@@ -178,6 +178,29 @@ class TestPropagate:
         np.testing.assert_allclose(y[:, start : start + n], want, atol=1e-12)
         np.testing.assert_array_equal(np.delete(y, np.s_[start : start + n], axis=1), 0.0)
 
+    def test_noisy_multi_tap_cfo_window_equals_separate_burst_formula(self):
+        """The burst built in the returned window, noise added after it, holds
+        the bytes of noise drawn first and a burst built in its own array."""
+        rng = np.random.default_rng(13)
+        paths = channel.clustered_paths(rng, center_az=-0.4, aoa_center=0.5)
+        ch = channel.build_channel(paths, ULA8, ULA4, tap_count=12, pulse=RaisedCosinePulse(0.25))
+        n, start, window, noise_var, cfo = 48, 17, 90, 0.3, -0.45
+        d = np.exp(2j * np.pi * rng.random(n))
+        f = channel.steering_vector(ULA8, -0.4) / math.sqrt(8)
+        y = channel.propagate(ch, d, f, noise_var, cfo, start, window, np.random.default_rng(5))
+        noise_rng = np.random.default_rng(5)
+        want = np.zeros((4, window), dtype=np.complex128)
+        want += math.sqrt(noise_var / 2.0) * (
+            noise_rng.standard_normal((4, window)) + 1j * noise_rng.standard_normal((4, window))
+        )
+        h_vec = ch.taps @ f
+        burst = np.zeros((4, n), dtype=np.complex128)
+        for l in range(ch.tap_count):
+            burst += np.outer(h_vec[l], np.roll(d, l))
+        burst = burst * np.exp(2j * np.pi * cfo * np.arange(n) / n)[None, :]
+        want[:, start : start + n] += burst
+        assert np.array_equal(y, want)
+
     def test_invalid_start_index(self):
         paths = channel.single_path(aod_az=0.0, aoa=0.0)
         ch = channel.build_channel(paths, ULA8, ULA4, tap_count=1)

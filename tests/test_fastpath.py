@@ -171,7 +171,7 @@ SQNR = Scenario(trials=3, t_bs=4, inner_repeats=4, adc_bits=(1.0, 2.0, math.inf)
 
 TIMING = replace(CFO_TIMING, cfo_grid=(0.0,), seed=29)
 # a 128 x 13 = 1664-sample window transforms at 1680, so the correlator's
-# output is longer than the window that starts in its memory
+# output is longer than the window
 ODD_WINDOW_TIMING = replace(TIMING, n_subcarriers=128, t_ue=13, seed=31)
 
 MULTICELL = Scenario(
@@ -378,6 +378,18 @@ WINDOW_SCENARIOS = [
     (mc.run_multicell_experiment, MULTICELL),
 ]
 WINDOW_IDS = ["timing", "cfo", "odd_window", "multicell"]
+
+
+@pytest.mark.parametrize("scenario", [Scenario(), ODD_WINDOW_TIMING], ids=["16x5120", "odd_window"])
+def test_workspace_buffers_share_no_memory(scenario):
+    work = mc._window_workspace(scenario)
+    window = scenario.n_subcarriers * scenario.t_ue
+    nfft = {5120: 5120, 1664: 1680}[window]
+    assert [(buf.shape, buf.dtype) for buf in work] == [
+        ((16, window), np.complex128), ((16, nfft), np.complex128), ((16, window), np.float64)]
+    for i, buf in enumerate(work):
+        for other in work[i + 1:]:
+            assert not np.shares_memory(buf, other)
 
 
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
