@@ -100,18 +100,19 @@ def correlator_operation_counts(n: int, t_ue: int, m_tot: int) -> tuple[int, int
 def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutcome:
     """Joint argmax of |correlation|^2 over lag and antenna.
 
-    Ties break to the smallest lag, then the smallest antenna index.
+    The first lag holding the largest power wins, then the smallest antenna
+    within a relative 1e-9 of that column's largest power (a NaN is largest),
+    so antennas equal up to rounding tie, as in a flat noiseless window.
     """
     magnitude = np.abs(profile.values)
     if magnitude.size == 0:
         raise ValueError("empty correlation profile")
     # x -> x^2 is monotone non-decreasing, so the squared column maxima are the
     # column maxima of |values|^2, ties and NaNs included: only they and the
-    # winning column need squaring.  The first lag whose column holds the
-    # maximum wins, then the first antenna in that column.
+    # winning column need squaring.
     nu_hat = int(np.argmax(np.square(magnitude.max(axis=0))))
     power = np.square(magnitude[:, nu_hat])
-    b_hat = int(np.argmax(power))
+    b_hat = int(np.argmax((power >= (1.0 - 1e-9) * power.max()) | np.isnan(power)))
     return TrialOutcome(
         nu_hat=nu_hat,
         b_hat=b_hat,

@@ -35,12 +35,16 @@ Conventions shared by all experiments:
   whose means and variances are taken for all arms in one pass.
 * ``sqnr_db_sample`` is |mean|^2 / var of one trial's zero-lag
   correlations over ``inner_repeats`` noise draws, the channel and the sync
-  sequence held fixed.  Quantization distortion that is a fixed function of
-  the burst lands in the mean, not the variance, so above about 0 dB it
-  departs from the Bussgang gamma the bound models (table in ROADMAP.md).
-* The timing and multicell windows of one chunk share ``_window_workspace``,
-  one buffer per role: the window, AGC-scaled and quantized in place, its
-  |y|^2 and its correlation, so no window allocates its own.
+  sequence held fixed, at the antenna ``detector.detect`` picks on the
+  noiseless zero-lag profile.  Quantization distortion that is a fixed
+  function of the burst lands in the mean, not the variance, so above about
+  0 dB it departs from the Bussgang gamma the bound models (table in
+  ROADMAP.md).
+* Only a finite-resolution ADC builds a window: the timing and multicell
+  windows of one chunk share ``_window_workspace``, one buffer per role
+  (the window, AGC-scaled and quantized in place, its |y|^2 and its
+  correlation).  At infinite resolution, +inf dB included, the profile is
+  assembled from the noise's and the burst's correlations.
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -419,15 +423,12 @@ def _sqnr_window(clean: np.ndarray, conj_reference: np.ndarray, sigma2: float, n
                  squared: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window every ADC arm of one (trial, SNR, transmit vector) measures.
 
-    The antenna with the strongest noiseless zero-lag response is measured,
-    the smallest index of those within a relative 1e-9 of the largest power
-    (in a flat channel all tie): each row is its burst plus sqrt(sigma2)
-    times one repetition of unit noise.  Returns the window, its per-row AGC
-    rms from ``_window_agc`` (taken in the float buffer ``squared``), and
-    the window scaled by 1/AGC.
+    Each row is the burst at the antenna ``detector.detect`` picks on the
+    noiseless zero-lag profile, plus sqrt(sigma2) times one repetition of
+    unit noise.  Returns the window, its per-row AGC rms from ``_window_agc``
+    (taken in the float buffer ``squared``), and the window scaled by 1/AGC.
     """
-    power = np.abs(clean @ conj_reference) ** 2
-    b_hat = int(np.argmax(power >= (1.0 - 1e-9) * power.max()))
+    b_hat = detector.detect(detector.CorrelationProfile((clean @ conj_reference)[:, None])).b_hat
     y = np.multiply(math.sqrt(sigma2), noise_unit)
     y += clean[b_hat]
     agc = _window_agc(y, squared)
@@ -524,28 +525,26 @@ def _detect_window(
 ) -> detector.TrialOutcome:
     """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
 
-    ``work`` is the chunk's ``_window_workspace``: the window is built, its
-    AGC taken and checked (``_window_agc``) and it is quantized in place in
-    its buffer, then correlated into the correlator's buffer, so the profile
-    is only valid until the next window.
+    ``work`` is the chunk's ``_window_workspace``.  A finite-resolution ADC's
+    window is built, its AGC taken and checked (``_window_agc``) and it is
+    quantized in place in its buffer, then correlated.
 
-    At infinite resolution and with noise, detection is linear, so the profile
-    is assembled as sqrt(sigma2) * C(noise) + C(burst) from correlations each
-    computed once per trial, skipping the window, the AGC and the ADC.
-    The scale and both correlations' samples are checked as
-    ``quantization.apply`` checks its input; the noise keeps every AGC rms
-    positive.
+    At infinite resolution detection is linear, so the profile is assembled
+    as sqrt(sigma2) * C(noise) + C(burst) from correlations each computed
+    once per trial, skipping the window, the AGC and the ADC (at +inf dB the
+    scale is 0).  The scale and both correlations' samples are checked as
+    ``quantization.apply`` checks its input.  Either way the profile lies in
+    the correlator's buffer, valid only until the next window.
     """
     reference = noise.reference
     n = reference.shape[0]
     scale = math.sqrt(sigma2)
     y, spectrum, power = work
-    if not adc.is_infinite or sigma2 == 0:
+    if not adc.is_infinite:
         np.multiply(scale, noise.samples, out=y)
         y[:, t : t + n] += burst.samples
         agc = _window_agc(y, power)
-        if not adc.is_infinite:
-            quantization.quantize_scaled(adc, quantization.agc_scale(y, agc, out=y), agc, out=y)
+        quantization.quantize_scaled(adc, quantization.agc_scale(y, agc, out=y), agc, out=y)
         return detector.detect(detector.correlate(y, reference, out=spectrum), nu_true=t)
     quantization.check_finite(scale)
     noise_values = noise.correlation

@@ -65,15 +65,14 @@ def multi_beam_gains(
     geometry: ArrayGeometry,
     anchor: float,
 ) -> np.ndarray:
-    """Composite gain |h|^2 at the anchor azimuth of every per-subarray codeword tuple.
+    """Gain |conj(a) . f|^2 at the anchor azimuth of every per-subarray codeword tuple.
 
     Entry (q_0, ..., q_{n_rf-1}) belongs to the tuple that puts codeword q_i
-    on subarray i.  The table does not depend on the bound, so one table
-    serves every resolution's search at the anchor.  With n_rf = 1 on the
-    full-array codebook it is the single-stream table |conj(a) . w_q|^2.
-    The entry is |sum_i c_i|^2, n_rf times the gain of the unit-power vector
-    ``beamforming.effective_tx_vector`` sends; the two scales coincide at
-    n_rf = 1.
+    on subarray i, and f is the unit-power vector that tuple sends
+    (``beamforming.effective_tx_vector``): |sum_i c_i|^2 / n_rf, c_i being
+    subarray i's inner product.  The table does not depend on the bound, so
+    one table serves every resolution's search at the anchor.  With n_rf = 1
+    on the full-array codebook it is the single-stream table |conj(a) . w_q|^2.
     """
     n_beam = codebook.n_beam
     iterations = n_beam**n_rf
@@ -89,7 +88,7 @@ def multi_beam_gains(
         )
     blocks = np.conj(a_tx).reshape(n_rf, codebook.n_a)
     c = blocks @ codebook.codewords.T  # (n_rf, n_beam) per-subarray gains
-    return np.abs(reduce(np.add.outer, c)) ** 2
+    return np.abs(reduce(np.add.outer, c)) ** 2 / n_rf
 
 
 def select_from_gains(gains: np.ndarray, bound: BoundParams) -> BeamSelection:

@@ -4,7 +4,7 @@ synchronization SQNR.
 The bound assumes the flat synchronization channel: one scalar effective
 gain per user, a common per-sample distortion factor, and Gaussian
 signaling at the quantizer input.  ``optimizer`` maximizes it over the
-composite-gain table of each method (single-stream is the one-chain table);
+sent-gain table of each method (single-stream is the one-chain table);
 the closed-form SQNR it bounds is in the tests
 (``tests/closed_forms.py``), which check the chain bound <= gamma.
 

@@ -135,6 +135,15 @@ class TestDetect:
         out = detector.detect(detector.CorrelationProfile(values=values))
         assert (out.nu_hat, out.b_hat) == (1, 0)
 
+    @pytest.mark.parametrize("excess, b_hat", [(1e-12, 0), (1e-6, 3)])
+    def test_near_tie_breaks_to_smallest_antenna(self, excess, b_hat):
+        # antenna 3 above antenna 0 at the peak lag by a relative ``excess``
+        values = np.full((4, 6), 0.5 + 0j)
+        values[:, 2] = [1.0, 0.9, 0.9, math.sqrt(1.0 + excess)]
+        out = detector.detect(detector.CorrelationProfile(values=values))
+        assert (out.nu_hat, out.b_hat) == (2, b_hat)
+        assert out.peak_power == abs(values[b_hat, 2]) ** 2
+
     @pytest.mark.parametrize("seed", range(6))
     def test_forced_ties_match_lag_major_flatten(self, seed):
         # exact magnitudes 0..3: the maximum recurs across lags and within a lag

@@ -189,20 +189,20 @@ MULTICELL = Scenario(
 
 
 NOISELESS = (math.inf,)
+NOISELESS_FLAT_TIMING = replace(TIMING, mode="multi_ue_cell", channel=ChannelConfig("flat"),
+                                snr_db_grid=NOISELESS)
+NOISELESS_SCENARIOS = [
+    (mc.run_timing_experiment, NOISELESS_FLAT_TIMING),
+    (mc.run_timing_experiment, replace(CFO_TIMING, snr_db_grid=NOISELESS)),
+    (mc.run_multicell_experiment, replace(MULTICELL, snr_db_grid=NOISELESS)),
+]
+NOISELESS_IDS = ["timing", "cfo", "multicell"]
 
 
-@pytest.mark.parametrize(
-    "run, scenario",
-    [
-        (mc.run_timing_experiment, replace(TIMING, mode="multi_ue_cell", channel=ChannelConfig("flat"),
-                                           snr_db_grid=NOISELESS)),
-        (mc.run_timing_experiment, replace(CFO_TIMING, snr_db_grid=NOISELESS)),
-        (mc.run_multicell_experiment, replace(MULTICELL, snr_db_grid=NOISELESS)),
-    ],
-    ids=["timing", "cfo", "multicell"],
-)
+@pytest.mark.parametrize("run, scenario", NOISELESS_SCENARIOS, ids=NOISELESS_IDS)
 def test_noiseless_infinite_resolution_rows_match_explicit_detection(monkeypatch, run, scenario):
-    """At +inf dB sigma^2 is 0 and every window is detected whole, burst alone."""
+    """At +inf dB sigma^2 is 0: each infinite-resolution window, assembled from
+    the burst's correlation, detects as the whole window detected explicitly."""
     checked = explicit_infinite_resolution(monkeypatch)
     rows = run(scenario).rows
     assert all(math.isfinite(v) for r in rows for k, v in r.items()
@@ -225,6 +225,35 @@ def test_noiseless_infinite_resolution_rows_match_explicit_detection(monkeypatch
                     break
             assert row["first_success_slot"] == first
     assert inf_rows and next(windows, None) is None
+
+
+def test_noiseless_flat_infinite_resolution_picks_the_first_antenna():
+    """In a flat noiseless window every antenna's peak power is equal up to
+    rounding, so the tie goes to antenna 0."""
+    rows = mc.run_timing_experiment(NOISELESS_FLAT_TIMING).rows
+    inf_rows = [r for r in rows if r["bits"] == math.inf]
+    assert len(inf_rows) == 2 * NOISELESS_FLAT_TIMING.trials
+    assert [r["b_hat"] for r in inf_rows] == [0] * len(inf_rows)
+
+
+@pytest.mark.parametrize("run, scenario", NOISELESS_SCENARIOS, ids=NOISELESS_IDS)
+def test_noiseless_agc_runs_on_finite_resolution_windows_only(monkeypatch, run, scenario):
+    detect_window, window_agc = mc._detect_window, mc._window_agc
+    finite, agc_calls = [], []
+
+    def counted_window(burst, noise, sigma2, t, adc, work):
+        finite.append(not adc.is_infinite)
+        return detect_window(burst, noise, sigma2, t, adc, work)
+
+    def counted_agc(*args):
+        agc_calls.append(1)
+        return window_agc(*args)
+
+    monkeypatch.setattr(mc, "_detect_window", counted_window)
+    monkeypatch.setattr(mc, "_window_agc", counted_agc)
+    run(scenario)
+    assert 0 < sum(finite) < len(finite)
+    assert len(agc_calls) == sum(finite)
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,28 @@ class TestSelectMultiBeam:
                 _, indices = brute_force_multi_beam(cb, n_rf, geom, anchor, BOUND)
                 assert sel.indices == indices
 
+    @pytest.mark.parametrize("lambda_max", [0.5, 2.0])
+    def test_maximizes_the_bound_at_the_gain_sent(self, lambda_max):
+        """At a lambda_max where gains pass the bound's peak 2 lambda_max, the
+        chosen tuple maximizes the bound at |conj(a) . f|^2, f being the
+        unit-power vector ``effective_tx_vector`` sends."""
+        bound = BoundParams(lambda_max=lambda_max, xi_max=0.1175)
+        rng = np.random.default_rng(41)
+        for n_a, ovs, n_rf in [(2, 2, 2), (2, 1, 3), (3, 1, 2), (4, 1, 3)]:
+            cb = beamforming.dft_codebook(n_a, ovs)
+            geom = ArrayGeometry(kind="ula", n_elements=n_a * n_rf)
+            for anchor in rng.uniform(-1.0, 1.0, size=10):
+                a_tx = channel.steering_vector(geom, anchor)
+
+                def objective(indices):
+                    f = beamforming.effective_tx_vector(BeamSet(codebook=cb, indices=indices))
+                    gain = abs(np.vdot(a_tx, f)) ** 2
+                    return sqnr.sqnr_lower_bound_single(gain, bound.lambda_max, bound.xi_max, bound.noise_var)
+
+                best = max(objective(q) for q in itertools.product(range(cb.n_beam), repeat=n_rf))
+                sel = select_multi_beam(cb, n_rf, geom, anchor, bound)
+                assert objective(sel.indices) >= best * (1.0 - 1e-12), (n_a, ovs, n_rf, anchor)
+
     def test_beats_random_candidates(self):
         cb = beamforming.dft_codebook(8, 2)
         geom = ArrayGeometry(kind="ula", n_elements=32)
@@ -202,8 +224,9 @@ class TestGainDistortionTradeOff:
         for method, picks in chosen_gains(scenario).items():
             assert [gain == table.max() for gain, table in picks] == [True] * scenario.t_bs, method
 
-    @pytest.mark.parametrize("inv_db, left", [(-15.0, {"proposed": 2, "single_stream": 0}),
-                                              (-10.0, {"proposed": 8, "single_stream": 8})])
+    @pytest.mark.parametrize("inv_db, left", [(-15.0, {"proposed": 0, "single_stream": 0}),
+                                              (-10.0, {"proposed": 0, "single_stream": 8}),
+                                              (-7.0, {"proposed": 8, "single_stream": 8})])
     def test_slots_leaving_the_maximum(self, inv_db, left):
         scenario = replace(cli.parse_config(ROOT / "configs" / "sqnr_single_ue.yaml"), lambda_max_inv_db=inv_db)
         counts = {method: sum(gain != table.max() for gain, table in picks)
