@@ -28,11 +28,7 @@ Conventions shared by all experiments:
   the slot is first visited.  Timing visits the serving slot alone; no
   multicell window past the furthest slot any arm or SNR visits is drawn.
   Every arm and SNR of a trial share its channel, timing and noise, so
-  comparisons are paired (common random numbers).  In the sqnr
-  experiment the arms of one (trial, SNR, transmit vector) also share the
-  noisy window, its AGC and its 1/AGC scaling: only the quantizer differs
-  between them.  Their zero-lag correlations fill one buffer per chunk,
-  whose means and variances are taken for all arms in one pass.
+  comparisons are paired (common random numbers).
 * ``sqnr_db_sample`` is |mean|^2 / var of one trial's zero-lag
   correlations over ``inner_repeats`` noise draws, the channel and the sync
   sequence held fixed, at the antenna ``detector.detect`` picks on the
@@ -40,11 +36,13 @@ Conventions shared by all experiments:
   function of the burst lands in the mean, not the variance, so above about
   0 dB it departs from the Bussgang gamma the bound models (table in
   ROADMAP.md).
-* Only a finite-resolution ADC builds a window: the timing and multicell
-  windows of one chunk share ``_window_workspace``, one buffer per role
-  (the window, AGC-scaled and quantized in place, its |y|^2 and its
-  correlation).  At infinite resolution, +inf dB included, the profile is
-  assembled from the noise's and the burst's correlations.
+* One ADC front end: ``_front_end`` alone builds a noisy window, takes its
+  AGC and scales it by 1/AGC; after it, only the quantizer differs between
+  arms.  In the sqnr experiment the arms of one (trial, SNR, transmit
+  vector) share one call.  Each chunk allocates its buffers once, one per
+  role.  An infinite-resolution timing or multicell arm builds no window:
+  its profile is assembled from the noise's and the burst's correlations
+  (``_infinite_profile``).
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -58,6 +56,7 @@ import numbers
 import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -397,42 +396,32 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
         yield trial, rng, slot, reference, burst
 
 
-# ---------------------------------------------------------------------------
-# SQNR experiment
-# ---------------------------------------------------------------------------
+def _front_end(noise: np.ndarray, scale: float, burst: np.ndarray, t: int, y: np.ndarray,
+               power: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """The ADC's input: builds scale * noise, ``burst`` added from lag t, in
+    ``y``, writes y / AGC to ``scaled`` (which may be ``y`` itself) and
+    returns the per-row AGC rms; ``power``, a float buffer of y's shape,
+    receives |y|^2.
 
-
-def _window_agc(y: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Per-row AGC rms of the window ``y``, checked as ``quantization.apply``
-    checks its input; ``power``, a float buffer of y's shape, receives |y|^2.
-
-    A NaN or inf sample makes its row's rms NaN or inf, so a finite AGC
-    stands for ``quantization.check_finite`` over the whole window; the rms
-    must then be positive (``quantization.check_agc``).
+    The AGC is checked as ``quantization.apply`` checks its input: a NaN or
+    inf sample makes its row's rms NaN or inf, so ``check_finite`` of the
+    AGC stands for it over the whole window, and the rms must then be
+    positive (``quantization.check_agc``).
     """
+    np.multiply(scale, noise, out=y)
+    y[:, t : t + burst.shape[-1]] += burst
     np.abs(y, out=power)
     np.square(power, out=power)
     agc = np.sqrt(np.mean(power, axis=1) / 2.0)[:, None]
-    if not np.all(np.isfinite(agc)):
-        raise ValueError("samples must be finite")
+    quantization.check_finite(agc)
     quantization.check_agc(agc)
+    quantization.agc_scale(y, agc, out=scaled)
     return agc
 
 
-def _sqnr_window(clean: np.ndarray, conj_reference: np.ndarray, sigma2: float, noise_unit: np.ndarray,
-                 squared: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The window every ADC arm of one (trial, SNR, transmit vector) measures.
-
-    Each row is the burst at the antenna ``detector.detect`` picks on the
-    noiseless zero-lag profile, plus sqrt(sigma2) times one repetition of
-    unit noise.  Returns the window, its per-row AGC rms from ``_window_agc``
-    (taken in the float buffer ``squared``), and the window scaled by 1/AGC.
-    """
-    b_hat = detector.detect(detector.CorrelationProfile((clean @ conj_reference)[:, None])).b_hat
-    y = np.multiply(math.sqrt(sigma2), noise_unit)
-    y += clean[b_hat]
-    agc = _window_agc(y, squared)
-    return y, agc, quantization.agc_scale(y, agc)
+# ---------------------------------------------------------------------------
+# SQNR experiment
+# ---------------------------------------------------------------------------
 
 
 def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int) -> list[dict]:
@@ -443,21 +432,28 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     mean, not the variance (see ``sqnr_db_sample`` in the module notes)."""
     rows = []
     shape = (scenario.inner_repeats, scenario.n_subcarriers)
-    quantized, squared = np.empty(shape, np.complex128), np.empty(shape)
+    y, scaled, quantized = (np.empty(shape, np.complex128) for _ in range(3))
+    squared = np.empty(shape)
     z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
     for _, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
         conj_reference = np.conj(reference)
-        noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
+        noise_unit = _unit_noise(rng, *shape)
+        # per transmit vector: its burst at the antenna detect picks on the noiseless
+        # zero-lag profile, and the (index, AdcModel) of every arm that sends it
+        vectors: dict = {}
+        for i, (_, _, adc, tx_vectors) in enumerate(arms):
+            key = tx_vectors[slot].tobytes()
+            if key not in vectors:
+                clean = burst(tx_vectors[slot]).samples
+                b_hat = detector.detect(detector.CorrelationProfile((clean @ conj_reference)[:, None])).b_hat
+                vectors[key] = (clean[b_hat], [])
+            vectors[key][1].append((i, adc))
         for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
-            windows: dict = {}  # the arms of one transmit vector share its window
-            for i, (_, _, adc, tx_vectors) in enumerate(arms):
-                tx_vec = tx_vectors[slot]
-                key = tx_vec.tobytes()
-                if key not in windows:
-                    windows[key] = _sqnr_window(burst(tx_vec).samples, conj_reference, sigma2, noise_unit, squared)
-                y, agc, scaled = windows[key]
-                q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
-                np.matmul(q, conj_reference, out=z[i])
+            for sent, members in vectors.values():
+                agc = _front_end(noise_unit, math.sqrt(sigma2), sent, 0, y, squared, scaled)
+                for i, adc in members:
+                    q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
+                    np.matmul(q, conj_reference, out=z[i])
             mean = z.mean(axis=1)
             var = np.mean(np.abs(z - mean[:, None]) ** 2, axis=1)
             power = np.abs(mean) ** 2
@@ -503,57 +499,26 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _window_workspace(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The buffers every detection window of a chunk reuses, one per role.
+def _infinite_profile(burst: _Correlated, noise: _Correlated, scale: float, t: int,
+                      spectrum: np.ndarray) -> detector.CorrelationProfile:
+    """The infinite-resolution profile of the burst placed at lag t in
+    scale * unit noise, in the correlator's buffer ``spectrum``.
 
-    Returns the complex (m_tot, window) window, the correlator's complex
-    (m_tot, nfft) output and a float (m_tot, window) buffer for |y|^2,
-    each allocated on its own.
+    Detection is linear there, so the profile is assembled as
+    scale * C(noise) + C(burst) from correlations each computed once per
+    trial, with no window, AGC or ADC (at +inf dB the scale is 0).  The
+    scale and both correlations' samples are checked as
+    ``quantization.apply`` checks its input.
     """
-    m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
-    nfft = detector._next_fast_len(window)
-    return np.empty((m, window), np.complex128), np.empty((m, nfft), np.complex128), np.empty((m, window))
-
-
-def _detect_window(
-    burst: _Correlated,
-    noise: _Correlated,
-    sigma2: float,
-    t: int,
-    adc: quantization.AdcModel,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> detector.TrialOutcome:
-    """Detect the burst placed at lag t in sqrt(sigma2) * unit noise.
-
-    ``work`` is the chunk's ``_window_workspace``.  A finite-resolution ADC's
-    window is built, its AGC taken and checked (``_window_agc``) and it is
-    quantized in place in its buffer, then correlated.
-
-    At infinite resolution detection is linear, so the profile is assembled
-    as sqrt(sigma2) * C(noise) + C(burst) from correlations each computed
-    once per trial, skipping the window, the AGC and the ADC (at +inf dB the
-    scale is 0).  The scale and both correlations' samples are checked as
-    ``quantization.apply`` checks its input.  Either way the profile lies in
-    the correlator's buffer, valid only until the next window.
-    """
-    reference = noise.reference
-    n = reference.shape[0]
-    scale = math.sqrt(sigma2)
-    y, spectrum, power = work
-    if not adc.is_infinite:
-        np.multiply(scale, noise.samples, out=y)
-        y[:, t : t + n] += burst.samples
-        agc = _window_agc(y, power)
-        quantization.quantize_scaled(adc, quantization.agc_scale(y, agc, out=y), agc, out=y)
-        return detector.detect(detector.correlate(y, reference, out=spectrum), nu_true=t)
     quantization.check_finite(scale)
     noise_values = noise.correlation
     values = np.multiply(scale, noise_values, out=spectrum[:, : noise_values.shape[1]])
     # C(burst) column j is the window lag t - (n - 1) + j
+    n = noise.reference.shape[0]
     lo = max(t - (n - 1), 0)
     hi = min(t + n, values.shape[1])
     values[:, lo:hi] += burst.correlation[:, lo - t + n - 1 : hi - t + n - 1]
-    return detector.detect(detector.CorrelationProfile(values), nu_true=t)
+    return detector.CorrelationProfile(values)
 
 
 def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: int, *, sweep: bool,
@@ -563,22 +528,32 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
     Only the serving slot is visited, or with ``sweep`` the frame's slots
     from 0 until the first success at or after it.  The i-th slot visited
     reads the trial's i-th noise window, drawn on its first visit and shared
-    by every arm, CFO and SNR.
+    by every arm, CFO and SNR.  A finite-resolution arm's window is built,
+    AGC-scaled (``_front_end``) and quantized in place, then correlated.
     """
+    m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
+    y, power = np.empty((m, window), np.complex128), np.empty((m, window))
+    spectrum = np.empty((m, detector._next_fast_len(window)), np.complex128)
     rows = []
-    work = _window_workspace(scenario)
     for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
         t = int(rng.integers(1, scenario.n_subcarriers * (scenario.t_ue - 1), endpoint=True))
         slots = range(scenario.t_bs) if sweep else (slot,)
         noises: list[_Correlated] = []
         for method, bits, adc, tx_vectors in arms:
             for cfo in scenario.cfo_grid:
-                for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
+                for snr_db, scale in zip(scenario.snr_db_grid, map(math.sqrt, sigma2_grid)):
                     first_slot = -1
                     for i, tau in enumerate(slots):
                         if i == len(noises):
-                            noises.append(_Correlated(_unit_noise(rng, *work[0].shape), reference))
-                        out = _detect_window(burst(tx_vectors[tau], cfo), noises[i], sigma2, t, adc, work)
+                            noises.append(_Correlated(_unit_noise(rng, m, window), reference))
+                        sent = burst(tx_vectors[tau], cfo)
+                        if adc.is_infinite:
+                            profile = _infinite_profile(sent, noises[i], scale, t, spectrum)
+                        else:
+                            agc = _front_end(noises[i].samples, scale, sent.samples, t, y, power, y)
+                            q = quantization.quantize_scaled(adc, y, agc, out=y)
+                            profile = detector.correlate(q, reference, out=spectrum)
+                        out = detector.detect(profile, nu_true=t)
                         if tau == slot:
                             serving = out
                         if out.success and first_slot < 0:
@@ -629,16 +604,19 @@ def run_multicell_experiment(scenario: Scenario, workers: int = 1) -> StatSummar
 # ---------------------------------------------------------------------------
 
 
-# experiment -> (modes it runs in, chunk function, aggregate keys, per-point
-# statistics).  A chunk function takes (scenario, arms, sigma2_grid, trial_lo,
-# trial_hi) and returns the rows of those trials; the statistics take
-# (scenario, rows of one point) and return the aggregate's remaining columns.
+class _Experiment(NamedTuple):
+    modes: tuple[str, ...]  # the scenario modes it runs in
+    chunk: Callable[..., list[dict]]  # (scenario, arms, sigma2_grid, trial_lo, trial_hi) -> those trials' rows
+    keys: tuple[str, ...]  # the columns that name an aggregate point
+    stats: Callable[..., dict]  # (scenario, rows of one point) -> the aggregate's remaining columns
+
+
 _EXPERIMENTS = {
-    "sqnr": (("single_ue", "multi_ue_cell"), _sqnr_chunk, ("method", "bits", "snr_db"), _sqnr_stats),
-    "timing": (("single_ue", "multi_ue_cell"), partial(_detection_chunk, sweep=False, columns=(
+    "sqnr": _Experiment(("single_ue", "multi_ue_cell"), _sqnr_chunk, ("method", "bits", "snr_db"), _sqnr_stats),
+    "timing": _Experiment(("single_ue", "multi_ue_cell"), partial(_detection_chunk, sweep=False, columns=(
         "method", "trial", "slot", "snr_db", "cfo", "bits", "nu_true", "nu_hat", "b_hat", "peak_power",
         "success")), ("method", "bits", "snr_db", "cfo"), _timing_stats),
-    "multicell": (("multi_cell",), partial(_detection_chunk, sweep=True, columns=(
+    "multicell": _Experiment(("multi_cell",), partial(_detection_chunk, sweep=True, columns=(
         "method", "trial", "slot", "snr_db", "bits", "nu_true", "success", "first_success_slot")),
         ("method", "bits", "snr_db"), _multicell_stats),
 }

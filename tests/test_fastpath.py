@@ -133,28 +133,30 @@ CFO_TIMING = Scenario(
 
 
 def explicit_infinite_resolution(monkeypatch) -> list[tuple]:
-    """Detect each infinite-resolution window of ``_detect_window`` also the plain
-    way (whole window, AGC, ``quantization.apply``, ``detector.correlate``), hold
-    the two to each other, and collect the plain (nu_hat, b_hat, success) in order."""
-    fast = mc._detect_window
+    """Detect each profile of ``_infinite_profile`` and each infinite-resolution
+    window also the plain way (whole window, AGC, ``quantization.apply``,
+    ``detector.correlate``), hold the two to each other, and collect the plain
+    (nu_hat, b_hat, success) in order."""
+    fast = mc._infinite_profile
+    adc = quantization.AdcModel(bits=math.inf)
     checked = []
 
-    def explicit(burst, noise, sigma2, t, adc, work):
-        out = fast(burst, noise, sigma2, t, adc, work)
-        if adc.is_infinite:
-            reference = noise.reference
-            n = reference.shape[0]
-            y = math.sqrt(sigma2) * noise.samples
-            y[:, t : t + n] += burst.samples
-            agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-            q = quantization.apply(adc, y, agc)
-            ref = detector.detect(detector.correlate(q, reference), nu_true=t)
-            assert (out.nu_hat, out.b_hat, out.success) == (ref.nu_hat, ref.b_hat, ref.success)
-            assert out.peak_power == pytest.approx(ref.peak_power, rel=1e-12)
-            checked.append((ref.nu_hat, ref.b_hat, ref.success))
-        return out
+    def explicit(burst, noise, scale, t, spectrum):
+        profile = fast(burst, noise, scale, t, spectrum)
+        out = detector.detect(profile, nu_true=t)
+        reference = noise.reference
+        n = reference.shape[0]
+        y = scale * noise.samples
+        y[:, t : t + n] += burst.samples
+        agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+        q = quantization.apply(adc, y, agc)
+        ref = detector.detect(detector.correlate(q, reference), nu_true=t)
+        assert (out.nu_hat, out.b_hat, out.success) == (ref.nu_hat, ref.b_hat, ref.success)
+        assert out.peak_power == pytest.approx(ref.peak_power, rel=1e-12)
+        checked.append((ref.nu_hat, ref.b_hat, ref.success))
+        return profile
 
-    monkeypatch.setattr(mc, "_detect_window", explicit)
+    monkeypatch.setattr(mc, "_infinite_profile", explicit)
     return checked
 
 
@@ -238,19 +240,27 @@ def test_noiseless_flat_infinite_resolution_picks_the_first_antenna():
 
 @pytest.mark.parametrize("run, scenario", NOISELESS_SCENARIOS, ids=NOISELESS_IDS)
 def test_noiseless_agc_runs_on_finite_resolution_windows_only(monkeypatch, run, scenario):
-    detect_window, window_agc = mc._detect_window, mc._window_agc
+    """Each finite window is one ``_front_end`` call and one quantization, and an
+    infinite-resolution one neither."""
+    infinite_profile, front_end = mc._infinite_profile, mc._front_end
+    quantize_scaled = quantization.quantize_scaled
     finite, agc_calls = [], []
 
-    def counted_window(burst, noise, sigma2, t, adc, work):
-        finite.append(not adc.is_infinite)
-        return detect_window(burst, noise, sigma2, t, adc, work)
+    def counted_profile(*args):
+        finite.append(False)
+        return infinite_profile(*args)
+
+    def counted_quantizer(*args, **kwargs):
+        finite.append(True)
+        return quantize_scaled(*args, **kwargs)
 
     def counted_agc(*args):
         agc_calls.append(1)
-        return window_agc(*args)
+        return front_end(*args)
 
-    monkeypatch.setattr(mc, "_detect_window", counted_window)
-    monkeypatch.setattr(mc, "_window_agc", counted_agc)
+    monkeypatch.setattr(mc, "_infinite_profile", counted_profile)
+    monkeypatch.setattr(quantization, "quantize_scaled", counted_quantizer)
+    monkeypatch.setattr(mc, "_front_end", counted_agc)
     run(scenario)
     assert 0 < sum(finite) < len(finite)
     assert len(agc_calls) == sum(finite)
@@ -338,14 +348,14 @@ def test_sqnr_rows_equal_per_arm_measurement(mode, regime):
 
 
 def test_one_sqnr_window_per_trial_snr_and_transmit_vector(monkeypatch):
-    original = mc._sqnr_window
+    original = mc._front_end
     built = []
 
-    def counting(clean, reference, sigma2, *rest):
-        built.append((clean.tobytes(), sigma2))
-        return original(clean, reference, sigma2, *rest)
+    def counting(noise, scale, burst, *rest):
+        built.append((burst.tobytes(), scale))
+        return original(noise, scale, burst, *rest)
 
-    monkeypatch.setattr(mc, "_sqnr_window", counting)
+    monkeypatch.setattr(mc, "_front_end", counting)
     mc.run_sqnr_experiment(SQNR_ARMS)
     plans = mc.slot_beam_plans(SQNR_ARMS)
     distinct = sum(
@@ -400,18 +410,55 @@ def test_slot_beam_plans_match_per_resolution_search(path):
             assert plan.iteration_count == sum(sel.iteration_count for sel in sels)
 
 
+# two finite resolutions per beam plan: each arm builds its window in the
+# buffer the other arm last quantized in place
 WINDOW_SCENARIOS = [
     (mc.run_timing_experiment, TIMING),
     (mc.run_timing_experiment, CFO_TIMING),
     (mc.run_timing_experiment, ODD_WINDOW_TIMING),
     (mc.run_multicell_experiment, MULTICELL),
+    (mc.run_timing_experiment, replace(CFO_TIMING, adc_bits=(2.0, 4.0, math.inf))),
+    (mc.run_multicell_experiment, replace(MULTICELL, adc_bits=(2.0, 4.0, math.inf))),
 ]
-WINDOW_IDS = ["timing", "cfo", "odd_window", "multicell"]
+WINDOW_IDS = ["timing", "cfo", "odd_window", "multicell", "two_finite_timing", "two_finite_multicell"]
 
 
 @pytest.mark.parametrize("scenario", [Scenario(), ODD_WINDOW_TIMING], ids=["16x5120", "odd_window"])
-def test_workspace_buffers_share_no_memory(scenario):
-    work = mc._window_workspace(scenario)
+def test_workspace_buffers_share_no_memory(monkeypatch, scenario):
+    """The window (scaled and quantized in place), |y|^2 and the correlator's
+    output are one buffer each for the whole run, and no two share memory."""
+    front_end, quantize_scaled, correlate = mc._front_end, quantization.quantize_scaled, detector.correlate
+    infinite_profile = mc._infinite_profile
+    roles: dict[str, list] = {"window": [], "spectrum": [], "power": []}
+
+    def seen_window(noise, scale, burst, t, y, power, scaled):
+        assert scaled is y
+        roles["window"].append(y)
+        roles["power"].append(power)
+        return front_end(noise, scale, burst, t, y, power, scaled)
+
+    def seen_quantizer(adc, scaled, agc, out=None):
+        assert out is scaled
+        return quantize_scaled(adc, scaled, agc, out=out)
+
+    def seen_correlator(received, reference, out=None):
+        if out is not None:
+            roles["spectrum"].append(out)
+        return correlate(received, reference, out)
+
+    def seen_profile(burst, noise, scale, t, spectrum):
+        roles["spectrum"].append(spectrum)
+        return infinite_profile(burst, noise, scale, t, spectrum)
+
+    monkeypatch.setattr(mc, "_front_end", seen_window)
+    monkeypatch.setattr(quantization, "quantize_scaled", seen_quantizer)
+    monkeypatch.setattr(detector, "correlate", seen_correlator)
+    monkeypatch.setattr(mc, "_infinite_profile", seen_profile)
+    mc.run_timing_experiment(replace(scenario, trials=2, adc_bits=(2.0, 4.0, math.inf)))
+    work = []
+    for buffers in roles.values():
+        assert buffers and all(buf is buffers[0] for buf in buffers)
+        work.append(buffers[0])
     window = scenario.n_subcarriers * scenario.t_ue
     nfft = {5120: 5120, 1664: 1680}[window]
     assert [(buf.shape, buf.dtype) for buf in work] == [
@@ -424,37 +471,63 @@ def test_workspace_buffers_share_no_memory(scenario):
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
 def test_rows_equal_with_a_fresh_workspace_per_window(monkeypatch, run, scenario):
     reused = run(scenario).rows
-    fast = mc._detect_window
+    front_end, infinite_profile, correlate = mc._front_end, mc._infinite_profile, detector.correlate
 
-    def fresh(burst, noise, sigma2, t, adc, work):
-        work = mc._window_workspace(scenario)
-        for buf in work:
+    def fresh_window(noise, scale, burst, t, *buffers):
+        for buf in buffers:
             buf.fill(np.nan)  # a stale or unwritten sample would show
-        return fast(burst, noise, sigma2, t, adc, work)
+        return front_end(noise, scale, burst, t, *buffers)
 
-    monkeypatch.setattr(mc, "_detect_window", fresh)
+    def fresh_correlator(received, reference, out=None):
+        if out is not None:
+            out.fill(np.nan)
+        return correlate(received, reference, out)
+
+    def fresh_spectrum(burst, noise, scale, t, spectrum):
+        spectrum.fill(np.nan)
+        return infinite_profile(burst, noise, scale, t, spectrum)
+
+    monkeypatch.setattr(mc, "_front_end", fresh_window)
+    monkeypatch.setattr(detector, "correlate", fresh_correlator)
+    monkeypatch.setattr(mc, "_infinite_profile", fresh_spectrum)
     assert run(scenario).rows == reused
 
 
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
 def test_quantized_windows_equal_allocating_calls(monkeypatch, run, scenario):
-    fast = mc._detect_window
-    checked = []
+    """Each finite arm's window, built by ``_front_end`` and quantized in place,
+    detects as the whole window run through ``quantization.apply`` and
+    ``detector.correlate``."""
+    front_end, quantize_scaled, correlate = mc._front_end, quantization.quantize_scaled, detector.correlate
+    window, quantized, checked = [], [], []
 
-    def explicit(burst, noise, sigma2, t, adc, work):
-        out = fast(burst, noise, sigma2, t, adc, work)
-        if not adc.is_infinite:
-            n = noise.reference.shape[0]
-            y = math.sqrt(sigma2) * noise.samples
-            y[:, t : t + n] += burst.samples
+    def recorded_window(noise, scale, burst, t, *buffers):
+        window[:] = noise, scale, burst, t
+        return front_end(noise, scale, burst, t, *buffers)
+
+    def recorded_adc(adc, *args, **kwargs):
+        quantized.append(adc)
+        return quantize_scaled(adc, *args, **kwargs)
+
+    def explicit(received, reference, out=None):
+        profile = correlate(received, reference, out)
+        if quantized:  # the correlation of the window an arm just quantized
+            adc = quantized.pop()
+            noise, scale, burst, t = window
+            got = detector.detect(profile, nu_true=t)
+            y = scale * noise
+            y[:, t : t + burst.shape[1]] += burst
             agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
             q = quantization.apply(adc, y, agc)
-            ref = detector.detect(detector.correlate(q, noise.reference), nu_true=t)
-            assert out == ref
-            checked.append(out)
-        return out
+            quantized.clear()  # apply's own quantize_scaled call
+            ref = detector.detect(correlate(q, reference), nu_true=t)
+            assert got == ref
+            checked.append(got)
+        return profile
 
-    monkeypatch.setattr(mc, "_detect_window", explicit)
+    monkeypatch.setattr(mc, "_front_end", recorded_window)
+    monkeypatch.setattr(quantization, "quantize_scaled", recorded_adc)
+    monkeypatch.setattr(detector, "correlate", explicit)
     run(scenario)
     assert checked
 

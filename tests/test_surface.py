@@ -5,9 +5,11 @@ in ``tests/`` do not count:
 
 * A public top-level function or class of ``src/mmwsync`` is referenced, by
   name or as an attribute, outside its own body, and not only from
-  definitions that are themselves unreferenced.  Code only the tests call
-  belongs in the tests (``tests/closed_forms.py``); code nothing calls is
-  deleted.
+  definitions that are themselves unreferenced.  A private top-level
+  function, class or assigned name must be referenced so by ``src`` code
+  alone: a seam kept only for the tests (or ``bench/``) fails.  Code only
+  the tests call belongs in the tests (``tests/closed_forms.py``); code
+  nothing calls is deleted.
 * Every field and property of a public library dataclass is read as an
   attribute.  ``asdict`` reads nothing: it echoes every field, used or not
   (the manifest's and the hash's copy of the scenario).
@@ -32,7 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "mmwsync").glob("*.py"))
-PROGRAM = LIBRARY + sorted((ROOT / "bench").rglob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
+PROGRAM = LIBRARY + BENCH
 
 EXEMPT = {
     "channel.BeamSpaceChannel.isi_warning":
@@ -66,33 +69,53 @@ def _references(node: ast.AST, skip=()) -> set[str]:
     return found
 
 
-def unreferenced_definitions() -> list[str]:
-    """``module.name`` of each public definition no live code refers to.
+def _defined_name(node: ast.AST) -> str | None:
+    """The name a top-level statement defines and the scan judges: a function
+    or class, or a private name bound by assignment; a dunder is neither."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        name = node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        name = targets[0].id if len(targets) == 1 and isinstance(targets[0], ast.Name) else ""
+        if not name.startswith("_"):
+            return None  # a public constant is not judged
+    else:
+        return None
+    return None if name.startswith("__") else name
 
-    Live code is everything in ``bench/`` and everything in ``src/`` outside
-    the public top-level definitions, plus the bodies of the definitions it
-    reaches, to a fixed point.
+
+def unreferenced_definitions(library: dict[str, str], bench: list[str]) -> list[str]:
+    """``module.name`` of each definition of ``library`` (module name ->
+    source) no live code refers to.
+
+    Live code is the library outside its judged top-level definitions, plus
+    the bodies of the definitions it reaches, to a fixed point.  A public
+    definition is also reached from the ``bench`` sources; a private one only
+    from the library.
     """
     definitions = {}  # (module, name) -> names its body refers to
     live_refs: set[str] = set()
-    for path in PROGRAM:
-        tree = ast.parse(path.read_text(), str(path))
-        public = []
-        if path in LIBRARY:
-            public = [node for node in tree.body
-                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                      and not node.name.startswith("_")]
-        for node in public:
-            definitions[(path.stem, node.name)] = _references(node) - {node.name}
-        live_refs |= _references(tree, skip=public)
+    for module, source in library.items():
+        tree = ast.parse(source)
+        judged = [node for node in tree.body if _defined_name(node)]
+        for node in judged:
+            definitions[(module, _defined_name(node))] = _references(node) - {_defined_name(node)}
+        live_refs |= _references(tree, skip=judged)
+    bench_refs = set().union(*(_references(ast.parse(source)) for source in bench))
     dead = dict(definitions)
     while True:
-        reached = [key for key in dead if key[1] in live_refs]
+        reached = [key for key in dead
+                   if key[1] in live_refs or (not key[1].startswith("_") and key[1] in bench_refs)]
         if not reached:
             break
         for key in reached:
             live_refs |= dead.pop(key)
     return [f"{module}.{name}" for module, name in sorted(dead)]
+
+
+def _program_definitions() -> list[str]:
+    library = {path.stem: path.read_text() for path in LIBRARY}
+    return unreferenced_definitions(library, [path.read_text() for path in BENCH])
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +272,8 @@ def _program_members() -> list[str]:
 
 
 def test_every_public_definition_has_a_program_caller():
-    offenders = [name for name in unreferenced_definitions() if name not in EXEMPT]
-    assert not offenders, "no caller in src/ or bench/: " + ", ".join(offenders)
+    offenders = [name for name in _program_definitions() if name not in EXEMPT]
+    assert not offenders, "no caller in src/ (or, if public, bench/): " + ", ".join(offenders)
 
 
 def test_every_field_property_and_defaulted_parameter_is_used():
@@ -259,7 +282,7 @@ def test_every_field_property_and_defaulted_parameter_is_used():
 
 
 def test_every_exemption_is_still_needed():
-    stale = set(EXEMPT) - set(unreferenced_definitions()) - set(_program_members())
+    stale = set(EXEMPT) - set(_program_definitions()) - set(_program_members())
     assert not stale, "exempted but used, or gone: " + ", ".join(sorted(stale))
 
 
@@ -315,3 +338,59 @@ def test_scan_names_exactly_the_unused_members_of_a_module():
     assert sorted(set(found) - exempt) == ["toy.Reading.halved", "toy.Reading.label", "toy.Report.count",
                                            "toy.Report.total", "toy.summarize(offset)"]
     assert exempt <= set(found)
+
+
+TOY_LIBRARY = '''
+_SCALE = 2.0
+_UNUSED: float = 3.0
+__all__ = ["api"]
+
+
+def _helper(x):
+    return x * _SCALE
+
+
+def _seam(x):
+    return _inner(x)
+
+
+def _inner(x):
+    return x
+
+
+def _recursive(n):
+    return _recursive(n - 1) if n else 0
+
+
+def _bench_only():
+    return 0
+
+
+def api(x):
+    return _helper(x)
+
+
+def orphan():
+    return orphan
+
+
+def __getattr__(name):
+    raise AttributeError(name)
+'''
+
+TOY_BENCH = """
+import toy
+
+toy.api(1)
+toy._bench_only()
+"""
+
+
+def test_scan_names_exactly_the_unreferenced_definitions_of_a_module():
+    # api is public and bench calls it, so _helper and then _SCALE are
+    # reached through its body.  _bench_only is private, so bench's call
+    # does not count; _inner is reached only from the dead _seam, and
+    # _recursive and orphan only from themselves.  Dunders are not judged.
+    found = unreferenced_definitions({"toy": TOY_LIBRARY}, [TOY_BENCH])
+    assert found == ["toy._UNUSED", "toy._bench_only", "toy._inner", "toy._recursive", "toy._seam",
+                     "toy.orphan"]
