@@ -10,9 +10,10 @@ Conventions shared by all experiments:
   ``_EXPERIMENTS``: the modes each runs in, its chunk function, its
   aggregate keys and its per-point statistics.  An experiment whose keys
   hold no ``cfo`` runs at zero CFO and rejects any other ``cfo_grid``
-  before a trial runs.  It builds the arms
-  ``(method, bits, AdcModel, tx_vectors)`` once per run and sigma^2 once per
-  SNR, and hands both to every chunk; nothing is cached across runs.
+  before a trial runs.  It builds the arms ``(method, bits, adc,
+  tx_vectors)`` once per run and sigma^2 once per SNR, and hands both to
+  every chunk; nothing is cached across runs.  An infinite-resolution arm
+  has no ADC model: its ``adc`` is None, any other arm's an ``AdcModel``.
 * Beam plans are semi-static: selected once per scenario from the anchor
   grid, then reused by every trial (no channel knowledge).  One search
   serves both methods, single-stream being its one-chain case, and each
@@ -439,7 +440,7 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
         conj_reference = np.conj(reference)
         noise_unit = _unit_noise(rng, *shape)
         # per transmit vector: its burst at the antenna detect picks on the noiseless
-        # zero-lag profile, and the (index, AdcModel) of every arm that sends it
+        # zero-lag profile, and the (index, adc) of every arm that sends it
         vectors: dict = {}
         for i, (_, _, adc, tx_vectors) in enumerate(arms):
             key = tx_vectors[slot].tobytes()
@@ -452,7 +453,7 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
             for sent, members in vectors.values():
                 agc = _front_end(noise_unit, math.sqrt(sigma2), sent, 0, y, squared, scaled)
                 for i, adc in members:
-                    q = y if adc.is_infinite else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
+                    q = y if adc is None else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
                     np.matmul(q, conj_reference, out=z[i])
             mean = z.mean(axis=1)
             var = np.mean(np.abs(z - mean[:, None]) ** 2, axis=1)
@@ -547,7 +548,7 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
                         if i == len(noises):
                             noises.append(_Correlated(_unit_noise(rng, m, window), reference))
                         sent = burst(tx_vectors[tau], cfo)
-                        if adc.is_infinite:
+                        if adc is None:
                             profile = _infinite_profile(sent, noises[i], scale, t, spectrum)
                         else:
                             agc = _front_end(noises[i].samples, scale, sent.samples, t, y, power, y)
@@ -627,11 +628,13 @@ _CHUNK = 64
 def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
     """One experiment of ``_EXPERIMENTS`` over the arms of ``slot_beam_plans``.
 
-    The arms ``(method, bits, AdcModel, tx_vectors)`` and sigma^2 per entry
-    of ``snr_db_grid`` are built once and passed to every chunk.  Trials run
-    in fixed chunks, so the rows are identical for any worker count; each
-    aggregate row is a point of the experiment's keys, in order of first
-    appearance, and its statistics.
+    The arms ``(method, bits, adc, tx_vectors)`` and sigma^2 per entry of
+    ``snr_db_grid`` are built once and passed to every chunk.  The rows are
+    identical for any worker count: each trial draws from its own generator,
+    ``SeedSequence(seed, spawn_key=(trial,))``, and a chunk overwrites each
+    buffer before reading it, so ``_CHUNK`` only splits the trials between
+    processes.  Each aggregate row is a point of the experiment's keys, in
+    order of first appearance, and its statistics.
     """
     modes, chunk_fn, keys, stats = _EXPERIMENTS[experiment]
     if scenario.mode not in modes:
@@ -642,7 +645,7 @@ def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
         raise ValueError(f"the {experiment} experiment runs at zero CFO; cfo_grid must be [0.0], "
                          f"got {list(scenario.cfo_grid)}")
     plans = slot_beam_plans(scenario)
-    arms = [(method, bits, quantization.AdcModel(bits=bits), plan.tx_vectors)
+    arms = [(method, bits, None if bits == math.inf else quantization.AdcModel(bits=bits), plan.tx_vectors)
             for (method, bits), plan in plans.items()]
     sigma2_grid = [noise_variance(scenario, snr_db) for snr_db in scenario.snr_db_grid]
     run_chunk = partial(chunk_fn, scenario, arms, sigma2_grid)

@@ -11,13 +11,10 @@ Bussgang checks of ``apply`` against 1 - xi are in the tests
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-
-INFINITE_BITS = math.inf
 
 MAX_BITS = 16
 
@@ -41,7 +38,7 @@ _CLIP = (
 
 
 def _validate_bits(bits: float) -> int:
-    if bits != int(bits) or not 1 <= bits <= MAX_BITS:
+    if not 1 <= bits <= MAX_BITS or bits != int(bits):  # the range first: NaN and inf fail it
         raise ValueError(f"bits must be an integer in [1, {MAX_BITS}], got {bits}")
     return int(bits)
 
@@ -62,29 +59,21 @@ def optimal_clip_scale(bits: int) -> float:
 class AdcModel:
     """Per-rail uniform midrise quantizer with clipping.
 
-    ``bits`` is an integer in [1, 16] or ``math.inf`` for an ideal converter.
+    ``bits`` is an integer in [1, 16]; an ideal converter has no model.
     ``clip_scale`` is the clipping point in units of the per-rail rms that
     minimizes the Gaussian MSE at that resolution (``optimal_clip_scale``).
     """
 
-    bits: float
+    bits: int
     clip_scale: float = field(init=False)
     step: float = field(init=False)
 
     def __post_init__(self):
-        if self.bits == INFINITE_BITS:
-            object.__setattr__(self, "clip_scale", math.inf)
-            object.__setattr__(self, "step", 0.0)
-            return
         b = _validate_bits(self.bits)
         clip = optimal_clip_scale(b)
-        object.__setattr__(self, "bits", float(b))
+        object.__setattr__(self, "bits", b)
         object.__setattr__(self, "clip_scale", clip)
         object.__setattr__(self, "step", 2.0 * clip / 2**b)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.bits == INFINITE_BITS
 
 
 def check_finite(samples) -> np.ndarray:
@@ -138,7 +127,7 @@ def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarr
     if not scaled.flags.c_contiguous:
         raise ValueError("scaled must be C-contiguous, as agc_scale returns it")
     out = _out_array(out, scaled.shape)
-    half = 2 ** (int(adc.bits) - 1)
+    half = 2 ** (adc.bits - 1)
     # both rails at once, on the interleaved float views
     rails = out.reshape(-1).view(np.float64)
     np.divide(scaled.reshape(-1).view(np.float64), adc.step, out=rails)
@@ -156,12 +145,9 @@ def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np
 
     ``samples`` meet ``check_finite`` and ``agc_rms`` meets ``check_agc``: the
     positive per-rail rms the AGC normalizes to (scalar or broadcastable).
-    The scaling is a multiply by 1/agc_rms (``agc_scale``).  An
-    infinite-resolution model returns a copy of the input.
+    The scaling is a multiply by 1/agc_rms (``agc_scale``).
     """
     samples = check_finite(samples)
     check_agc(agc_rms)
-    if adc.is_infinite:
-        return samples.copy()
     scaled = agc_scale(samples, agc_rms)
     return quantize_scaled(adc, scaled, agc_rms, out=scaled)

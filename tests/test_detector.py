@@ -95,7 +95,7 @@ class TestCorrelate:
         rng = np.random.default_rng(1)
         y = rng.standard_normal((4, 1024)) + 1j * rng.standard_normal((4, 1024))
         shapes = set()
-        for bits in (1, 2, 4, math.inf):
+        for bits in (1, 2, 4):
             q = quantization.apply(quantization.AdcModel(bits=bits), y, 1.0)
             shapes.add(detector.correlate(q, wf.time_samples).values.shape)
         assert shapes == {(4, 513)}

@@ -134,11 +134,10 @@ CFO_TIMING = Scenario(
 
 def explicit_infinite_resolution(monkeypatch) -> list[tuple]:
     """Detect each profile of ``_infinite_profile`` and each infinite-resolution
-    window also the plain way (whole window, AGC, ``quantization.apply``,
+    window also the plain way (whole window, ``quantization.check_finite``,
     ``detector.correlate``), hold the two to each other, and collect the plain
     (nu_hat, b_hat, success) in order."""
     fast = mc._infinite_profile
-    adc = quantization.AdcModel(bits=math.inf)
     checked = []
 
     def explicit(burst, noise, scale, t, spectrum):
@@ -148,9 +147,7 @@ def explicit_infinite_resolution(monkeypatch) -> list[tuple]:
         n = reference.shape[0]
         y = scale * noise.samples
         y[:, t : t + n] += burst.samples
-        agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-        q = quantization.apply(adc, y, agc)
-        ref = detector.detect(detector.correlate(q, reference), nu_true=t)
+        ref = detector.detect(detector.correlate(quantization.check_finite(y), reference), nu_true=t)
         assert (out.nu_hat, out.b_hat, out.success) == (ref.nu_hat, ref.b_hat, ref.success)
         assert out.peak_power == pytest.approx(ref.peak_power, rel=1e-12)
         checked.append((ref.nu_hat, ref.b_hat, ref.success))
@@ -295,15 +292,19 @@ def empirical_zero_lag_sqnr(burst_clean, reference, sigma2, adc, noise_unit) -> 
 
     The antenna with the strongest noiseless zero-lag response is measured,
     the smallest index among those within a relative 1e-9 of the largest
-    power; each repetition adds fresh noise, runs the per-window AGC and ADC,
-    and correlates at the true alignment.  The estimate is |mean|^2 / var of
-    the complex correlation samples.
+    power; each repetition adds fresh noise, runs the per-window AGC and ADC
+    (none when ``adc`` is None, at infinite resolution), and correlates at the
+    true alignment.  The estimate is |mean|^2 / var of the complex
+    correlation samples.
     """
     power = np.abs(burst_clean @ np.conj(reference)) ** 2
     b_hat = min(i for i, p in enumerate(power) if p >= (1.0 - 1e-9) * power.max())
     y = burst_clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
-    agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-    q = quantization.apply(adc, y, agc)
+    if adc is None:
+        q = quantization.check_finite(y)
+    else:
+        agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+        q = quantization.apply(adc, y, agc)
     z = q @ np.conj(reference)
     mean = z.mean()
     var = float(np.mean(np.abs(z - mean) ** 2))
@@ -321,7 +322,7 @@ def per_arm_sqnr_rows(scenario: Scenario) -> list[dict]:
         for snr_db in scenario.snr_db_grid:
             sigma2 = mc.noise_variance(scenario, snr_db)
             for (method, bits), plan in plans.items():
-                adc = quantization.AdcModel(bits=bits)
+                adc = None if bits == math.inf else quantization.AdcModel(bits=bits)
                 g = empirical_zero_lag_sqnr(
                     burst(plan.tx_vectors[slot]).samples, reference, sigma2, adc, noise_unit
                 )
@@ -605,4 +606,5 @@ def test_one_adc_model_per_arm_per_run(monkeypatch, run, scenario):
 
     monkeypatch.setattr(quantization, "AdcModel", counting)
     run(scenario)
-    assert sorted(built) == sorted(2 * scenario.adc_bits)  # two methods per resolution
+    finite = [bits for bits in scenario.adc_bits if bits != math.inf]
+    assert sorted(built) == sorted(2 * finite)  # two methods per finite resolution

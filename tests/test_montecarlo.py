@@ -415,6 +415,8 @@ class TestAcceptedScenariosRun:
     @example(config=FLOOR | {"mode": "multi_cell"})
     @example(config=FLOOR | {"snr_db_grid": (math.inf,)})
     @example(config=FLOOR | {"mode": "multi_cell", "snr_db_grid": (math.inf,)})
+    @example(config=FLOOR | {"adc_bits": (math.inf,)})  # no arm has an ADC model
+    @example(config=FLOOR | {"mode": "multi_cell", "adc_bits": (math.inf,)})
     @settings(max_examples=100, deadline=None)
     def test_rejected_naming_a_key_or_finite_aggregates(self, config):
         try:

@@ -202,19 +202,15 @@ class TestXiForBits:
         # high-resolution limit pi * sqrt(3) / 2 (Panter & Dite 1951)
         assert abs(scaled[-1] - math.pi * math.sqrt(3.0) / 2.0) < 1e-3
 
-    @pytest.mark.parametrize("bits", [0, 17, 2.5])
+    @pytest.mark.parametrize("bits", [0, 17, 2.5, math.inf, -math.inf, math.nan])
     def test_out_of_range(self, bits):
-        with pytest.raises(ValueError):
-            quantization.xi_for_bits(bits)
+        # an ideal converter has no model, so inf is out of range like any other
+        for reject in (quantization.xi_for_bits, quantization.optimal_clip_scale, AdcModel):
+            with pytest.raises(ValueError, match=r"bits must be an integer in \[1, 16\]"):
+                reject(bits)
 
 
 class TestApply:
-    def test_infinite_resolution_identity(self):
-        adc = AdcModel(bits=math.inf)
-        x = np.array([0.3 - 1j, 2.0 + 0.25j, -5.5])
-        out = quantization.apply(adc, x, 1.0)
-        np.testing.assert_array_equal(out, x)
-
     def test_one_bit_is_sign_quantization(self):
         adc = AdcModel(bits=1)
         rng = np.random.default_rng(0)
@@ -250,7 +246,7 @@ class TestApply:
         with pytest.raises(ValueError):
             quantization.apply(adc, np.array([1.0, np.nan]), 1.0)
 
-    @pytest.mark.parametrize("bits", [2, math.inf])
+    @pytest.mark.parametrize("bits", [2])
     def test_any_layout_quantizes_like_contiguous_copy(self, bits):
         adc = AdcModel(bits=bits)
         rng = np.random.default_rng(5)
@@ -269,18 +265,17 @@ class TestApply:
         with pytest.raises(ValueError):
             quantization.apply(AdcModel(bits=2), np.ones(4, complex), 0.0)
 
-    @pytest.mark.parametrize("bits", [2, math.inf])
+    @pytest.mark.parametrize("bits", [2])
     @pytest.mark.parametrize("agc", [-1.0, math.nan, np.array([[1.0], [math.nan]])])
     def test_rejects_negative_and_nan_agc(self, bits, agc):
         with pytest.raises(ValueError, match="agc_rms"):
             quantization.apply(AdcModel(bits=bits), np.ones((2, 4), complex), agc)
 
-    @pytest.mark.parametrize("bits", [1, 2, 16, math.inf])
+    @pytest.mark.parametrize("bits", [1, 2, 16])
     @pytest.mark.parametrize("agc", ["scalar", "row"])
     def test_out_byte_identical_to_allocating_call(self, bits, agc):
         # agc_scale then quantize_scaled, each written to a buffer or over its
-        # input as the experiments' windows are, give the bytes of apply; an
-        # ideal converter's window is used unscaled, and apply copies it
+        # input as the experiments' windows are, give the bytes of apply
         adc = AdcModel(bits=bits)
         rng = np.random.default_rng(7)
         x = 3.0 * (rng.standard_normal((16, 640)) + 1j * rng.standard_normal((16, 640)))
@@ -291,16 +286,13 @@ class TestApply:
         assert quantization.agc_scale(x, rms, out=buf) is buf
         assert buf.tobytes() == quantization.agc_scale(x, rms).tobytes()
         assert x.tobytes() == kept.tobytes()
-        if adc.is_infinite:
-            assert want is not x and want.tobytes() == x.tobytes()
-            return
         assert quantization.quantize_scaled(adc, buf, rms, out=buf) is buf
         assert buf.tobytes() == want.tobytes()
         assert quantization.agc_scale(x, rms, out=x) is x
         assert quantization.quantize_scaled(adc, x, rms, out=x) is x
         assert x.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("bits", [2, math.inf])
+    @pytest.mark.parametrize("bits", [2])
     def test_rejects_out_of_wrong_shape_dtype_or_layout(self, bits):
         adc = AdcModel(bits=bits)
         x = np.ones((4, 6), complex)
@@ -308,9 +300,8 @@ class TestApply:
                     np.empty((6, 4), complex).T, np.empty((4, 6))):
             with pytest.raises(ValueError, match="out"):
                 quantization.agc_scale(x, 1.0, out=out)
-            if not adc.is_infinite:
-                with pytest.raises(ValueError, match="out"):
-                    quantization.quantize_scaled(adc, x, 1.0, out=out)
+            with pytest.raises(ValueError, match="out"):
+                quantization.quantize_scaled(adc, x, 1.0, out=out)
 
     @pytest.mark.parametrize("bits", [1, 3, 12])
     def test_quantize_scaled_leaves_scaled_unless_out_is_scaled(self, bits):
