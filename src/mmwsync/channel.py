@@ -1,10 +1,11 @@
 """Steering vectors, multipath delay-tap beam-space channels, and cell geometry.
 
-Angles are radians measured from array boresight.  The delay-tap channel is
-H[l] = A_rx @ diag(g[:, l]) @ A_tx^H with g[r, l] = beta_r * p(l - tau_r),
-where p is the pulse shape sampled at symbol spacing and tau is expressed in
-samples.  Propagation realizes the circular-convolution burst model: the sync
-symbol occupies ``n`` consecutive samples of an otherwise noise-only window.
+Angles are radians measured from array boresight.  A delay-tap channel holds
+taps H_j at integer delays d_j in samples; ``build_channel`` samples
+H[l] = A_rx @ diag(g[:, l]) @ A_tx^H, g[r, l] = beta_r * p(l - tau_r), at the
+delays 0 .. tap_count - 1, p being the pulse at symbol spacing.  Propagation
+realizes the circular-convolution burst model: the sync symbol occupies ``n``
+consecutive samples of an otherwise noise-only window.
 """
 
 from __future__ import annotations
@@ -97,14 +98,11 @@ class RaisedCosinePulse:
 
 @dataclass
 class BeamSpaceChannel:
-    """Delay-tap MIMO channel."""
+    """Delay-tap MIMO channel: tap ``taps[j]`` acts ``delays[j]`` samples late."""
 
-    taps: np.ndarray  # (tap_count, m_tot, n_tot)
+    taps: np.ndarray  # (J, m_tot, n_tot)
+    delays: np.ndarray  # (J,) integer delays in samples
     isi_warning: bool = False
-
-    @property
-    def tap_count(self) -> int:
-        return self.taps.shape[0]
 
 
 def build_channel(
@@ -131,7 +129,7 @@ def build_channel(
     # taps[l] = a_rx @ diag(g[l]) @ a_tx^H
     taps = np.einsum("mr,lr,nr->lmn", a_rx, g, np.conj(a_tx))
     isi = cp_length is not None and bool(np.any(paths.delays > cp_length))
-    return BeamSpaceChannel(taps=np.ascontiguousarray(taps), isi_warning=isi)
+    return BeamSpaceChannel(taps=np.ascontiguousarray(taps), delays=np.arange(tap_count), isi_warning=isi)
 
 
 def propagate(
@@ -147,7 +145,7 @@ def propagate(
     """Received per-antenna window: circular-convolution burst plus noise.
 
     The sync samples occupy ``start_index .. start_index + n - 1`` through the
-    tap filter (cyclic in the symbol, the effect of the discarded CP) and a
+    taps, each rolling the symbol by its delay (the discarded CP's effect), and a
     per-sample phase ramp exp(j*2*pi*cfo*n/N); every other sample is a pure
     CN(0, noise_var) draw, as is the additive noise on the burst itself.
     ``tx_vector`` is the common transmit vector of every sample; ``rng``
@@ -164,9 +162,8 @@ def propagate(
         raise ValueError("noise_var > 0 needs an rng")
     y = np.zeros((ch.taps.shape[1], window_len), dtype=np.complex128)
     burst = y[:, start_index : start_index + n]
-    h_vec = ch.taps @ np.asarray(tx_vector)  # (L, m_tot)
-    for l in range(ch.tap_count):
-        burst += np.outer(h_vec[l], np.roll(waveform, l))
+    for d, h in zip(ch.delays.tolist(), ch.taps @ np.asarray(tx_vector)):
+        burst += np.outer(h, np.roll(waveform, d))
     if cfo != 0.0:
         burst *= np.exp(2j * np.pi * cfo * np.arange(n) / n)[None, :]
     if noise_var > 0:

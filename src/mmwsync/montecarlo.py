@@ -55,7 +55,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
@@ -295,22 +295,25 @@ def serving_slot(anchors: np.ndarray, az: float) -> int:
 
 
 def _link(scenario: Scenario, rng: np.random.Generator, aod_az: float, amp: float) -> channel.BeamSpaceChannel:
-    """One cell's link to the UE: its rays, gains scaled by ``amp``, and their taps.
+    """One cell's link to the UE: one tap per distinct delay of its rays, gains scaled by ``amp``.
 
     The AoA is drawn first, then the flat ray's phase or the clustered rays.
-    A flat link has one tap; a clustered one spans a pulse tail of five
-    samples past its last ray, capped by the cyclic prefix.  Delays are
-    integers, where the pulse is a Kronecker delta, so the tail taps carry
-    no power and the cap drops every ray at or past ``CP_LENGTH`` whole.
+    Rays at or past ``CP_LENGTH`` are dropped.  Delays are integers, where
+    the pulse is a Kronecker delta, so a tap holds exactly the rays at its
+    delay: each group is built at delay 0, where the pulse is exactly 1.
     """
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     if scenario.channel.regime == "flat":
-        paths, taps = channel.single_path(aod_az, aoa, amp * np.exp(2j * np.pi * rng.random())), 1
+        paths = channel.single_path(aod_az, aoa, np.exp(2j * np.pi * rng.random()))
     else:
         paths = channel.clustered_paths(rng, center_az=aod_az, aoa_center=aoa)
-        paths = replace(paths, gains=paths.gains * amp)
-        taps = min(waveform.CP_LENGTH, math.ceil(paths.delays.max()) + 5)
-    return channel.build_channel(paths, bs_geometry(scenario), channel.ArrayGeometry("ula", scenario.m_tot), taps)
+    geom_tx, geom_rx = bs_geometry(scenario), channel.ArrayGeometry("ula", scenario.m_tot)
+    delays = np.unique(paths.delays[paths.delays < waveform.CP_LENGTH]).astype(np.int64)
+    taps = []
+    for at in (paths.delays == d for d in delays):
+        group = channel.PathSet(amp * paths.gains[at], paths.aod_az[at], paths.aoa[at], np.zeros(at.sum()))
+        taps.append(channel.build_channel(group, geom_tx, geom_rx, 1).taps[0])
+    return channel.BeamSpaceChannel(np.stack(taps), delays)
 
 
 def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

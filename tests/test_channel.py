@@ -195,11 +195,25 @@ class TestPropagate:
         )
         h_vec = ch.taps @ f
         burst = np.zeros((4, n), dtype=np.complex128)
-        for l in range(ch.tap_count):
-            burst += np.outer(h_vec[l], np.roll(d, l))
+        for delay, h in zip(ch.delays, h_vec):
+            burst += np.outer(h, np.roll(d, delay))
         burst = burst * np.exp(2j * np.pi * cfo * np.arange(n) / n)[None, :]
         want[:, start : start + n] += burst
         assert np.array_equal(y, want)
+
+    def test_sparse_delays_equal_the_dense_taps_with_zeros_between(self):
+        rng = np.random.default_rng(17)
+        delays = np.array([0, 7, 30])
+        taps = rng.standard_normal((3, 4, 8)) + 1j * rng.standard_normal((3, 4, 8))
+        dense = np.zeros((31, 4, 8), dtype=np.complex128)
+        dense[delays] = taps
+        d = np.exp(2j * np.pi * rng.random(48))
+        f = channel.steering_vector(ULA8, 0.2) / math.sqrt(8)
+        sparse_y = channel.propagate(channel.BeamSpaceChannel(taps, delays), d, f, 0.2, 0.35, 9, 80,
+                                     np.random.default_rng(3))
+        dense_y = channel.propagate(channel.BeamSpaceChannel(dense, np.arange(31)), d, f, 0.2, 0.35, 9, 80,
+                                    np.random.default_rng(3))
+        assert np.array_equal(sparse_y, dense_y)
 
     def test_invalid_start_index(self):
         paths = channel.single_path(aod_az=0.0, aoa=0.0)

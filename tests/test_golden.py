@@ -11,7 +11,10 @@ keys left the scenario, when the channel and cell shape constants and the
 search budget left it for named constants in the library, and when the
 sync symbol's length, root and cyclic prefix left it for the constants of
 ``mmwsync.waveform``.  Each time every row, aggregate and beam plan kept
-its bytes.  README.md's table of CSV schemas is held to the golden sample
+its bytes.  When a link came to hold one tap per distinct ray delay, in
+place of a span whose pulse-tail taps carried rounding-level power, the
+``peak_power`` of 12 timing and cfo sample rows moved by at most 6.8e-16
+relative, and nothing else moved.  README.md's table of CSV schemas is held to the golden sample
 files' column headers.
 """
 
