@@ -40,10 +40,12 @@ Conventions shared by all experiments:
 * One ADC front end: ``_front_end`` alone builds a noisy window, takes its
   AGC and scales it by 1/AGC; after it, only the quantizer differs between
   arms.  In the sqnr experiment the arms of one (trial, SNR, transmit
-  vector) share one call.  Each chunk allocates its buffers once, one per
-  role.  An infinite-resolution timing or multicell arm builds no window:
-  its profile is assembled from the noise's and the burst's correlations
-  (``_infinite_profile``).
+  vector) share one call, and a finite arm correlates its ADC codes
+  (``quantization.midrise_codes``) and rescales the zero-lag sums rather
+  than rebuilding its quantized samples.  Each chunk allocates its buffers
+  once, one per role.  An infinite-resolution timing or multicell arm
+  builds no window: its profile is assembled from the noise's and the
+  burst's correlations (``_infinite_profile``).
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -433,14 +435,20 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     repetitions' zero-lag correlations, all arms' moments in one pass.  The
     channel and sync sequence stay fixed over the ``inner_repeats`` noise
     draws, so distortion that is a fixed function of the burst moves the
-    mean, not the variance (see ``sqnr_db_sample`` in the module notes)."""
+    mean, not the variance (see ``sqnr_db_sample`` in the module notes).
+
+    A finite arm's zero-lag values are its rail codes' sums, each plus the
+    codes' common +0.5 offset and times step * AGC; the infinite-resolution
+    arm correlates its window."""
     rows = []
     shape = (scenario.inner_repeats, scenario.n_subcarriers)
     y, scaled, quantized = (np.empty(shape, np.complex128) for _ in range(3))
     squared = np.empty(shape)
     z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
-    for _, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
-        conj_reference = np.conj(reference)
+    # the serving cell's sequence, the reference _trials yields in every trial
+    conj_reference = np.conj(sync_waveform(scenario).time_samples)
+    offset = 0.5 * (1 + 1j) * conj_reference.sum()  # each code's +0.5 on both rails
+    for _, rng, slot, _, burst in _trials(scenario, trial_lo, trial_hi):
         noise_unit = _unit_noise(rng, *shape)
         # per transmit vector: its burst at the antenna detect picks on the noiseless
         # zero-lag profile, and the (index, adc) of every arm that sends it
@@ -456,8 +464,15 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
             for sent, members in vectors.values():
                 agc = _front_end(noise_unit, math.sqrt(sigma2), sent, 0, y, squared, scaled)
                 for i, adc in members:
-                    q = y if adc is None else quantization.quantize_scaled(adc, scaled, agc, out=quantized)
-                    np.matmul(q, conj_reference, out=z[i])
+                    if adc is None:
+                        np.matmul(y, conj_reference, out=z[i])
+                    else:
+                        # sum((c + 0.5 + 0.5j) * step * agc * conj(r)) over the codes c: equal,
+                        # in exact arithmetic, to correlating the quantized samples
+                        codes = quantization.midrise_codes(adc, scaled, out=quantized)
+                        np.matmul(codes, conj_reference, out=z[i])
+                        z[i] += offset
+                        z[i] *= adc.step * agc[:, 0]
             mean = z.mean(axis=1)
             var = np.mean(np.abs(z - mean[:, None]) ** 2, axis=1)
             power = np.abs(mean) ** 2

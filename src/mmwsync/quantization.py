@@ -1,12 +1,17 @@
 """Low-resolution ADC model and its quantization-MSE table.
 
 The ADC is a uniform midrise quantizer applied independently to the I and Q
-rails after AGC scaling.  ``xi_for_bits`` is the minimum (Lloyd-Max) mean
-squared error of a b-bit scalar quantizer for a unit-variance Gaussian, the
-worst-case distortion the beam-selection bound is parameterized by; it and
-the uniform quantizer's optimal clip are tabulated for 1-16 bits.  The
-Bussgang checks of ``apply`` against 1 - xi are in the tests
-(``tests/closed_forms.py``).
+rails after AGC scaling.  ``midrise_codes`` gives each rail's integer output
+code c; ``quantize_scaled`` maps it to its level (c + 0.5) * step and undoes
+the AGC scaling, and ``apply`` runs the whole chain.  A caller that only
+needs a linear function of the levels, such as a correlation, can take it
+of the codes and rescale the result.
+
+``xi_for_bits`` is the minimum (Lloyd-Max) mean squared error of a b-bit
+scalar quantizer for a unit-variance Gaussian, the worst-case distortion the
+beam-selection bound is parameterized by; it and the uniform quantizer's
+optimal clip are tabulated for 1-16 bits.  The Bussgang checks of ``apply``
+against 1 - xi are in the tests (``tests/closed_forms.py``).
 """
 
 from __future__ import annotations
@@ -116,13 +121,15 @@ def agc_scale(samples: np.ndarray, agc_rms: float | np.ndarray,
     return out
 
 
-def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Midrise per rail of an ``agc_scale`` output, rescaled by agc_rms.
+def midrise_codes(adc: AdcModel, scaled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each rail's output code of an ``agc_scale`` output,
+    clip(floor(scaled / step), -2^(b-1), 2^(b-1) - 1), held as floats in a
+    complex128 array.
 
-    The result is written to ``out`` (a new array when None), which may be
-    ``scaled`` itself; otherwise ``scaled`` is left as it is, so a caller
-    can quantize one scaled window at several resolutions.
+    The code c of a rail stands for the level (c + 0.5) * step.  The result
+    is written to ``out`` (a new array when None), which may be ``scaled``
+    itself; otherwise ``scaled`` is left as it is, so a caller can quantize
+    one scaled window at several resolutions.
     """
     if not scaled.flags.c_contiguous:
         raise ValueError("scaled must be C-contiguous, as agc_scale returns it")
@@ -133,6 +140,18 @@ def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarr
     np.divide(scaled.reshape(-1).view(np.float64), adc.step, out=rails)
     np.floor(rails, out=rails)
     np.clip(rails, -half, half - 1, out=rails)
+    return out
+
+
+def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Midrise per rail of an ``agc_scale`` output, rescaled by agc_rms: each
+    ``midrise_codes`` code c becomes (c + 0.5) * step * agc_rms.
+
+    ``out`` and ``scaled`` are as ``midrise_codes`` takes them.
+    """
+    out = midrise_codes(adc, scaled, out=out)
+    rails = out.reshape(-1).view(np.float64)
     rails += 0.5
     rails *= adc.step
     out *= agc_rms

@@ -25,16 +25,36 @@ def direct_correlation(received: np.ndarray, reference: np.ndarray) -> np.ndarra
     )
 
 
+def rail_code(adc, v):
+    """A rail's midrise code, written out."""
+    half = 2 ** (int(adc.bits) - 1)
+    return np.clip(np.floor(v / adc.step), -half, half - 1)
+
+
 def midrise_formula(adc, samples, agc_rms):
     """Per-rail quantizer written out rail by rail."""
-    half = 2 ** (int(adc.bits) - 1)
     scaled = np.asarray(samples, dtype=np.complex128) / agc_rms
 
     def rail(v):
-        idx = np.clip(np.floor(v / adc.step), -half, half - 1)
-        return (idx + 0.5) * adc.step
+        return (rail_code(adc, v) + 0.5) * adc.step
 
     return (rail(scaled.real) + 1j * rail(scaled.imag)) * agc_rms
+
+
+def rail_codes(adc, scaled):
+    """Both rails' ``rail_code`` in one complex array."""
+    codes = np.empty(np.shape(scaled), np.complex128)
+    codes.real = rail_code(adc, scaled.real)
+    codes.imag = rail_code(adc, scaled.imag)
+    return codes
+
+
+def zero_lag_of_codes(adc, scaled, agc, conj_reference):
+    """Each row's zero-lag sum of its codes, + 0.5 (1 + j) sum(conj(r)), x step * agc."""
+    z = rail_codes(adc, scaled) @ conj_reference
+    z += 0.5 * (1 + 1j) * conj_reference.sum()
+    z *= adc.step * agc[:, 0]
+    return z
 
 
 class TestCorrelate:
@@ -107,6 +127,61 @@ class TestApply:
         q = quantization.apply(adc, samples, agc)
         want = np.asarray(midrise_formula(adc, samples, agc))
         assert q.shape == want.shape and q.tobytes() == want.tobytes()
+
+
+def saturating_window(seed: int) -> np.ndarray:
+    """A (16, 512) noisy window whose rows 0-3 each carry one spike with
+    rails of +-50, over 20 times their row's rail rms and past every
+    resolution's clip, and whose row 4 opens with every signed zero."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((16, 512)) + 1j * rng.standard_normal((16, 512))
+    y[np.arange(4), 100 + np.arange(4)] = [50.0 + 50.0j, -50.0 - 50.0j, 50.0 - 50.0j, -50.0 + 50.0j]
+    y[4, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.0]
+    return y
+
+
+class TestMidriseCodes:
+    @pytest.mark.parametrize("bits", range(1, 17))
+    @pytest.mark.parametrize("agc", ["scalar", "row"])
+    def test_codes_and_levels_byte_identical_to_written_out_rails(self, bits, agc):
+        adc = quantization.AdcModel(bits=bits)
+        y = saturating_window(bits)
+        rms = 1.3 if agc == "scalar" else np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+        scaled = quantization.agc_scale(y, rms)
+        kept = scaled.copy()
+        codes = quantization.midrise_codes(adc, scaled)
+        want = rail_codes(adc, scaled)
+        assert codes.shape == want.shape and codes.tobytes() == want.tobytes()
+        assert scaled.tobytes() == kept.tobytes()
+        half = 2 ** (bits - 1)
+        top, bottom = complex(half - 1, half - 1), complex(-half, -half)  # the spikes' rails clip
+        assert codes[np.arange(4), 100 + np.arange(4)].tolist() == [
+            top, bottom, complex(half - 1, -half), complex(-half, half - 1)]
+        zeros = scaled[4, :4].view(np.float64)  # the scaling keeps some signed zeros, not all
+        assert not zeros.any() and set(np.signbit(zeros).tolist()) == {True, False}
+        levels = (want + (0.5 + 0.5j)) * adc.step * rms
+        assert quantization.quantize_scaled(adc, scaled, rms).tobytes() == levels.tobytes()
+
+
+class TestZeroLagOfCodes:
+    """The sqnr experiment rescales each row's zero-lag sum of codes rather
+    than correlating the quantized samples; only the rounding order differs."""
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    @pytest.mark.parametrize("kind", ["sync", "offset"])
+    def test_within_1e_12_of_correlating_apply(self, bits, kind):
+        adc = quantization.AdcModel(bits=bits)
+        reference = mc.sync_waveform(Scenario()).time_samples
+        if kind == "offset":
+            # the sync band leaves DC empty, so sum(conj(r)) is ~1e-15 and the
+            # codes' +0.5 offset all but vanishes; a reference with a mean keeps it
+            reference = reference + (0.05 - 0.03j)
+        y = saturating_window(bits)
+        y[8:] += 20.0 * reference  # rows the burst dominates
+        agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
+        want = quantization.apply(adc, y, agc) @ np.conj(reference)
+        got = zero_lag_of_codes(adc, quantization.agc_scale(y, agc), agc, np.conj(reference))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 512), (16, 5120)])
@@ -294,18 +369,22 @@ def empirical_zero_lag_sqnr(burst_clean, reference, sigma2, adc, noise_unit) -> 
     the smallest index among those within a relative 1e-9 of the largest
     power; each repetition adds fresh noise, runs the per-window AGC and ADC
     (none when ``adc`` is None, at infinite resolution), and correlates at the
-    true alignment.  The estimate is |mean|^2 / var of the complex
-    correlation samples.
+    true alignment.  A finite arm correlates its rail codes c, written out,
+    and rescales the sums: sum((c + 0.5 + 0.5j) * step * agc * conj(r)) is
+    (sum(c * conj(r)) + 0.5 (1 + j) sum(conj(r))) * step * agc
+    (``TestZeroLagOfCodes`` bounds its distance from correlating
+    ``quantization.apply``'s samples).  The estimate is |mean|^2 / var of the
+    complex correlation samples.
     """
-    power = np.abs(burst_clean @ np.conj(reference)) ** 2
+    conj_reference = np.conj(reference)
+    power = np.abs(burst_clean @ conj_reference) ** 2
     b_hat = min(i for i, p in enumerate(power) if p >= (1.0 - 1e-9) * power.max())
     y = burst_clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
     if adc is None:
-        q = quantization.check_finite(y)
+        z = quantization.check_finite(y) @ conj_reference
     else:
         agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-        q = quantization.apply(adc, y, agc)
-    z = q @ np.conj(reference)
+        z = zero_lag_of_codes(adc, y / agc, agc, conj_reference)
     mean = z.mean()
     var = float(np.mean(np.abs(z - mean) ** 2))
     if var == 0.0:
