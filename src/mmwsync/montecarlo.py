@@ -40,9 +40,9 @@ Conventions shared by all experiments:
 * One ADC front end: ``_front_end`` alone builds a noisy window, takes its
   AGC and scales it by 1/AGC; after it, only the quantizer differs between
   arms.  In the sqnr experiment the arms of one (trial, SNR, transmit
-  vector) share one call, and a finite arm correlates its ADC codes
-  (``quantization.midrise_codes``) and rescales the zero-lag sums rather
-  than rebuilding its quantized samples.  Each chunk allocates its buffers
+  vector) share one call.  A finite arm correlates its ADC codes
+  (``quantization.midrise_codes``) and rescales the sums to the levels'
+  (``levels_of_code_sums``).  Each chunk allocates its buffers
   once, one per role.  An infinite-resolution timing or multicell arm
   builds no window: its profile is assembled from the noise's and the
   burst's correlations (``_infinite_profile``).
@@ -436,19 +436,16 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     channel and sync sequence stay fixed over the ``inner_repeats`` noise
     draws, so distortion that is a fixed function of the burst moves the
     mean, not the variance (see ``sqnr_db_sample`` in the module notes).
-
-    A finite arm's zero-lag values are its rail codes' sums, each plus the
-    codes' common +0.5 offset and times step * AGC; the infinite-resolution
-    arm correlates its window."""
+    A finite arm correlates its codes, as "One ADC front end" there says."""
     rows = []
     shape = (scenario.inner_repeats, scenario.n_subcarriers)
-    y, scaled, quantized = (np.empty(shape, np.complex128) for _ in range(3))
+    y, scaled, codes = (np.empty(shape, np.complex128) for _ in range(3))
     squared = np.empty(shape)
     z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
-    # the serving cell's sequence, the reference _trials yields in every trial
-    conj_reference = np.conj(sync_waveform(scenario).time_samples)
-    offset = 0.5 * (1 + 1j) * conj_reference.sum()  # each code's +0.5 on both rails
-    for _, rng, slot, _, burst in _trials(scenario, trial_lo, trial_hi):
+    for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
+        if trial == trial_lo:  # _trials yields one reference, the serving cell's, to the chunk
+            conj_reference = np.conj(reference)
+            reference_sum = conj_reference.sum()
         noise_unit = _unit_noise(rng, *shape)
         # per transmit vector: its burst at the antenna detect picks on the noiseless
         # zero-lag profile, and the (index, adc) of every arm that sends it
@@ -467,12 +464,8 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
                     if adc is None:
                         np.matmul(y, conj_reference, out=z[i])
                     else:
-                        # sum((c + 0.5 + 0.5j) * step * agc * conj(r)) over the codes c: equal,
-                        # in exact arithmetic, to correlating the quantized samples
-                        codes = quantization.midrise_codes(adc, scaled, out=quantized)
-                        np.matmul(codes, conj_reference, out=z[i])
-                        z[i] += offset
-                        z[i] *= adc.step * agc[:, 0]
+                        np.matmul(quantization.midrise_codes(adc, scaled, out=codes), conj_reference, out=z[i])
+                        quantization.levels_of_code_sums(z[i], adc, agc[:, 0], reference_sum)
             mean = z.mean(axis=1)
             var = np.mean(np.abs(z - mean[:, None]) ** 2, axis=1)
             power = np.abs(mean) ** 2
@@ -548,13 +541,15 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
     from 0 until the first success at or after it.  The i-th slot visited
     reads the trial's i-th noise window, drawn on its first visit and shared
     by every arm, CFO and SNR.  A finite-resolution arm's window is built,
-    AGC-scaled (``_front_end``) and quantized in place, then correlated.
+    AGC-scaled (``_front_end``) and coded in place, then correlated.
     """
     m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
     y, power = np.empty((m, window), np.complex128), np.empty((m, window))
     spectrum = np.empty((m, detector._next_fast_len(window)), np.complex128)
     rows = []
     for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
+        if trial == trial_lo:  # _trials yields one reference, the serving cell's, to the chunk
+            reference_sum = np.conj(reference).sum()
         t = int(rng.integers(1, scenario.n_subcarriers * (scenario.t_ue - 1), endpoint=True))
         slots = range(scenario.t_bs) if sweep else (slot,)
         noises: list[_Correlated] = []
@@ -570,8 +565,9 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
                             profile = _infinite_profile(sent, noises[i], scale, t, spectrum)
                         else:
                             agc = _front_end(noises[i].samples, scale, sent.samples, t, y, power, y)
-                            q = quantization.quantize_scaled(adc, y, agc, out=y)
-                            profile = detector.correlate(q, reference, out=spectrum)
+                            codes = quantization.midrise_codes(adc, y, out=y)
+                            profile = detector.correlate(codes, reference, out=spectrum)
+                            quantization.levels_of_code_sums(profile.values, adc, agc, reference_sum)
                         out = detector.detect(profile, nu_true=t)
                         if tau == slot:
                             serving = out

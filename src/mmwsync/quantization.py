@@ -1,11 +1,9 @@
 """Low-resolution ADC model and its quantization-MSE table.
 
 The ADC is a uniform midrise quantizer applied independently to the I and Q
-rails after AGC scaling.  ``midrise_codes`` gives each rail's integer output
-code c; ``quantize_scaled`` maps it to its level (c + 0.5) * step and undoes
-the AGC scaling, and ``apply`` runs the whole chain.  A caller that only
-needs a linear function of the levels, such as a correlation, can take it
-of the codes and rescale the result.
+rails after AGC scaling.  ``midrise_codes`` gives each rail's output code and
+``apply`` its level; ``levels_of_code_sums`` turns a linear map of the codes,
+such as a correlation, into that map of the levels.
 
 ``xi_for_bits`` is the minimum (Lloyd-Max) mean squared error of a b-bit
 scalar quantizer for a unit-variance Gaussian, the worst-case distortion the
@@ -143,19 +141,17 @@ def midrise_codes(adc: AdcModel, scaled: np.ndarray, out: np.ndarray | None = No
     return out
 
 
-def quantize_scaled(adc: AdcModel, scaled: np.ndarray, agc_rms: float | np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Midrise per rail of an ``agc_scale`` output, rescaled by agc_rms: each
-    ``midrise_codes`` code c becomes (c + 0.5) * step * agc_rms.
-
-    ``out`` and ``scaled`` are as ``midrise_codes`` takes them.
+def levels_of_code_sums(sums: np.ndarray, adc: AdcModel, agc_rms: float | np.ndarray,
+                        reference_sum: complex) -> None:
+    """Turns ``sums``, a linear map L of ``midrise_codes`` output, in place into
+    L of the levels: (L(codes) + 0.5 (1 + j) L(1)) * step * agc_rms, equal in
+    exact arithmetic over samples that share one AGC rms (only the rounding
+    order differs).  ``reference_sum`` is L(1); for a correlation against
+    conj(r) it is sum(conj(r)) at every lag where the reference lies inside
+    the window.  ``agc_rms`` broadcasts against ``sums``.
     """
-    out = midrise_codes(adc, scaled, out=out)
-    rails = out.reshape(-1).view(np.float64)
-    rails += 0.5
-    rails *= adc.step
-    out *= agc_rms
-    return out
+    sums += 0.5 * (1 + 1j) * reference_sum
+    sums *= adc.step * agc_rms
 
 
 def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
@@ -169,4 +165,9 @@ def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np
     samples = check_finite(samples)
     check_agc(agc_rms)
     scaled = agc_scale(samples, agc_rms)
-    return quantize_scaled(adc, scaled, agc_rms, out=scaled)
+    out = midrise_codes(adc, scaled, out=scaled)
+    rails = out.reshape(-1).view(np.float64)
+    rails += 0.5
+    rails *= adc.step
+    out *= agc_rms
+    return out

@@ -9,7 +9,7 @@ import pytest
 import scipy.fft
 
 from closed_forms import select_multi_beam
-from mmwsync import beamforming, channel, cli, detector, optimizer, quantization
+from mmwsync import beamforming, channel, cli, detector, optimizer, quantization, waveform
 from mmwsync import montecarlo as mc
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario
 
@@ -160,28 +160,42 @@ class TestMidriseCodes:
         zeros = scaled[4, :4].view(np.float64)  # the scaling keeps some signed zeros, not all
         assert not zeros.any() and set(np.signbit(zeros).tolist()) == {True, False}
         levels = (want + (0.5 + 0.5j)) * adc.step * rms
-        assert quantization.quantize_scaled(adc, scaled, rms).tobytes() == levels.tobytes()
+        assert quantization.apply(adc, y, rms).tobytes() == levels.tobytes()
 
 
 class TestZeroLagOfCodes:
-    """The sqnr experiment rescales each row's zero-lag sum of codes rather
-    than correlating the quantized samples; only the rounding order differs."""
+    """Every finite arm correlates its codes and rescales the sums
+    (``quantization.levels_of_code_sums``) rather than correlating the
+    quantized samples; only the rounding order differs."""
 
     @pytest.mark.parametrize("bits", range(1, 17))
     @pytest.mark.parametrize("kind", ["sync", "offset"])
-    def test_within_1e_12_of_correlating_apply(self, bits, kind):
+    @pytest.mark.parametrize("lags", ["zero", "full"])
+    def test_within_1e_12_of_correlating_apply(self, bits, kind, lags):
         adc = quantization.AdcModel(bits=bits)
         reference = mc.sync_waveform(Scenario()).time_samples
         if kind == "offset":
             # the sync band leaves DC empty, so sum(conj(r)) is ~1e-15 and the
             # codes' +0.5 offset all but vanishes; a reference with a mean keeps it
             reference = reference + (0.05 - 0.03j)
+        conj_reference = np.conj(reference)
         y = saturating_window(bits)
-        y[8:] += 20.0 * reference  # rows the burst dominates
+        t = 0
+        if lags == "full":  # 513 lags, the burst at lag 200
+            y, t = np.concatenate([y, saturating_window(bits + 16)], axis=1), 200
+        y[8:, t : t + reference.shape[0]] += 20.0 * reference  # rows the burst dominates
         agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-        want = quantization.apply(adc, y, agc) @ np.conj(reference)
-        got = zero_lag_of_codes(adc, quantization.agc_scale(y, agc), agc, np.conj(reference))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        q = quantization.apply(adc, y, agc)
+        codes = quantization.midrise_codes(adc, quantization.agc_scale(y, agc))
+        if lags == "zero":
+            want, got = q @ conj_reference, codes @ conj_reference
+            quantization.levels_of_code_sums(got, adc, agc[:, 0], conj_reference.sum())
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        else:
+            want, got = detector.correlate(q, reference).values, detector.correlate(codes, reference).values
+            quantization.levels_of_code_sums(got, adc, agc, conj_reference.sum())
+            assert want.shape == (16, 513)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 512), (16, 5120)])
@@ -315,7 +329,7 @@ def test_noiseless_agc_runs_on_finite_resolution_windows_only(monkeypatch, run, 
     """Each finite window is one ``_front_end`` call and one quantization, and an
     infinite-resolution one neither."""
     infinite_profile, front_end = mc._infinite_profile, mc._front_end
-    quantize_scaled = quantization.quantize_scaled
+    midrise_codes = quantization.midrise_codes
     finite, agc_calls = [], []
 
     def counted_profile(*args):
@@ -324,14 +338,14 @@ def test_noiseless_agc_runs_on_finite_resolution_windows_only(monkeypatch, run, 
 
     def counted_quantizer(*args, **kwargs):
         finite.append(True)
-        return quantize_scaled(*args, **kwargs)
+        return midrise_codes(*args, **kwargs)
 
     def counted_agc(*args):
         agc_calls.append(1)
         return front_end(*args)
 
     monkeypatch.setattr(mc, "_infinite_profile", counted_profile)
-    monkeypatch.setattr(quantization, "quantize_scaled", counted_quantizer)
+    monkeypatch.setattr(quantization, "midrise_codes", counted_quantizer)
     monkeypatch.setattr(mc, "_front_end", counted_agc)
     run(scenario)
     assert 0 < sum(finite) < len(finite)
@@ -505,9 +519,9 @@ WINDOW_IDS = ["timing", "cfo", "odd_window", "multicell", "two_finite_timing", "
 
 @pytest.mark.parametrize("scenario", [Scenario(), ODD_WINDOW_TIMING], ids=["16x5120", "odd_window"])
 def test_workspace_buffers_share_no_memory(monkeypatch, scenario):
-    """The window (scaled and quantized in place), |y|^2 and the correlator's
+    """The window (scaled and coded in place), |y|^2 and the correlator's
     output are one buffer each for the whole run, and no two share memory."""
-    front_end, quantize_scaled, correlate = mc._front_end, quantization.quantize_scaled, detector.correlate
+    front_end, midrise_codes, correlate = mc._front_end, quantization.midrise_codes, detector.correlate
     infinite_profile = mc._infinite_profile
     roles: dict[str, list] = {"window": [], "spectrum": [], "power": []}
 
@@ -517,9 +531,9 @@ def test_workspace_buffers_share_no_memory(monkeypatch, scenario):
         roles["power"].append(power)
         return front_end(noise, scale, burst, t, y, power, scaled)
 
-    def seen_quantizer(adc, scaled, agc, out=None):
+    def seen_quantizer(adc, scaled, out=None):
         assert out is scaled
-        return quantize_scaled(adc, scaled, agc, out=out)
+        return midrise_codes(adc, scaled, out=out)
 
     def seen_correlator(received, reference, out=None):
         if out is not None:
@@ -531,7 +545,7 @@ def test_workspace_buffers_share_no_memory(monkeypatch, scenario):
         return infinite_profile(burst, noise, scale, t, spectrum)
 
     monkeypatch.setattr(mc, "_front_end", seen_window)
-    monkeypatch.setattr(quantization, "quantize_scaled", seen_quantizer)
+    monkeypatch.setattr(quantization, "midrise_codes", seen_quantizer)
     monkeypatch.setattr(detector, "correlate", seen_correlator)
     monkeypatch.setattr(mc, "_infinite_profile", seen_profile)
     mc.run_timing_experiment(replace(scenario, trials=2, adc_bits=(2.0, 4.0, math.inf)))
@@ -573,13 +587,22 @@ def test_rows_equal_with_a_fresh_workspace_per_window(monkeypatch, run, scenario
     assert run(scenario).rows == reused
 
 
+@pytest.mark.parametrize("means", [False, True], ids=["sync", "root_means"])
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
-def test_quantized_windows_equal_allocating_calls(monkeypatch, run, scenario):
-    """Each finite arm's window, built by ``_front_end`` and quantized in place,
-    detects as the whole window run through ``quantization.apply`` and
-    ``detector.correlate``."""
-    front_end, quantize_scaled, correlate = mc._front_end, quantization.quantize_scaled, detector.correlate
-    window, quantized, checked = [], [], []
+def test_quantized_windows_equal_allocating_calls(monkeypatch, run, scenario, means):
+    """Each finite arm's profile, its window built by ``_front_end``, coded in
+    place, correlated and rescaled, detects as the written-out codes of
+    ``quantization.apply``'s AGC-scaled window, correlated, plus
+    0.5 (1 + j) sum(conj(r)), times step * AGC.  With ``means`` each root's
+    sequence carries its own mean, so sum(conj(r)) taken from another cell's
+    sequence than the one correlated against would show."""
+    front_end, midrise_codes = mc._front_end, quantization.midrise_codes
+    correlate, detect, sync_waveform = detector.correlate, detector.detect, mc.sync_waveform
+    window, quantized, reference, checked = [], [], [], []
+
+    def with_mean(scenario, root=waveform.ZC_ROOT):
+        wf = sync_waveform(scenario, root=root)
+        return replace(wf, time_samples=wf.time_samples + root * (0.004 + 0.003j))
 
     def recorded_window(noise, scale, burst, t, *buffers):
         window[:] = noise, scale, burst, t
@@ -587,27 +610,32 @@ def test_quantized_windows_equal_allocating_calls(monkeypatch, run, scenario):
 
     def recorded_adc(adc, *args, **kwargs):
         quantized.append(adc)
-        return quantize_scaled(adc, *args, **kwargs)
+        return midrise_codes(adc, *args, **kwargs)
 
-    def explicit(received, reference, out=None):
-        profile = correlate(received, reference, out)
-        if quantized:  # the correlation of the window an arm just quantized
-            adc = quantized.pop()
-            noise, scale, burst, t = window
-            got = detector.detect(profile, nu_true=t)
+    def recorded_reference(received, r, out=None):
+        reference[:] = [r]
+        return correlate(received, r, out)
+
+    def explicit(profile, nu_true=None):
+        got = detect(profile, nu_true)
+        if quantized:  # the profile of the window an arm just coded
+            adc, (noise, scale, burst, t), (r,) = quantized.pop(), window, reference
             y = scale * noise
             y[:, t : t + burst.shape[1]] += burst
             agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-            q = quantization.apply(adc, y, agc)
-            quantized.clear()  # apply's own quantize_scaled call
-            ref = detector.detect(correlate(q, reference), nu_true=t)
-            assert got == ref
+            values = correlate(rail_codes(adc, quantization.agc_scale(y, agc)), r).values
+            values += 0.5 * (1 + 1j) * np.conj(r).sum()
+            values *= adc.step * agc
+            assert got == detect(detector.CorrelationProfile(values), nu_true=t)
             checked.append(got)
-        return profile
+        return got
 
+    if means:
+        monkeypatch.setattr(mc, "sync_waveform", with_mean)
     monkeypatch.setattr(mc, "_front_end", recorded_window)
-    monkeypatch.setattr(quantization, "quantize_scaled", recorded_adc)
-    monkeypatch.setattr(detector, "correlate", explicit)
+    monkeypatch.setattr(quantization, "midrise_codes", recorded_adc)
+    monkeypatch.setattr(detector, "correlate", recorded_reference)
+    monkeypatch.setattr(detector, "detect", explicit)
     run(scenario)
     assert checked
 

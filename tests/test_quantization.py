@@ -274,22 +274,24 @@ class TestApply:
     @pytest.mark.parametrize("bits", [1, 2, 16])
     @pytest.mark.parametrize("agc", ["scalar", "row"])
     def test_out_byte_identical_to_allocating_call(self, bits, agc):
-        # agc_scale then quantize_scaled, each written to a buffer or over its
-        # input as the experiments' windows are, give the bytes of apply
+        # agc_scale then midrise_codes, each written to a buffer or over its
+        # input as the experiments' windows are, give the codes of the
+        # allocating calls, whose levels are the bytes of apply
         adc = AdcModel(bits=bits)
         rng = np.random.default_rng(7)
         x = 3.0 * (rng.standard_normal((16, 640)) + 1j * rng.standard_normal((16, 640)))
         rms = 1.3 if agc == "scalar" else np.sqrt(np.mean(np.abs(x) ** 2, axis=1) / 2.0)[:, None]
-        want = quantization.apply(adc, x, rms)
+        want = quantization.midrise_codes(adc, quantization.agc_scale(x, rms))
+        assert ((want + (0.5 + 0.5j)) * adc.step * rms).tobytes() == quantization.apply(adc, x, rms).tobytes()
         kept = x.copy()
         buf = np.full_like(x, np.nan)
         assert quantization.agc_scale(x, rms, out=buf) is buf
         assert buf.tobytes() == quantization.agc_scale(x, rms).tobytes()
         assert x.tobytes() == kept.tobytes()
-        assert quantization.quantize_scaled(adc, buf, rms, out=buf) is buf
+        assert quantization.midrise_codes(adc, buf, out=buf) is buf
         assert buf.tobytes() == want.tobytes()
         assert quantization.agc_scale(x, rms, out=x) is x
-        assert quantization.quantize_scaled(adc, x, rms, out=x) is x
+        assert quantization.midrise_codes(adc, x, out=x) is x
         assert x.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bits", [2])
@@ -301,10 +303,10 @@ class TestApply:
             with pytest.raises(ValueError, match="out"):
                 quantization.agc_scale(x, 1.0, out=out)
             with pytest.raises(ValueError, match="out"):
-                quantization.quantize_scaled(adc, x, 1.0, out=out)
+                quantization.midrise_codes(adc, x, out=out)
 
     @pytest.mark.parametrize("bits", [1, 3, 12])
-    def test_quantize_scaled_leaves_scaled_unless_out_is_scaled(self, bits):
+    def test_midrise_codes_leaves_scaled_unless_out_is_scaled(self, bits):
         adc = AdcModel(bits=bits)
         rng = np.random.default_rng(bits)
         x = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
@@ -313,12 +315,16 @@ class TestApply:
         scaled = quantization.agc_scale(x, rms)
         kept = scaled.copy()
         buf = np.empty_like(scaled)
-        for got in (quantization.quantize_scaled(adc, scaled, rms),
-                    quantization.quantize_scaled(adc, scaled, rms, out=buf)):
-            assert got.tobytes() == want.tobytes()
+
+        def levels(codes):
+            return (codes + (0.5 + 0.5j)) * adc.step * rms
+
+        for got in (quantization.midrise_codes(adc, scaled),
+                    quantization.midrise_codes(adc, scaled, out=buf)):
+            assert levels(got).tobytes() == want.tobytes()
             assert scaled.tobytes() == kept.tobytes()
-        assert quantization.quantize_scaled(adc, scaled, rms, out=scaled) is scaled
-        assert scaled.tobytes() == want.tobytes()
+        assert quantization.midrise_codes(adc, scaled, out=scaled) is scaled
+        assert levels(scaled).tobytes() == want.tobytes()
 
     def test_output_alphabet_size(self):
         adc = AdcModel(bits=3)
