@@ -161,7 +161,12 @@ def main() -> int:
     parser.add_argument("--out", dest="out_dir", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
-    return run(RunConfig(**vars(parser.parse_args())))
+    try:
+        config = RunConfig(**vars(parser.parse_args()))
+    except ValueError as exc:  # a bad flag value, reported as run reports a bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return run(config)
 
 
 if __name__ == "__main__":

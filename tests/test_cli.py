@@ -300,10 +300,10 @@ class TestRun:
         ("multicell", "mode: multi_cell\ntrials: 1\nt_bs: 2\ncfo_grid: [0.0, 0.5]\n"),
     ])
     def test_cfo_grid_rejected_without_cfo_axis(self, tmp_path, capsys, monkeypatch, experiment, text):
-        def no_trials(*args):
-            raise AssertionError("a trial ran")
+        def no_search(*args):
+            raise AssertionError("the beam search ran")
 
-        monkeypatch.setattr(montecarlo, "_trials", no_trials)
+        monkeypatch.setattr(montecarlo, "slot_beam_plans", no_search)
         out = tmp_path / "out"
         assert cli.run(cli.RunConfig(str(write(tmp_path, text)), experiment, str(out))) == 1
         assert "cfo_grid" in capsys.readouterr().err
@@ -330,3 +330,11 @@ class TestMain:
         code = cli.main()
         assert code == 0
         assert "wrote" in capsys.readouterr().out
+
+    def test_workers_below_one_reported_as_an_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        argv = ["mmwsync", "--config", str(write(tmp_path, TINY_SQNR)), "--experiment", "sqnr", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv + ["--workers", "0"])
+        assert cli.main() == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,4 +1,6 @@
-"""The fast per-window path against the plain computations it replaces."""
+"""The fast per-window path against the plain computations it replaces:
+every experiment's rows against the plain pipeline of ``reference``, and
+each kernel against its written-out formula."""
 
 import math
 from dataclasses import replace
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import reference
 from closed_forms import select_multi_beam
 from mmwsync import beamforming, channel, cli, detector, optimizer, quantization, waveform
 from mmwsync import montecarlo as mc
 from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario
+from reference import rail_codes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,36 +29,10 @@ def direct_correlation(received: np.ndarray, reference: np.ndarray) -> np.ndarra
     )
 
 
-def rail_code(adc, v):
-    """A rail's midrise code, written out."""
-    half = 2 ** (int(adc.bits) - 1)
-    return np.clip(np.floor(v / adc.step), -half, half - 1)
-
-
 def midrise_formula(adc, samples, agc_rms):
     """Per-rail quantizer written out rail by rail."""
     scaled = np.asarray(samples, dtype=np.complex128) / agc_rms
-
-    def rail(v):
-        return (rail_code(adc, v) + 0.5) * adc.step
-
-    return (rail(scaled.real) + 1j * rail(scaled.imag)) * agc_rms
-
-
-def rail_codes(adc, scaled):
-    """Both rails' ``rail_code`` in one complex array."""
-    codes = np.empty(np.shape(scaled), np.complex128)
-    codes.real = rail_code(adc, scaled.real)
-    codes.imag = rail_code(adc, scaled.imag)
-    return codes
-
-
-def zero_lag_of_codes(adc, scaled, agc, conj_reference):
-    """Each row's zero-lag sum of its codes, + 0.5 (1 + j) sum(conj(r)), x step * agc."""
-    z = rail_codes(adc, scaled) @ conj_reference
-    z += 0.5 * (1 + 1j) * conj_reference.sum()
-    z *= adc.step * agc[:, 0]
-    return z
+    return (rail_codes(adc, scaled) + (0.5 + 0.5j)) * adc.step * agc_rms
 
 
 class TestCorrelate:
@@ -221,40 +199,6 @@ CFO_TIMING = Scenario(
 )
 
 
-def explicit_infinite_resolution(monkeypatch) -> list[tuple]:
-    """Detect each profile of ``_infinite_profile`` and each infinite-resolution
-    window also the plain way (whole window, ``quantization.check_finite``,
-    ``detector.correlate``), hold the two to each other, and collect the plain
-    (nu_hat, b_hat, success) in order."""
-    fast = mc._infinite_profile
-    checked = []
-
-    def explicit(burst, noise, scale, t, spectrum):
-        profile = fast(burst, noise, scale, t, spectrum)
-        out = detector.detect(profile, nu_true=t)
-        reference = noise.reference
-        n = reference.shape[0]
-        y = scale * noise.samples
-        y[:, t : t + n] += burst.samples
-        ref = detector.detect(detector.correlate(quantization.check_finite(y), reference), nu_true=t)
-        assert (out.nu_hat, out.b_hat, out.success) == (ref.nu_hat, ref.b_hat, ref.success)
-        assert out.peak_power == pytest.approx(ref.peak_power, rel=1e-12)
-        checked.append((ref.nu_hat, ref.b_hat, ref.success))
-        return profile
-
-    monkeypatch.setattr(mc, "_infinite_profile", explicit)
-    return checked
-
-
-def test_infinite_resolution_rows_match_explicit_detection(monkeypatch):
-    checked = explicit_infinite_resolution(monkeypatch)
-    rows = mc.run_timing_experiment(CFO_TIMING).rows
-    inf_rows = [r for r in rows if r["bits"] == math.inf]
-    assert len(checked) == len(inf_rows) == 3 * 2 * 3 * 2
-    for row, (ref_nu, ref_b, ref_ok) in zip(inf_rows, checked):
-        assert (row["nu_hat"], row["b_hat"], row["success"]) == (ref_nu, ref_b, int(ref_ok))
-
-
 SQNR = Scenario(trials=3, t_bs=4, inner_repeats=4, adc_bits=(1.0, 2.0, math.inf), seed=3)
 
 TIMING = replace(CFO_TIMING, cfo_grid=(0.0,), seed=29)
@@ -287,34 +231,6 @@ NOISELESS_SCENARIOS = [
 NOISELESS_IDS = ["timing", "cfo", "multicell"]
 
 
-@pytest.mark.parametrize("run, scenario", NOISELESS_SCENARIOS, ids=NOISELESS_IDS)
-def test_noiseless_infinite_resolution_rows_match_explicit_detection(monkeypatch, run, scenario):
-    """At +inf dB sigma^2 is 0: each infinite-resolution window, assembled from
-    the burst's correlation, detects as the whole window detected explicitly."""
-    checked = explicit_infinite_resolution(monkeypatch)
-    rows = run(scenario).rows
-    assert all(math.isfinite(v) for r in rows for k, v in r.items()
-               if isinstance(v, float) and k not in ("bits", "snr_db"))
-    inf_rows = [r for r in rows if r["bits"] == math.inf]
-    windows = iter(checked)
-    if run is mc.run_timing_experiment:
-        for row, (ref_nu, ref_b, ref_ok) in zip(inf_rows, windows):
-            assert (row["nu_hat"], row["b_hat"], row["success"]) == (ref_nu, ref_b, int(ref_ok))
-    else:  # the multicell chunk scans the frame until the serving slot and one success have passed
-        for row in inf_rows:
-            first = -1
-            for tau in range(scenario.t_bs):
-                ok = next(windows)[2]
-                if tau == row["slot"]:
-                    assert row["success"] == int(ok)
-                if ok and first < 0:
-                    first = tau
-                if first >= 0 and tau >= row["slot"]:
-                    break
-            assert row["first_success_slot"] == first
-    assert inf_rows and next(windows, None) is None
-
-
 def test_noiseless_flat_infinite_resolution_picks_the_first_antenna():
     """In a flat noiseless window every antenna's peak power is equal up to
     rounding, so the tie goes to antenna 0."""
@@ -326,30 +242,17 @@ def test_noiseless_flat_infinite_resolution_picks_the_first_antenna():
 
 @pytest.mark.parametrize("run, scenario", NOISELESS_SCENARIOS, ids=NOISELESS_IDS)
 def test_noiseless_agc_runs_on_finite_resolution_windows_only(monkeypatch, run, scenario):
-    """Each finite window is one ``_front_end`` call and one quantization, and an
-    infinite-resolution one neither."""
-    infinite_profile, front_end = mc._infinite_profile, mc._front_end
-    midrise_codes = quantization.midrise_codes
-    finite, agc_calls = [], []
+    """Each finite window is AGC-scaled and quantized once, and an
+    infinite-resolution one neither, though every window is detected."""
+    calls = {"agc_scale": 0, "midrise_codes": 0, "detect": 0}
+    for module, name in ((quantization, "agc_scale"), (quantization, "midrise_codes"), (detector, "detect")):
+        def counted(*args, original=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    def counted_profile(*args):
-        finite.append(False)
-        return infinite_profile(*args)
-
-    def counted_quantizer(*args, **kwargs):
-        finite.append(True)
-        return midrise_codes(*args, **kwargs)
-
-    def counted_agc(*args):
-        agc_calls.append(1)
-        return front_end(*args)
-
-    monkeypatch.setattr(mc, "_infinite_profile", counted_profile)
-    monkeypatch.setattr(quantization, "midrise_codes", counted_quantizer)
-    monkeypatch.setattr(mc, "_front_end", counted_agc)
+        monkeypatch.setattr(module, name, counted)
     run(scenario)
-    assert 0 < sum(finite) < len(finite)
-    assert len(agc_calls) == sum(finite)
+    assert 0 < calls["agc_scale"] == calls["midrise_codes"] < calls["detect"]
 
 
 @pytest.mark.parametrize(
@@ -376,54 +279,6 @@ def test_one_propagate_per_distinct_input(monkeypatch, run, scenario):
     assert len(inputs) == len(set(inputs))
 
 
-def empirical_zero_lag_sqnr(burst_clean, reference, sigma2, adc, noise_unit) -> float:
-    """One arm measured on its own, window included: the oracle for the sqnr rows.
-
-    The antenna with the strongest noiseless zero-lag response is measured,
-    the smallest index among those within a relative 1e-9 of the largest
-    power; each repetition adds fresh noise, runs the per-window AGC and ADC
-    (none when ``adc`` is None, at infinite resolution), and correlates at the
-    true alignment.  A finite arm correlates its rail codes c, written out,
-    and rescales the sums: sum((c + 0.5 + 0.5j) * step * agc * conj(r)) is
-    (sum(c * conj(r)) + 0.5 (1 + j) sum(conj(r))) * step * agc
-    (``TestZeroLagOfCodes`` bounds its distance from correlating
-    ``quantization.apply``'s samples).  The estimate is |mean|^2 / var of the
-    complex correlation samples.
-    """
-    conj_reference = np.conj(reference)
-    power = np.abs(burst_clean @ conj_reference) ** 2
-    b_hat = min(i for i, p in enumerate(power) if p >= (1.0 - 1e-9) * power.max())
-    y = burst_clean[b_hat][None, :] + math.sqrt(sigma2) * noise_unit
-    if adc is None:
-        z = quantization.check_finite(y) @ conj_reference
-    else:
-        agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-        z = zero_lag_of_codes(adc, y / agc, agc, conj_reference)
-    mean = z.mean()
-    var = float(np.mean(np.abs(z - mean) ** 2))
-    if var == 0.0:
-        return math.inf
-    return float(np.abs(mean) ** 2 / var)
-
-
-def per_arm_sqnr_rows(scenario: Scenario) -> list[dict]:
-    plans = mc.slot_beam_plans(scenario)
-    shape = (scenario.inner_repeats, scenario.n_subcarriers)
-    rows = []
-    for _, rng, slot, reference, burst in mc._trials(scenario, 0, scenario.trials):
-        noise_unit = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-        for snr_db in scenario.snr_db_grid:
-            sigma2 = mc.noise_variance(scenario, snr_db)
-            for (method, bits), plan in plans.items():
-                adc = None if bits == math.inf else quantization.AdcModel(bits=bits)
-                g = empirical_zero_lag_sqnr(
-                    burst(plan.tx_vectors[slot]).samples, reference, sigma2, adc, noise_unit
-                )
-                rows.append({"method": method, "bits": bits, "snr_db": snr_db,
-                             "sqnr_db_sample": 10.0 * math.log10(g) if g > 0 else -math.inf})
-    return rows
-
-
 SQNR_ARMS = Scenario(
     trials=3,
     t_bs=4,
@@ -434,31 +289,65 @@ SQNR_ARMS = Scenario(
 )
 
 
-@pytest.mark.parametrize("mode", ["single_ue", "multi_ue_cell"])
-@pytest.mark.parametrize("regime", ["flat", "clustered"])
-def test_sqnr_rows_equal_per_arm_measurement(mode, regime):
-    scenario = replace(SQNR_ARMS, mode=mode, channel=ChannelConfig(regime=regime))
-    assert mc.run_sqnr_experiment(scenario).rows == per_arm_sqnr_rows(scenario)
+def detection_case(mode, regime, seed, **kwargs):
+    return Scenario(mode=mode, trials=2, t_bs=4, t_ue=3, m_tot=4, adc_bits=(1.0, 2.0, math.inf),
+                    snr_db_grid=(-10.0, 0.0, math.inf), channel=ChannelConfig(regime), seed=seed, **kwargs)
+
+
+MODES, REGIMES = ("single_ue", "multi_ue_cell"), ("flat", "clustered")
+REFERENCE_CASES = {
+    **{f"sqnr-{mode}-{regime}": ("sqnr", replace(SQNR_ARMS, mode=mode, channel=ChannelConfig(regime)), False)
+       for mode in MODES for regime in REGIMES},
+    **{f"timing-{mode}-{regime}": ("timing", detection_case(mode, regime, 41, cfo_grid=(-0.5, 0.0, 0.5)), False)
+       for mode in MODES for regime in REGIMES},
+    "timing-odd_window": ("timing", ODD_WINDOW_TIMING, False),
+    **{f"multicell-{regime}": ("multicell", detection_case("multi_cell", regime, 43), False) for regime in REGIMES},
+    # each root's sequence carries its own mean, so sum(conj(r)) of another cell's root than the serving one would show
+    "multicell-root_means": ("multicell", detection_case("multi_cell", "clustered", 43), True),
+    **{f"golden-{name}": ("timing" if name == "cfo" else name,
+                          cli.parse_config(ROOT / f"tests/golden/{name}/scenario.yaml"), False)
+       for name in ("sqnr", "timing", "cfo", "multicell")},
+}
+
+
+@pytest.mark.parametrize("experiment, scenario, means", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
+def test_rows_equal_the_reference_pipeline(monkeypatch, experiment, scenario, means):
+    """Every row holds the reference's columns in order, and its values.  An
+    infinite-resolution detection profile is assembled from the noise's and
+    the burst's correlations, so its ``peak_power`` is held within 1e-12
+    relative, not equal."""
+    if means:
+        sync_waveform = mc.sync_waveform
+
+        def with_mean(scenario, root=waveform.ZC_ROOT):
+            wf = sync_waveform(scenario, root=root)
+            return replace(wf, time_samples=wf.time_samples + root * (0.004 + 0.003j))
+
+        monkeypatch.setattr(mc, "sync_waveform", with_mean)
+    rows = getattr(mc, f"run_{experiment}_experiment")(scenario).rows
+    want = reference.sqnr_rows(scenario) if experiment == "sqnr" else reference.detection_rows(scenario, experiment)
+    assert [list(row) for row in rows] == [list(row) for row in want]
+    for row, ref in zip(rows, want):
+        if row["bits"] == math.inf and "peak_power" in row:
+            assert math.isclose(row.pop("peak_power"), ref.pop("peak_power"), rel_tol=1e-12), ref
+        assert row == ref
 
 
 def test_one_sqnr_window_per_trial_snr_and_transmit_vector(monkeypatch):
-    original = mc._front_end
-    built = []
+    agc_scale, windows = quantization.agc_scale, []
 
-    def counting(noise, scale, burst, *rest):
-        built.append((burst.tobytes(), scale))
-        return original(noise, scale, burst, *rest)
+    def counting(samples, *args, **kwargs):
+        windows.append(samples.tobytes())
+        return agc_scale(samples, *args, **kwargs)
 
-    monkeypatch.setattr(mc, "_front_end", counting)
+    monkeypatch.setattr(quantization, "agc_scale", counting)
     mc.run_sqnr_experiment(SQNR_ARMS)
     plans = mc.slot_beam_plans(SQNR_ARMS)
-    distinct = sum(
-        len({plan.tx_vectors[slot].tobytes() for plan in plans.values()})
-        for _, _, slot, _, _ in mc._trials(SQNR_ARMS, 0, SQNR_ARMS.trials)
-    )
+    slots = [reference.draw_links(SQNR_ARMS, trial)[1] for trial in range(SQNR_ARMS.trials)]
+    distinct = sum(len({plan.tx_vectors[slot].tobytes() for plan in plans.values()}) for slot in slots)
     n_snr = len(SQNR_ARMS.snr_db_grid)
-    assert len(built) == len(set(built)) == distinct * n_snr
-    assert len(built) < SQNR_ARMS.trials * n_snr * len(plans)
+    assert len(windows) == len(set(windows)) == distinct * n_snr
+    assert len(windows) < SQNR_ARMS.trials * n_snr * len(plans)
 
 
 @pytest.mark.parametrize("bits", [(2.0,), (1.0, 2.0, 4.0, 12.0, math.inf)], ids=["one_arm", "five_arms"])
@@ -585,59 +474,6 @@ def test_rows_equal_with_a_fresh_workspace_per_window(monkeypatch, run, scenario
     monkeypatch.setattr(detector, "correlate", fresh_correlator)
     monkeypatch.setattr(mc, "_infinite_profile", fresh_spectrum)
     assert run(scenario).rows == reused
-
-
-@pytest.mark.parametrize("means", [False, True], ids=["sync", "root_means"])
-@pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
-def test_quantized_windows_equal_allocating_calls(monkeypatch, run, scenario, means):
-    """Each finite arm's profile, its window built by ``_front_end``, coded in
-    place, correlated and rescaled, detects as the written-out codes of
-    ``quantization.apply``'s AGC-scaled window, correlated, plus
-    0.5 (1 + j) sum(conj(r)), times step * AGC.  With ``means`` each root's
-    sequence carries its own mean, so sum(conj(r)) taken from another cell's
-    sequence than the one correlated against would show."""
-    front_end, midrise_codes = mc._front_end, quantization.midrise_codes
-    correlate, detect, sync_waveform = detector.correlate, detector.detect, mc.sync_waveform
-    window, quantized, reference, checked = [], [], [], []
-
-    def with_mean(scenario, root=waveform.ZC_ROOT):
-        wf = sync_waveform(scenario, root=root)
-        return replace(wf, time_samples=wf.time_samples + root * (0.004 + 0.003j))
-
-    def recorded_window(noise, scale, burst, t, *buffers):
-        window[:] = noise, scale, burst, t
-        return front_end(noise, scale, burst, t, *buffers)
-
-    def recorded_adc(adc, *args, **kwargs):
-        quantized.append(adc)
-        return midrise_codes(adc, *args, **kwargs)
-
-    def recorded_reference(received, r, out=None):
-        reference[:] = [r]
-        return correlate(received, r, out)
-
-    def explicit(profile, nu_true=None):
-        got = detect(profile, nu_true)
-        if quantized:  # the profile of the window an arm just coded
-            adc, (noise, scale, burst, t), (r,) = quantized.pop(), window, reference
-            y = scale * noise
-            y[:, t : t + burst.shape[1]] += burst
-            agc = np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2.0)[:, None]
-            values = correlate(rail_codes(adc, quantization.agc_scale(y, agc)), r).values
-            values += 0.5 * (1 + 1j) * np.conj(r).sum()
-            values *= adc.step * agc
-            assert got == detect(detector.CorrelationProfile(values), nu_true=t)
-            checked.append(got)
-        return got
-
-    if means:
-        monkeypatch.setattr(mc, "sync_waveform", with_mean)
-    monkeypatch.setattr(mc, "_front_end", recorded_window)
-    monkeypatch.setattr(quantization, "midrise_codes", recorded_adc)
-    monkeypatch.setattr(detector, "correlate", recorded_reference)
-    monkeypatch.setattr(detector, "detect", explicit)
-    run(scenario)
-    assert checked
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # (scale + 0j) * inf

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from closed_forms import SqnrInputs, codebook_ratio_argmax, correlation_ratio_check, sqnr_single_beam
 from mmwsync import montecarlo as mc
 from mmwsync import quantization
@@ -246,10 +247,10 @@ class TestLink:
 
 class TestSqnrExperiment:
     def test_infinite_snr_rejected_before_any_trial(self, monkeypatch):
-        def no_trials(*args):
-            raise AssertionError("a trial ran")
+        def no_search(*args):
+            raise AssertionError("the beam search ran")
 
-        monkeypatch.setattr(mc, "_trials", no_trials)
+        monkeypatch.setattr(mc, "slot_beam_plans", no_search)
         with pytest.raises(ValueError, match="snr_db_grid"):
             mc.run_sqnr_experiment(Scenario(**{**TINY.__dict__, "snr_db_grid": (0.0, math.inf)}))
 
@@ -365,7 +366,8 @@ class TestBussgangValidation:
         plans = mc.slot_beam_plans(scenario)
         rows = iter(mc.run_sqnr_experiment(scenario).rows)
         measured, model = {}, {}
-        for _, _, slot, reference, burst in mc._trials(scenario, 0, scenario.trials):
+        for trial in range(scenario.trials):
+            _, slot, cells = reference.draw_links(scenario, trial)
             for snr_db in scenario.snr_db_grid:
                 sigma2 = mc.noise_variance(scenario, snr_db)
                 for (method, bits), plan in plans.items():
@@ -373,8 +375,8 @@ class TestBussgangValidation:
                     assert (row["method"], row["bits"], row["snr_db"]) == (method, bits, snr_db)
                     if bits == math.inf:
                         continue
-                    clean = burst(plan.tx_vectors[slot]).samples
-                    power = np.abs(clean @ np.conj(reference)) ** 2
+                    clean = reference.burst(scenario, cells, plan.tx_vectors[slot])
+                    power = np.abs(clean @ np.conj(cells[0][1])) ** 2
                     b_hat = int(np.argmax(power >= (1.0 - 1e-9) * power.max()))
                     s = float(np.mean(np.abs(clean[b_hat]) ** 2))
                     gamma = sqnr_single_beam(SqnrInputs(s, sigma2, 1.0 - quantization.xi_for_bits(int(bits))))

@@ -26,6 +26,9 @@ in ``tests/`` do not count:
 Matching is by name alone, so a name used anywhere counts everywhere: the
 scans miss some dead code, but never name live code.  ``EXEMPT`` holds the
 names that stay for now, each with its reason.
+
+A fourth scan reads ``tests/``: a patch of a private library name checks how
+the program is built, not what it computes; ``PATCHED_PRIVATE`` lists each.
 """
 
 import ast
@@ -284,6 +287,38 @@ def test_every_field_property_and_defaulted_parameter_is_used():
 def test_every_exemption_is_still_needed():
     stale = set(EXEMPT) - set(_program_definitions()) - set(_program_members())
     assert not stale, "exempted but used, or gone: " + ", ".join(sorted(stale))
+
+
+# (the function that patches, the private name) -> what the patch sees that no public name shows
+PATCHED_PRIVATE = {
+    ("test_workspace_buffers_share_no_memory", "_front_end"): "the window and |y|^2 buffers",
+    ("test_workspace_buffers_share_no_memory", "_infinite_profile"): "an assembled profile's buffer",
+    ("test_rows_equal_with_a_fresh_workspace_per_window", "_front_end"): "the window buffers, before use",
+    ("test_rows_equal_with_a_fresh_workspace_per_window", "_infinite_profile"): "the profile buffer, before use",
+    ("test_nonfinite_noise_sample_is_rejected", "_unit_noise"): "a noise window, to plant a NaN or inf in",
+    ("noise_draws_per_trial", "_trials"): "where each trial's draws begin",
+    ("noise_draws_per_trial", "_unit_noise"): "each noise window a trial draws",
+}
+
+
+def private_patches(source: str) -> list[tuple[str, str]]:
+    """(innermost function, name) of each ``setattr(m, "_name", ...)`` on a module m from ``mmwsync``."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "mmwsync" for alias in node.names}
+    patches = {}
+    for func in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one's claim
+        for call in ast.walk(func) if isinstance(func, ast.FunctionDef) else ():
+            if (isinstance(call, ast.Call) and _callee(call) == "setattr" and len(call.args) > 1
+                    and isinstance(call.args[0], ast.Name) and call.args[0].id in modules
+                    and isinstance(call.args[1], ast.Constant) and str(call.args[1].value).startswith("_")):
+                patches[id(call)] = (func.name, call.args[1].value)
+    return list(patches.values())
+
+
+def test_tests_patch_only_the_listed_private_names():
+    found = [patch for path in sorted(ROOT.glob("tests/*.py")) for patch in private_patches(path.read_text())]
+    assert sorted(found) == sorted(PATCHED_PRIVATE)
 
 
 TOY = '''
