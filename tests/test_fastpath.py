@@ -302,7 +302,10 @@ REFERENCE_CASES = {
        for mode in MODES for regime in REGIMES},
     "timing-odd_window": ("timing", ODD_WINDOW_TIMING, False),
     **{f"multicell-{regime}": ("multicell", detection_case("multi_cell", regime, 43), False) for regime in REGIMES},
-    # each root's sequence carries its own mean, so sum(conj(r)) of another cell's root than the serving one would show
+    # each root's sequence carries its own mean, so the codes' ½(1 + j)·sum(conj(r)) term is far from rounding level,
+    # and in multicell taking it from another cell's root than the serving one would show
+    "sqnr-root_means": ("sqnr", SQNR_ARMS, True),
+    "timing-root_means": ("timing", detection_case("single_ue", "clustered", 41, cfo_grid=(-0.5, 0.0, 0.5)), True),
     "multicell-root_means": ("multicell", detection_case("multi_cell", "clustered", 43), True),
     **{f"golden-{name}": ("timing" if name == "cfo" else name,
                           cli.parse_config(ROOT / f"tests/golden/{name}/scenario.yaml"), False)
