@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from . import (  # noqa: E402  (the submodules import __version__)
     beamforming,
     channel,
+    config,
     detector,
     montecarlo,
     optimizer,
@@ -19,6 +20,7 @@ __all__ = [
     "beamforming",
     "channel",
     "cli",
+    "config",
     "detector",
     "montecarlo",
     "optimizer",

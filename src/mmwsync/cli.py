@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
-Parses a YAML scenario file (fail-closed: unknown keys are rejected), runs
-the selected experiment, and writes CSV results plus a manifest echoing the
-fully resolved configuration.  Every output file starts with a comment row
+Parses a YAML scenario file (``config.parse_config``), runs the selected
+experiment, and writes CSV results plus a manifest echoing the fully
+resolved configuration.  Every output file starts with a comment row
 identifying the scenario hash, seed and software version, and reruns with
 identical inputs produce byte-identical files.
 """
@@ -21,7 +21,8 @@ import yaml
 
 from . import __version__ as _VERSION
 from . import detector, montecarlo
-from .montecarlo import Scenario, StatSummary
+from .config import Scenario, parse_config, scenario_hash
+from .montecarlo import StatSummary
 
 # experiment -> its runner; "complexity" runs no trials and is written by ``_run_complexity``
 _RUNNERS = {
@@ -47,36 +48,6 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-def parse_config(path: str | Path) -> Scenario:
-    """Load and validate a scenario file; defaults fill unspecified keys.
-
-    A field with a ``default_factory`` is a section, built as the file is,
-    by recursion, and its keys are named with the section's prefix.
-    """
-    raw = yaml.safe_load(Path(path).read_text())
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ValueError(f"scenario file {path} must hold a mapping")
-
-    def build(cls, data: dict, prefix: str):
-        known = {f.name: f.default_factory for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                raise ValueError(f"unknown configuration key {prefix + key!r}")
-            if known[key] is not dataclasses.MISSING:
-                if not isinstance(value, dict):
-                    raise ValueError(f"section {prefix + key!r} must be a mapping")
-                value = build(known[key], value, f"{prefix}{key}.")
-            elif isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-        return cls(**kwargs)
-
-    return build(Scenario, raw, "")
 
 
 def _format_cell(value) -> str:
@@ -126,7 +97,7 @@ def _run_complexity(scenario: Scenario, out_dir: Path) -> list[Path]:
            "n_beam": scenario.n_tot // scenario.n_rf * scenario.codebook_oversampling, "n_rf": scenario.n_rf}
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "complexity.csv"
-    _write_csv(path, montecarlo.scenario_hash(scenario), scenario.seed, [row])
+    _write_csv(path, scenario_hash(scenario), scenario.seed, [row])
     return [path]
 
 

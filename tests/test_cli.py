@@ -11,8 +11,8 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mmwsync import cli, detector, montecarlo, waveform
-from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
+from mmwsync import cli, config, detector, montecarlo, waveform
+from mmwsync.config import CellConfig, ChannelConfig, Scenario, SectorConfig
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +56,12 @@ COMPLEXITY_IDS = [f"{p.parent.name}/{p.stem}" for p in COMPLEXITY_CASES]
 
 
 class TestParseConfig:
+    def test_one_schema_reached_from_montecarlo_and_cli(self):
+        # the names montecarlo and cli import are config's own objects, not copies
+        assert montecarlo.Scenario is config.Scenario
+        assert montecarlo.CellConfig is config.CellConfig
+        assert cli.parse_config is config.parse_config
+
     def test_minimal_defaults_to_reference_numerology(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, MINIMAL))
         assert scenario.n_subcarriers == 512
@@ -162,6 +168,18 @@ class TestParseConfig:
             ("n_tot: 1048577\nn_rf: 1048577\ncodebook_oversampling: 1\n", "give the 1-chain beam search 1048577^1"),
             # 4^(2^40) candidates: the check must not evaluate the power
             ("n_tot: 2199023255552\nn_rf: 1099511627776\n", "give the 1099511627776-chain beam search 4^1099511627776"),
+            # PyYAML keeps a repeated key's last value; the parser names the key instead
+            ("trials: 10\ntrials: 3\n", "configuration key 'trials' is written twice"),
+            ("channel:\n  regime: clustered\nchannel:\n  regime: flat\n", "key 'channel' is written twice"),
+            ("cell:\n  isd_m: 400.0\n  radius_m: 100.0\n  isd_m: 500.0\n", "key 'cell.isd_m' is written twice"),
+            ("cell:\n  foo:\n    a: 1\n    a: 2\n", "configuration key 'cell.foo.a' is written twice"),
+            # a mapping that holds itself is walked once
+            ("cell: &c\n  x: *c\n", "unknown configuration key 'cell.x'"),
+            # YAML 1.1 reads these keys as a bool, an int and None
+            ("cell:\n  on: 1\n", "unknown configuration key 'cell.True'"),
+            ("yes: 1\n", "unknown configuration key 'True'"),
+            ("1: 2\n", "unknown configuration key '1'"),
+            ("sector:\n  null: 0\n", "unknown configuration key 'sector.None'"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -182,6 +200,8 @@ class TestParseConfig:
             "cell_roots_float", "adc_bits_out_of_range",
             "adc_bits_nan", "regime_unknown", "min_distance_negative", "radius_negative",
             "radius_negative_multi_cell", "isd_negative", "search_budget_short_one_chain", "n_rf_huge",
+            "repeated_key", "repeated_section", "repeated_section_key", "repeated_nested_key", "recursive_alias",
+            "bool_section_key", "bool_key", "int_key", "null_section_key",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
@@ -207,6 +227,12 @@ class TestParseConfig:
     def test_infinite_bits_parse(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, "adc_bits: [2, .inf]\n"))
         assert scenario.adc_bits == (2, math.inf)
+
+    def test_merged_key_is_not_repeated(self, tmp_path):
+        # a key the mapping writes once overrides the merged one, as YAML merges do
+        text = "cell:\n  <<: {isd_m: 400.0, radius_m: 100.0}\n  isd_m: 450.0\n"
+        scenario = cli.parse_config(write(tmp_path, text))
+        assert (scenario.cell.isd_m, scenario.cell.radius_m) == (450.0, 100.0)
 
     def test_nested_sections(self, tmp_path):
         text = "mode: multi_cell\ncell:\n  isd_m: 400.0\nchannel:\n  regime: clustered\n"

@@ -14,7 +14,7 @@ import reference
 from closed_forms import select_multi_beam
 from mmwsync import beamforming, channel, cli, detector, optimizer, quantization, waveform
 from mmwsync import montecarlo as mc
-from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario
+from mmwsync.config import CellConfig, ChannelConfig, Scenario
 from reference import rail_codes
 
 ROOT = Path(__file__).resolve().parents[1]

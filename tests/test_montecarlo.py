@@ -14,7 +14,7 @@ import reference
 from closed_forms import SqnrInputs, codebook_ratio_argmax, correlation_ratio_check, sqnr_single_beam
 from mmwsync import montecarlo as mc
 from mmwsync import quantization
-from mmwsync.montecarlo import CellConfig, ChannelConfig, Scenario, SectorConfig
+from mmwsync.config import CellConfig, ChannelConfig, Scenario, SectorConfig, scenario_hash
 
 
 TINY = Scenario(
@@ -29,21 +29,21 @@ TINY = Scenario(
 
 class TestScenario:
     def test_hash_stable(self):
-        assert mc.scenario_hash(TINY) == mc.scenario_hash(Scenario(**{**TINY.__dict__}))
+        assert scenario_hash(TINY) == scenario_hash(Scenario(**{**TINY.__dict__}))
 
     def test_hash_changes_with_fields(self):
         other = Scenario(**{**TINY.__dict__, "seed": 32})
-        assert mc.scenario_hash(other) != mc.scenario_hash(TINY)
+        assert scenario_hash(other) != scenario_hash(TINY)
 
     def test_hash_is_its_own_blob_after_an_equal_scenario(self):
         # equal scenarios of different form: adc_bits 3.0 and 3 (as YAML [3, .inf] parses)
         as_float = Scenario(adc_bits=(3.0, math.inf), seed=918273)
         as_int = Scenario(adc_bits=(3, math.inf), seed=918273)
         assert as_float == as_int
-        mc.scenario_hash(as_float)
+        scenario_hash(as_float)
         for scenario in (as_int, as_float):
             blob = json.dumps(asdict(scenario), sort_keys=True, default=str)
-            assert mc.scenario_hash(scenario) == hashlib.sha256(blob.encode()).hexdigest()[:16]
+            assert scenario_hash(scenario) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -261,7 +261,7 @@ class TestSqnrExperiment:
             assert set(row) == {"method", "bits", "snr_db", "sqnr_db_sample"}
         for agg in summary.aggregates:
             assert agg["ci95_lo"] <= agg["mean_sqnr_db"] <= agg["ci95_hi"]
-        assert summary.meta["scenario_hash"] == mc.scenario_hash(TINY)
+        assert summary.meta["scenario_hash"] == scenario_hash(TINY)
         assert "beam_plans" in summary.meta
 
     def test_quantization_lowers_sqnr(self):

@@ -18,7 +18,7 @@ in ``tests/`` do not count:
   callee's name; ``*args`` passes every positional parameter and
   ``**kwargs`` every name.  A definition the program handles as a value
   (outside annotations) rather than calls by name may be called with
-  anything, so all its parameters count as passed: ``cli.parse_config``
+  anything, so all its parameters count as passed: ``config.parse_config``
   builds the YAML-parsed config sections that way, through the
   ``default_factory`` of ``Scenario``'s section fields, and ``Scenario`` is
   built from ``**kwargs``, so config fields are judged by reads alone.
@@ -27,8 +27,10 @@ Matching is by name alone, so a name used anywhere counts everywhere: the
 scans miss some dead code, but never name live code.  ``EXEMPT`` holds the
 names that stay for now, each with its reason.
 
-A fourth scan reads ``tests/``: a patch of a private library name checks how
-the program is built, not what it computes; ``PATCHED_PRIVATE`` lists each.
+Two more scans read ``tests/``: a patch, call or read of a private library
+name checks how the program is built, not what it computes.
+``PATCHED_PRIVATE`` lists each patch and ``READ_PRIVATE`` each other call or
+read, with its reason.
 """
 
 import ast
@@ -301,11 +303,16 @@ PATCHED_PRIVATE = {
 }
 
 
+def _mmwsync_modules(tree: ast.AST) -> set[str]:
+    """The names that ``from mmwsync import ...`` binds in ``tree``."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "mmwsync" for alias in node.names}
+
+
 def private_patches(source: str) -> list[tuple[str, str]]:
     """(innermost function, name) of each ``setattr(m, "_name", ...)`` on a module m from ``mmwsync``."""
     tree = ast.parse(source)
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "mmwsync" for alias in node.names}
+    modules = _mmwsync_modules(tree)
     patches = {}
     for func in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one's claim
         for call in ast.walk(func) if isinstance(func, ast.FunctionDef) else ():
@@ -319,6 +326,72 @@ def private_patches(source: str) -> list[tuple[str, str]]:
 def test_tests_patch_only_the_listed_private_names():
     found = [patch for path in sorted(ROOT.glob("tests/*.py")) for patch in private_patches(path.read_text())]
     assert sorted(found) == sorted(PATCHED_PRIVATE)
+
+
+# (the function that calls or reads, the private name) -> what it checks that no public name shows.  A
+# function that patches a name may read it too (to wrap the original); its PATCHED_PRIVATE entry covers that.
+READ_PRIVATE = {
+    ("fixed_rays", "_link"): "a link built from planted rays: one tap per distinct delay",
+    ("test_flat_link_is_one_tap_of_the_drawn_ray", "_link"): "a flat link against the ray it draws",
+    ("test_clustered_link_holds_one_tap_per_drawn_delay", "_link"): "a clustered link against the rays it draws",
+    ("test_unit_noise_byte_identical_to_complex_division", "_unit_noise"): "its draws against a complex division",
+    ("test_rejected_naming_a_key_or_finite_aggregates", "_EXPERIMENTS"): "the modes each experiment runs in",
+    ("test_kept_reference_spectra_follow_the_reference", "_reference_spectrum"): "that kept spectra are reused",
+    ("test_out_byte_identical_to_allocating_call", "_next_fast_len"): "the padded length, to size an out buffer",
+    ("test_next_fast_len_matches_scipy", "_next_fast_len"): "the FFT length rule against scipy's",
+    ("solve_xi", "_validate_bits"): "the library's bits rule, so the oracle takes the same inputs",
+    ("solve_clip_scale", "_validate_bits"): "the library's bits rule, so the oracle takes the same inputs",
+}
+
+
+def private_reads(source: str) -> list[tuple[str, str]]:
+    """(innermost function, name) of each read or call of ``m._name`` on a module m from ``mmwsync``,
+    and of each ``from mmwsync.m import _name``; outside any function the function is ``<module>``."""
+    tree = ast.parse(source)
+    modules = _mmwsync_modules(tree)
+    reads = {}
+    for scope in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one's claim
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        name = scope.name if isinstance(scope, ast.FunctionDef) else "<module>"
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+                    and node.attr.startswith("_") and not node.attr.startswith("__")):
+                reads[id(node)] = (name, node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mmwsync."):
+                reads.update({(id(node), a.name): (name, a.name) for a in node.names if a.name.startswith("_")})
+    return list(reads.values())
+
+
+def test_tests_read_only_the_listed_private_names():
+    found = {read for path in sorted(ROOT.glob("tests/*.py")) for read in private_reads(path.read_text())}
+    assert sorted(found - set(PATCHED_PRIVATE)) == sorted(READ_PRIVATE)
+
+
+TOY_TEST = """
+from mmwsync import detector, montecarlo as mc
+from mmwsync.quantization import _validate_bits
+
+
+def test_outer(monkeypatch):
+    original = mc._front_end
+    monkeypatch.setattr(mc, "_front_end", original)
+
+    def inner():
+        return detector._next_fast_len(3), mc.__file__, mc.run_sqnr_experiment
+
+    return inner
+
+
+EXPERIMENTS = mc._EXPERIMENTS
+"""
+
+
+def test_scans_name_exactly_the_private_patches_and_reads_of_a_test_module():
+    # the patch's read of the original it wraps is a read too; a dunder and a public name are neither
+    assert private_patches(TOY_TEST) == [("test_outer", "_front_end")]
+    assert sorted(private_reads(TOY_TEST)) == [("<module>", "_EXPERIMENTS"), ("<module>", "_validate_bits"),
+                                               ("inner", "_next_fast_len"), ("test_outer", "_front_end")]
 
 
 TOY = '''

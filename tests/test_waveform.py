@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from closed_forms import cyclic_autocorrelation
 from mmwsync import waveform
-from mmwsync.montecarlo import Scenario
+from mmwsync.config import Scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
