@@ -11,8 +11,6 @@ import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-import yaml
-
 from . import optimizer, quantization, waveform
 
 
@@ -172,6 +170,8 @@ def _reject_repeated_keys(root: yaml.Node | None) -> None:
     The key nodes are read as written, before any merge (``<<``) is applied;
     a mapping reached again through an alias is walked once.
     """
+    import yaml  # loaded by the parser alone: a Scenario built in code never needs it
+
     stack, walked = [(root, "")], set()
     while stack:
         node, prefix = stack.pop()
@@ -194,6 +194,8 @@ def parse_config(path: str | Path) -> Scenario:
     A field with a ``default_factory`` is a section, built as the file is,
     by recursion, and its keys are named with the section's prefix.
     """
+    import yaml
+
     loader = yaml.SafeLoader(Path(path).read_text())
     root = loader.get_single_node()
     _reject_repeated_keys(root)

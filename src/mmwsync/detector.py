@@ -54,8 +54,7 @@ def _reference_spectrum(dtype: str, shape: tuple, reference: bytes, nfft: int) -
     return spectrum
 
 
-def correlate(received: np.ndarray, reference: np.ndarray,
-              out: np.ndarray | None = None) -> CorrelationProfile:
+def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:
     """Sliding inner products sum_n received[b, n+nu] * conj(reference[n]).
 
     ``received`` is (m_tot, window) or a single-antenna (window,) vector with
@@ -65,11 +64,6 @@ def correlate(received: np.ndarray, reference: np.ndarray,
     ``nfft = _next_fast_len(window)``.  It is exact, not an approximation: at a
     lag nu <= window - n the reference spans samples nu .. nu + n - 1 <=
     window - 1 < nfft, so no product wraps around the end of the FFT frame.
-
-    ``out``, when given, holds the circular correlation: a complex128 array of
-    shape (m, nfft), m being the rows of ``received`` (1 for a vector).  It
-    may be ``received`` itself when nfft equals the window, which then
-    leaves the input overwritten.  The returned values are a view of it.
     """
     received = np.atleast_2d(np.asarray(received))
     reference = np.asarray(reference)
@@ -78,9 +72,7 @@ def correlate(received: np.ndarray, reference: np.ndarray,
     if window < n:
         raise ValueError(f"received window {window} shorter than reference {n}")
     nfft = _next_fast_len(window)
-    if out is not None and (out.shape != (received.shape[0], nfft) or out.dtype != np.complex128):
-        raise ValueError(f"out must be a complex128 array of shape {(received.shape[0], nfft)}")
-    spectrum = np.fft.fft(received, nfft, axis=1, out=out)
+    spectrum = np.fft.fft(received, nfft, axis=1)
     spectrum *= _reference_spectrum(reference.dtype.str, reference.shape, reference.tobytes(), nfft)
     corr = np.fft.ifft(spectrum, axis=1, out=spectrum)
     return CorrelationProfile(values=corr[:, : window - n + 1])

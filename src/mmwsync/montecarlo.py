@@ -37,15 +37,16 @@ Conventions shared by all experiments:
   function of the burst lands in the mean, not the variance, so above about
   0 dB it departs from the Bussgang gamma the bound models (table in
   ROADMAP.md).
-* One ADC front end: ``_front_end`` alone builds a noisy window, takes its
-  AGC and scales it by 1/AGC; after it, only the quantizer differs between
-  arms.  In the sqnr experiment the arms of one (trial, SNR, transmit
-  vector) share one call.  A finite arm correlates its ADC codes
-  (``quantization.midrise_codes``) and rescales the sums to the levels'
-  (``levels_of_code_sums``).  Each chunk allocates its buffers
-  once, one per role.  An infinite-resolution timing or multicell arm
-  builds no window: its profile is assembled from the noise's and the
-  burst's correlations (``_infinite_profile``).
+* One ADC front end: ``_front_end`` alone builds a noisy window and takes
+  its AGC, and ``quantization.agc_scale`` scales it by 1/AGC; after that,
+  only the quantizer differs between arms.  In the sqnr experiment the arms
+  of one (trial, SNR, transmit vector) share one window.  A finite arm
+  correlates its ADC codes (``quantization.midrise_codes``) and rescales
+  the sums to the levels' (``levels_of_code_sums``).  Every window builds
+  its own arrays; no buffer is kept from one window or trial for the next.
+  An infinite-resolution timing or multicell arm builds no window: its
+  profile is assembled from the noise's and the burst's correlations
+  (``_infinite_profile``).
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -245,27 +246,22 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
         yield trial, rng, slot, reference, burst
 
 
-def _front_end(noise: np.ndarray, scale: float, burst: np.ndarray, t: int, y: np.ndarray,
-               power: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """The ADC's input: builds scale * noise, ``burst`` added from lag t, in
-    ``y``, writes y / AGC to ``scaled`` (which may be ``y`` itself) and
-    returns the per-row AGC rms; ``power``, a float buffer of y's shape,
-    receives |y|^2.
+def _front_end(noise: np.ndarray, scale: float, burst: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ADC's input y, scale * noise with ``burst`` added from lag t, and
+    its per-row AGC rms, a column.
 
     The AGC is checked as ``quantization.apply`` checks its input: a NaN or
     inf sample makes its row's rms NaN or inf, so ``check_finite`` of the
     AGC stands for it over the whole window, and the rms must then be
     positive (``quantization.check_agc``).
     """
-    np.multiply(scale, noise, out=y)
+    y = scale * noise
     y[:, t : t + burst.shape[-1]] += burst
-    np.abs(y, out=power)
-    np.square(power, out=power)
-    agc = np.sqrt(np.mean(power, axis=1) / 2.0)[:, None]
+    power = np.abs(y)  # squared in place: a second fresh array per window costs page faults
+    agc = np.sqrt(np.mean(np.square(power, out=power), axis=1) / 2.0)[:, None]
     quantization.check_finite(agc)
     quantization.check_agc(agc)
-    quantization.agc_scale(y, agc, out=scaled)
-    return agc
+    return y, agc
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +277,10 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     mean, not the variance (see ``sqnr_db_sample`` in the module notes).
     A finite arm correlates its codes, as "One ADC front end" there says."""
     rows = []
-    shape = (scenario.inner_repeats, scenario.n_subcarriers)
-    y, scaled, codes = (np.empty(shape, np.complex128) for _ in range(3))
-    squared = np.empty(shape)
-    z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
     for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
-        if trial == trial_lo:  # _trials yields one reference, the serving cell's, to the chunk
-            conj_reference = np.conj(reference)
-            reference_sum = conj_reference.sum()
-        noise_unit = _unit_noise(rng, *shape)
+        conj_reference = np.conj(reference)
+        reference_sum = conj_reference.sum()
+        noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
         # per transmit vector: its burst at the antenna detect picks on the noiseless
         # zero-lag profile, and the (index, adc) of every arm that sends it
         vectors: dict = {}
@@ -301,13 +292,15 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
                 vectors[key] = (clean[b_hat], [])
             vectors[key][1].append((i, adc))
         for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
+            z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
             for sent, members in vectors.values():
-                agc = _front_end(noise_unit, math.sqrt(sigma2), sent, 0, y, squared, scaled)
+                y, agc = _front_end(noise_unit, math.sqrt(sigma2), sent, 0)
+                scaled = quantization.agc_scale(y, agc)
                 for i, adc in members:
                     if adc is None:
-                        np.matmul(y, conj_reference, out=z[i])
+                        z[i] = y @ conj_reference
                     else:
-                        np.matmul(quantization.midrise_codes(adc, scaled, out=codes), conj_reference, out=z[i])
+                        z[i] = quantization.midrise_codes(adc, scaled) @ conj_reference
                         quantization.levels_of_code_sums(z[i], adc, agc[:, 0], reference_sum)
             mean = z.mean(axis=1)
             var = np.mean(np.abs(z - mean[:, None]) ** 2, axis=1)
@@ -354,10 +347,9 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _infinite_profile(burst: _Correlated, noise: _Correlated, scale: float, t: int,
-                      spectrum: np.ndarray) -> detector.CorrelationProfile:
+def _infinite_profile(burst: _Correlated, noise: _Correlated, scale: float, t: int) -> detector.CorrelationProfile:
     """The infinite-resolution profile of the burst placed at lag t in
-    scale * unit noise, in the correlator's buffer ``spectrum``.
+    scale * unit noise.
 
     Detection is linear there, so the profile is assembled as
     scale * C(noise) + C(burst) from correlations each computed once per
@@ -366,8 +358,7 @@ def _infinite_profile(burst: _Correlated, noise: _Correlated, scale: float, t: i
     ``quantization.apply`` checks its input.
     """
     quantization.check_finite(scale)
-    noise_values = noise.correlation
-    values = np.multiply(scale, noise_values, out=spectrum[:, : noise_values.shape[1]])
+    values = scale * noise.correlation
     # C(burst) column j is the window lag t - (n - 1) + j
     n = noise.reference.shape[0]
     lo = max(t - (n - 1), 0)
@@ -384,15 +375,12 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
     from 0 until the first success at or after it.  The i-th slot visited
     reads the trial's i-th noise window, drawn on its first visit and shared
     by every arm, CFO and SNR.  A finite-resolution arm's window is built,
-    AGC-scaled (``_front_end``) and coded in place, then correlated.
+    AGC-scaled and coded in place, then correlated.
     """
     m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
-    y, power = np.empty((m, window), np.complex128), np.empty((m, window))
-    spectrum = np.empty((m, detector._next_fast_len(window)), np.complex128)
     rows = []
     for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
-        if trial == trial_lo:  # _trials yields one reference, the serving cell's, to the chunk
-            reference_sum = np.conj(reference).sum()
+        reference_sum = np.conj(reference).sum()
         t = int(rng.integers(1, scenario.n_subcarriers * (scenario.t_ue - 1), endpoint=True))
         slots = range(scenario.t_bs) if sweep else (slot,)
         noises: list[_Correlated] = []
@@ -405,11 +393,11 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
                             noises.append(_Correlated(_unit_noise(rng, m, window), reference))
                         sent = burst(tx_vectors[tau], cfo)
                         if adc is None:
-                            profile = _infinite_profile(sent, noises[i], scale, t, spectrum)
+                            profile = _infinite_profile(sent, noises[i], scale, t)
                         else:
-                            agc = _front_end(noises[i].samples, scale, sent.samples, t, y, power, y)
-                            codes = quantization.midrise_codes(adc, y, out=y)
-                            profile = detector.correlate(codes, reference, out=spectrum)
+                            y, agc = _front_end(noises[i].samples, scale, sent.samples, t)
+                            quantization.agc_scale(y, agc, out=y)
+                            profile = detector.correlate(quantization.midrise_codes(adc, y, out=y), reference)
                             quantization.levels_of_code_sums(profile.values, adc, agc, reference_sum)
                         out = detector.detect(profile, nu_true=t)
                         if tau == slot:
@@ -488,8 +476,8 @@ def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
     The arms ``(method, bits, adc, tx_vectors)`` and sigma^2 per entry of
     ``snr_db_grid`` are built once and passed to every chunk.  The rows are
     identical for any worker count: each trial draws from its own generator,
-    ``SeedSequence(seed, spawn_key=(trial,))``, and a chunk overwrites each
-    buffer before reading it, so ``_CHUNK`` only splits the trials between
+    ``SeedSequence(seed, spawn_key=(trial,))``, and nothing carries from one
+    trial to the next, so ``_CHUNK`` only splits the trials between
     processes.  Each aggregate row is a point of the experiment's keys, in
     order of first appearance, and its statistics.
     """

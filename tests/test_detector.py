@@ -60,32 +60,15 @@ class TestCorrelate:
 
     # 1024 is a fast FFT length, 1031 is not (it transforms at 1050)
     @pytest.mark.parametrize("window", [1024, 1031])
-    def test_out_byte_identical_to_allocating_call(self, wf, window):
+    def test_returns_new_values_and_leaves_received_unchanged(self, wf, window):
         rng = np.random.default_rng(window)
         received = rng.standard_normal((3, window)) + 1j * rng.standard_normal((3, window))
-        reference = wf.time_samples
-        want = detector.correlate(received, reference).values.tobytes()
-        nfft = detector._next_fast_len(window)
-        separate = np.full((3, nfft), np.nan, complex)
-        got = detector.correlate(received, reference, out=separate).values
-        assert np.shares_memory(got, separate) and got.tobytes() == want
-        # aliased: the window laid out at the start of out's memory, which is
-        # the window itself when nfft equals it
-        flat = np.full(3 * nfft, np.nan, complex)
-        window_view = flat[: 3 * window].reshape(3, window)
-        window_view[...] = received
-        got = detector.correlate(window_view, reference, out=flat.reshape(3, nfft)).values
-        assert got.tobytes() == want
-        if nfft == window:
-            alias = received.copy()
-            assert detector.correlate(alias, reference, out=alias).values.tobytes() == want
-
-    def test_rejects_out_of_wrong_shape_or_dtype(self, wf):
-        received = np.zeros((2, 1024), complex)
-        for out in (np.empty((2, 1000), complex), np.empty((1, 1024), complex),
-                    np.empty((2, 1024), np.complex64)):
-            with pytest.raises(ValueError, match="out"):
-                detector.correlate(received, wf.time_samples, out=out)
+        kept = received.tobytes()
+        first = detector.correlate(received, wf.time_samples).values
+        second = detector.correlate(received, wf.time_samples).values
+        assert received.tobytes() == kept
+        assert not np.shares_memory(first, received) and not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
 
     def test_window_too_short(self, wf):
         with pytest.raises(ValueError):

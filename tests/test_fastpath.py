@@ -295,6 +295,10 @@ def detection_case(mode, regime, seed, **kwargs):
 
 
 MODES, REGIMES = ("single_ue", "multi_ue_cell"), ("flat", "clustered")
+# 66 trials run as two chunks of the runner, the second starting at trial 64, at a tiny numerology
+CROSS_CHUNK = Scenario(n_subcarriers=65, t_ue=2, t_bs=2, m_tot=2, n_tot=8, n_rf=2, trials=66, inner_repeats=4,
+                       adc_bits=(1.0, 2.0, math.inf), snr_db_grid=(-10.0, 0.0), channel=ChannelConfig("clustered"),
+                       seed=47)
 REFERENCE_CASES = {
     **{f"sqnr-{mode}-{regime}": ("sqnr", replace(SQNR_ARMS, mode=mode, channel=ChannelConfig(regime)), False)
        for mode in MODES for regime in REGIMES},
@@ -307,6 +311,9 @@ REFERENCE_CASES = {
     "sqnr-root_means": ("sqnr", SQNR_ARMS, True),
     "timing-root_means": ("timing", detection_case("single_ue", "clustered", 41, cfo_grid=(-0.5, 0.0, 0.5)), True),
     "multicell-root_means": ("multicell", detection_case("multi_cell", "clustered", 43), True),
+    "sqnr-cross_chunk": ("sqnr", CROSS_CHUNK, False),
+    "timing-cross_chunk": ("timing", CROSS_CHUNK, False),
+    "multicell-cross_chunk": ("multicell", replace(CROSS_CHUNK, mode="multi_cell", adc_bits=(2.0, math.inf)), False),
     **{f"golden-{name}": ("timing" if name == "cfo" else name,
                           cli.parse_config(ROOT / f"tests/golden/{name}/scenario.yaml"), False)
        for name in ("sqnr", "timing", "cfo", "multicell")},
@@ -396,8 +403,9 @@ def test_slot_beam_plans_match_per_resolution_search(path):
             assert plan.iteration_count == sum(sel.iteration_count for sel in sels)
 
 
-# two finite resolutions per beam plan: each arm builds its window in the
-# buffer the other arm last quantized in place
+# the detection experiments' windows: timing, CFO, a window the FFT pads,
+# multicell, and two finite resolutions per beam plan in timing and in
+# multicell
 WINDOW_SCENARIOS = [
     (mc.run_timing_experiment, TIMING),
     (mc.run_timing_experiment, CFO_TIMING),
@@ -409,74 +417,14 @@ WINDOW_SCENARIOS = [
 WINDOW_IDS = ["timing", "cfo", "odd_window", "multicell", "two_finite_timing", "two_finite_multicell"]
 
 
-@pytest.mark.parametrize("scenario", [Scenario(), ODD_WINDOW_TIMING], ids=["16x5120", "odd_window"])
-def test_workspace_buffers_share_no_memory(monkeypatch, scenario):
-    """The window (scaled and coded in place), |y|^2 and the correlator's
-    output are one buffer each for the whole run, and no two share memory."""
-    front_end, midrise_codes, correlate = mc._front_end, quantization.midrise_codes, detector.correlate
-    infinite_profile = mc._infinite_profile
-    roles: dict[str, list] = {"window": [], "spectrum": [], "power": []}
-
-    def seen_window(noise, scale, burst, t, y, power, scaled):
-        assert scaled is y
-        roles["window"].append(y)
-        roles["power"].append(power)
-        return front_end(noise, scale, burst, t, y, power, scaled)
-
-    def seen_quantizer(adc, scaled, out=None):
-        assert out is scaled
-        return midrise_codes(adc, scaled, out=out)
-
-    def seen_correlator(received, reference, out=None):
-        if out is not None:
-            roles["spectrum"].append(out)
-        return correlate(received, reference, out)
-
-    def seen_profile(burst, noise, scale, t, spectrum):
-        roles["spectrum"].append(spectrum)
-        return infinite_profile(burst, noise, scale, t, spectrum)
-
-    monkeypatch.setattr(mc, "_front_end", seen_window)
-    monkeypatch.setattr(quantization, "midrise_codes", seen_quantizer)
-    monkeypatch.setattr(detector, "correlate", seen_correlator)
-    monkeypatch.setattr(mc, "_infinite_profile", seen_profile)
-    mc.run_timing_experiment(replace(scenario, trials=2, adc_bits=(2.0, 4.0, math.inf)))
-    work = []
-    for buffers in roles.values():
-        assert buffers and all(buf is buffers[0] for buf in buffers)
-        work.append(buffers[0])
-    window = scenario.n_subcarriers * scenario.t_ue
-    nfft = {5120: 5120, 1664: 1680}[window]
-    assert [(buf.shape, buf.dtype) for buf in work] == [
-        ((16, window), np.complex128), ((16, nfft), np.complex128), ((16, window), np.float64)]
-    for i, buf in enumerate(work):
-        for other in work[i + 1:]:
-            assert not np.shares_memory(buf, other)
-
-
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
-def test_rows_equal_with_a_fresh_workspace_per_window(monkeypatch, run, scenario):
-    reused = run(scenario).rows
-    front_end, infinite_profile, correlate = mc._front_end, mc._infinite_profile, detector.correlate
-
-    def fresh_window(noise, scale, burst, t, *buffers):
-        for buf in buffers:
-            buf.fill(np.nan)  # a stale or unwritten sample would show
-        return front_end(noise, scale, burst, t, *buffers)
-
-    def fresh_correlator(received, reference, out=None):
-        if out is not None:
-            out.fill(np.nan)
-        return correlate(received, reference, out)
-
-    def fresh_spectrum(burst, noise, scale, t, spectrum):
-        spectrum.fill(np.nan)
-        return infinite_profile(burst, noise, scale, t, spectrum)
-
-    monkeypatch.setattr(mc, "_front_end", fresh_window)
-    monkeypatch.setattr(detector, "correlate", fresh_correlator)
-    monkeypatch.setattr(mc, "_infinite_profile", fresh_spectrum)
-    assert run(scenario).rows == reused
+def test_rows_equal_with_one_trial_per_chunk(monkeypatch, run, scenario):
+    """Nothing carries from one trial to the next: rows are the same when
+    every trial starts a chunk of its own, and so takes its reference's
+    conjugate and sum afresh."""
+    whole = run(scenario).rows
+    monkeypatch.setattr(mc, "_CHUNK", 1)
+    assert run(scenario).rows == whole
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # (scale + 0j) * inf

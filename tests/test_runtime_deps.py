@@ -1,5 +1,6 @@
-"""The run path in fresh interpreters: it needs numpy and PyYAML only, and
-``python -m mmwsync.cli`` runs the CLI module once, as __main__."""
+"""The run path in fresh interpreters: it needs numpy and PyYAML only, a
+scenario built in code needs no PyYAML, and ``python -m mmwsync.cli`` runs
+the CLI module once, as __main__."""
 
 import os
 import subprocess
@@ -22,6 +23,18 @@ assert len(montecarlo.run_sqnr_experiment(replace(scenario, inner_repeats=4)).ro
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
+SCENARIO_IN_CODE = """
+import sys
+
+import mmwsync
+
+mmwsync.config.Scenario()
+assert "yaml" not in sys.modules, "import mmwsync loaded PyYAML"
+from mmwsync import cli
+
+assert cli.parse_config(sys.argv[1]).trials > 0
+"""
+
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(mmwsync.__file__).parents[1])
@@ -36,6 +49,11 @@ def test_experiments_run_without_scipy():
     proc = run_python("-c", EXPERIMENTS, str(ROOT / "configs" / "timing_single_ue.yaml"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_scenario_built_in_code_loads_no_pyyaml():
+    proc = run_python("-c", SCENARIO_IN_CODE, str(ROOT / "configs" / "timing_single_ue.yaml"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_runs_without_runtime_warning():

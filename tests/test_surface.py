@@ -293,10 +293,7 @@ def test_every_exemption_is_still_needed():
 
 # (the function that patches, the private name) -> what the patch sees that no public name shows
 PATCHED_PRIVATE = {
-    ("test_workspace_buffers_share_no_memory", "_front_end"): "the window and |y|^2 buffers",
-    ("test_workspace_buffers_share_no_memory", "_infinite_profile"): "an assembled profile's buffer",
-    ("test_rows_equal_with_a_fresh_workspace_per_window", "_front_end"): "the window buffers, before use",
-    ("test_rows_equal_with_a_fresh_workspace_per_window", "_infinite_profile"): "the profile buffer, before use",
+    ("test_rows_equal_with_one_trial_per_chunk", "_CHUNK"): "the chunk length, so that every trial starts a chunk",
     ("test_nonfinite_noise_sample_is_rejected", "_unit_noise"): "a noise window, to plant a NaN or inf in",
     ("noise_draws_per_trial", "_trials"): "where each trial's draws begin",
     ("noise_draws_per_trial", "_unit_noise"): "each noise window a trial draws",
@@ -337,7 +334,6 @@ READ_PRIVATE = {
     ("test_unit_noise_byte_identical_to_complex_division", "_unit_noise"): "its draws against a complex division",
     ("test_rejected_naming_a_key_or_finite_aggregates", "_EXPERIMENTS"): "the modes each experiment runs in",
     ("test_kept_reference_spectra_follow_the_reference", "_reference_spectrum"): "that kept spectra are reused",
-    ("test_out_byte_identical_to_allocating_call", "_next_fast_len"): "the padded length, to size an out buffer",
     ("test_next_fast_len_matches_scipy", "_next_fast_len"): "the FFT length rule against scipy's",
     ("solve_xi", "_validate_bits"): "the library's bits rule, so the oracle takes the same inputs",
     ("solve_clip_scale", "_validate_bits"): "the library's bits rule, so the oracle takes the same inputs",
