@@ -467,19 +467,17 @@ _EXPERIMENTS = {
         ("method", "bits", "snr_db"), _multicell_stats),
 }
 
-_CHUNK = 64
-
-
 def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
     """One experiment of ``_EXPERIMENTS`` over the arms of ``slot_beam_plans``.
 
     The arms ``(method, bits, adc, tx_vectors)`` and sigma^2 per entry of
-    ``snr_db_grid`` are built once and passed to every chunk.  The rows are
+    ``snr_db_grid`` are built once and passed to every chunk.  The trials
+    split into min(workers, trials) contiguous chunks of near-equal length,
+    one per process; a single chunk runs in this process.  The rows are
     identical for any worker count: each trial draws from its own generator,
     ``SeedSequence(seed, spawn_key=(trial,))``, and nothing carries from one
-    trial to the next, so ``_CHUNK`` only splits the trials between
-    processes.  Each aggregate row is a point of the experiment's keys, in
-    order of first appearance, and its statistics.
+    trial to the next.  Each aggregate row is a point of the experiment's
+    keys, in order of first appearance, and its statistics.
     """
     modes, chunk_fn, keys, stats = _EXPERIMENTS[experiment]
     if scenario.mode not in modes:
@@ -489,20 +487,22 @@ def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
         # an experiment without a CFO axis would run at zero CFO whatever the grid says
         raise ValueError(f"the {experiment} experiment runs at zero CFO; cfo_grid must be [0.0], "
                          f"got {list(scenario.cfo_grid)}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     plans = slot_beam_plans(scenario)
     arms = [(method, bits, None if bits == math.inf else quantization.AdcModel(bits=bits), plan.tx_vectors)
             for (method, bits), plan in plans.items()]
     sigma2_grid = [noise_variance(scenario, snr_db) for snr_db in scenario.snr_db_grid]
     run_chunk = partial(chunk_fn, scenario, arms, sigma2_grid)
-    los = range(0, scenario.trials, _CHUNK)
-    his = [min(lo + _CHUNK, scenario.trials) for lo in los]
-    if workers <= 1 or len(los) == 1:
-        parts = map(run_chunk, los, his)
+    n = min(workers, scenario.trials)
+    if n == 1:
+        parts = [run_chunk(0, scenario.trials)]
     else:
         from concurrent.futures import ProcessPoolExecutor  # a one-worker run never needs it
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
-            parts = list(pool.map(run_chunk, los, his))
+        bounds = [scenario.trials * k // n for k in range(n + 1)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
     rows = [row for part in parts for row in part]
     points: dict = {}
     for row in rows:

@@ -295,37 +295,38 @@ def detection_case(mode, regime, seed, **kwargs):
 
 
 MODES, REGIMES = ("single_ue", "multi_ue_cell"), ("flat", "clustered")
-# 66 trials run as two chunks of the runner, the second starting at trial 64, at a tiny numerology
-CROSS_CHUNK = Scenario(n_subcarriers=65, t_ue=2, t_bs=2, m_tot=2, n_tot=8, n_rf=2, trials=66, inner_repeats=4,
-                       adc_bits=(1.0, 2.0, math.inf), snr_db_grid=(-10.0, 0.0), channel=ChannelConfig("clustered"),
-                       seed=47)
+# 66 trials at a tiny numerology, run by two workers under the in-process stand-in pool: the second
+# slice starts at trial 33
+TWO_SLICES = Scenario(n_subcarriers=65, t_ue=2, t_bs=2, m_tot=2, n_tot=8, n_rf=2, trials=66, inner_repeats=4,
+                      adc_bits=(1.0, 2.0, math.inf), snr_db_grid=(-10.0, 0.0), channel=ChannelConfig("clustered"),
+                      seed=47)
 REFERENCE_CASES = {
-    **{f"sqnr-{mode}-{regime}": ("sqnr", replace(SQNR_ARMS, mode=mode, channel=ChannelConfig(regime)), False)
+    **{f"sqnr-{mode}-{regime}": ("sqnr", replace(SQNR_ARMS, mode=mode, channel=ChannelConfig(regime)), False, 1)
        for mode in MODES for regime in REGIMES},
-    **{f"timing-{mode}-{regime}": ("timing", detection_case(mode, regime, 41, cfo_grid=(-0.5, 0.0, 0.5)), False)
+    **{f"timing-{mode}-{regime}": ("timing", detection_case(mode, regime, 41, cfo_grid=(-0.5, 0.0, 0.5)), False, 1)
        for mode in MODES for regime in REGIMES},
-    "timing-odd_window": ("timing", ODD_WINDOW_TIMING, False),
-    **{f"multicell-{regime}": ("multicell", detection_case("multi_cell", regime, 43), False) for regime in REGIMES},
+    "timing-odd_window": ("timing", ODD_WINDOW_TIMING, False, 1),
+    **{f"multicell-{regime}": ("multicell", detection_case("multi_cell", regime, 43), False, 1) for regime in REGIMES},
     # each root's sequence carries its own mean, so the codes' ½(1 + j)·sum(conj(r)) term is far from rounding level,
     # and in multicell taking it from another cell's root than the serving one would show
-    "sqnr-root_means": ("sqnr", SQNR_ARMS, True),
-    "timing-root_means": ("timing", detection_case("single_ue", "clustered", 41, cfo_grid=(-0.5, 0.0, 0.5)), True),
-    "multicell-root_means": ("multicell", detection_case("multi_cell", "clustered", 43), True),
-    "sqnr-cross_chunk": ("sqnr", CROSS_CHUNK, False),
-    "timing-cross_chunk": ("timing", CROSS_CHUNK, False),
-    "multicell-cross_chunk": ("multicell", replace(CROSS_CHUNK, mode="multi_cell", adc_bits=(2.0, math.inf)), False),
+    "sqnr-root_means": ("sqnr", SQNR_ARMS, True, 1),
+    "timing-root_means": ("timing", detection_case("single_ue", "clustered", 41, cfo_grid=(-0.5, 0.0, 0.5)), True, 1),
+    "multicell-root_means": ("multicell", detection_case("multi_cell", "clustered", 43), True, 1),
+    "sqnr-cross_chunk": ("sqnr", TWO_SLICES, False, 2),
+    "timing-cross_chunk": ("timing", TWO_SLICES, False, 2),
+    "multicell-cross_chunk": ("multicell", replace(TWO_SLICES, mode="multi_cell", adc_bits=(2.0, math.inf)), False, 2),
     **{f"golden-{name}": ("timing" if name == "cfo" else name,
-                          cli.parse_config(ROOT / f"tests/golden/{name}/scenario.yaml"), False)
+                          cli.parse_config(ROOT / f"tests/golden/{name}/scenario.yaml"), False, 1)
        for name in ("sqnr", "timing", "cfo", "multicell")},
 }
 
 
-@pytest.mark.parametrize("experiment, scenario, means", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
-def test_rows_equal_the_reference_pipeline(monkeypatch, experiment, scenario, means):
-    """Every row holds the reference's columns in order, and its values.  An
-    infinite-resolution detection profile is assembled from the noise's and
-    the burst's correlations, so its ``peak_power`` is held within 1e-12
-    relative, not equal."""
+@pytest.mark.parametrize("experiment, scenario, means, workers", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
+def test_rows_equal_the_reference_pipeline(monkeypatch, serial_pool, experiment, scenario, means, workers):
+    """Every row holds the reference's columns in order, and its values, for
+    every trial slice the run splits into.  An infinite-resolution detection
+    profile is assembled from the noise's and the burst's correlations, so
+    its ``peak_power`` is held within 1e-12 relative, not equal."""
     if means:
         sync_waveform = mc.sync_waveform
 
@@ -334,7 +335,8 @@ def test_rows_equal_the_reference_pipeline(monkeypatch, experiment, scenario, me
             return replace(wf, time_samples=wf.time_samples + root * (0.004 + 0.003j))
 
         monkeypatch.setattr(mc, "sync_waveform", with_mean)
-    rows = getattr(mc, f"run_{experiment}_experiment")(scenario).rows
+    rows = getattr(mc, f"run_{experiment}_experiment")(scenario, workers=workers).rows
+    assert serial_pool.sizes == ([workers] if workers > 1 else [])
     want = reference.sqnr_rows(scenario) if experiment == "sqnr" else reference.detection_rows(scenario, experiment)
     assert [list(row) for row in rows] == [list(row) for row in want]
     for row, ref in zip(rows, want):
@@ -418,13 +420,13 @@ WINDOW_IDS = ["timing", "cfo", "odd_window", "multicell", "two_finite_timing", "
 
 
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS, ids=WINDOW_IDS)
-def test_rows_equal_with_one_trial_per_chunk(monkeypatch, run, scenario):
+def test_rows_equal_with_one_trial_per_chunk(serial_pool, run, scenario):
     """Nothing carries from one trial to the next: rows are the same when
-    every trial starts a chunk of its own, and so takes its reference's
+    every trial is a slice of its own, and so takes its reference's
     conjugate and sum afresh."""
     whole = run(scenario).rows
-    monkeypatch.setattr(mc, "_CHUNK", 1)
-    assert run(scenario).rows == whole
+    assert run(scenario, workers=scenario.trials).rows == whole
+    assert serial_pool.slices == [(trial, trial + 1) for trial in range(scenario.trials)]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # (scale + 0j) * inf

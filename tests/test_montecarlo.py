@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -102,7 +101,7 @@ class TestReproducibility:
         assert a.rows == b.rows
         assert a.aggregates == b.aggregates
 
-    # more than one 64-trial chunk, so the pool really runs
+    # three worker processes of 43-44 trials each, so the pool really runs
     @pytest.mark.parametrize(
         "run, scenario",
         [
@@ -121,26 +120,24 @@ class TestReproducibility:
         parallel = run(scenario, workers=3)
         assert serial.rows == parallel.rows
 
-    def test_pool_capped_at_chunk_count(self, monkeypatch):
-        # 130 trials are three 64-trial chunks; the stand-in pool maps in this process
-        sizes = []
+    # contiguous slices of near-equal length, one per worker
+    @pytest.mark.parametrize("trials, workers, slices", [
+        (16, 2, [(0, 8), (8, 16)]),
+        (10, 3, [(0, 3), (3, 6), (6, 10)]),
+    ])
+    def test_trials_split_into_one_slice_per_worker(self, serial_pool, trials, workers, slices):
+        mc.run_sqnr_experiment(Scenario(**{**TINY.__dict__, "trials": trials}), workers=workers)
+        assert serial_pool.sizes == [workers]
+        assert serial_pool.slices == slices
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_one_slice_per_worker_at_most_one_per_trial(self, serial_pool):
         mc.run_sqnr_experiment(Scenario(**{**TINY.__dict__, "trials": 130}), workers=500)
-        assert sizes == [3]
+        assert serial_pool.sizes == [130]
+        assert serial_pool.slices == [(trial, trial + 1) for trial in range(130)]
+
+    def test_one_worker_builds_no_pool(self, serial_pool):
+        mc.run_sqnr_experiment(Scenario(**{**TINY.__dict__, "trials": 130}), workers=1)
+        assert serial_pool.sizes == serial_pool.slices == []
 
     # a trial's draws depend on (seed, trial) alone, so adding an arm or trials keeps the rows
     @pytest.mark.parametrize(
@@ -191,6 +188,24 @@ class TestModes:
         for a, b in zip(seen["sqnr"], seen["timing"]):
             for field in ("gains", "aod_az", "aoa", "delays"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize(
+        "run, scenario",
+        [
+            (mc.run_sqnr_experiment, TINY),
+            (mc.run_timing_experiment, TINY),
+            (mc.run_multicell_experiment, Scenario(mode="multi_cell", trials=2, t_bs=2, t_ue=2, m_tot=4, seed=12)),
+        ],
+        ids=["sqnr", "timing", "multicell"],
+    )
+    def test_workers_below_one_rejected_before_any_trial(self, monkeypatch, run, scenario, workers):
+        def no_search(*args):
+            raise AssertionError("the beam search ran")
+
+        monkeypatch.setattr(mc, "slot_beam_plans", no_search)
+        with pytest.raises(ValueError, match="workers"):
+            run(scenario, workers=workers)
 
 
 class TestLink:

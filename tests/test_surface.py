@@ -293,7 +293,6 @@ def test_every_exemption_is_still_needed():
 
 # (the function that patches, the private name) -> what the patch sees that no public name shows
 PATCHED_PRIVATE = {
-    ("test_rows_equal_with_one_trial_per_chunk", "_CHUNK"): "the chunk length, so that every trial starts a chunk",
     ("test_nonfinite_noise_sample_is_rejected", "_unit_noise"): "a noise window, to plant a NaN or inf in",
     ("noise_draws_per_trial", "_trials"): "where each trial's draws begin",
     ("noise_draws_per_trial", "_unit_noise"): "each noise window a trial draws",
