@@ -8,7 +8,6 @@ the squared correlation magnitude, and reports the timing estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,16 +43,6 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
-@lru_cache(maxsize=8)
-def _reference_spectrum(dtype: str, shape: tuple, reference: bytes, nfft: int) -> np.ndarray:
-    """conj(fft(reference, nfft)), kept for the few references a run correlates
-    against; read-only, since every caller shares it."""
-    samples = np.frombuffer(reference, dtype=dtype).reshape(shape)
-    spectrum = np.conj(np.fft.fft(samples, nfft))
-    spectrum.flags.writeable = False
-    return spectrum
-
-
 def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:
     """Sliding inner products sum_n received[b, n+nu] * conj(reference[n]).
 
@@ -73,7 +62,7 @@ def correlate(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile
         raise ValueError(f"received window {window} shorter than reference {n}")
     nfft = _next_fast_len(window)
     spectrum = np.fft.fft(received, nfft, axis=1)
-    spectrum *= _reference_spectrum(reference.dtype.str, reference.shape, reference.tobytes(), nfft)
+    spectrum *= np.conj(np.fft.fft(reference, nfft))
     corr = np.fft.ifft(spectrum, axis=1, out=spectrum)
     return CorrelationProfile(values=corr[:, : window - n + 1])
 

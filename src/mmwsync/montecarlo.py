@@ -43,7 +43,9 @@ Conventions shared by all experiments:
   of one (trial, SNR, transmit vector) share one window.  A finite arm
   correlates its ADC codes (``quantization.midrise_codes``) and rescales
   the sums to the levels' (``levels_of_code_sums``).  Every window builds
-  its own arrays; no buffer is kept from one window or trial for the next.
+  its own arrays, and no value carries from one window or trial to the
+  next; the last window's arrays stay referenced until the next window's
+  exist (``_detection_chunk``).
   An infinite-resolution timing or multicell arm builds no window: its
   profile is assembled from the noise's and the burst's correlations
   (``_infinite_profile``).
@@ -388,6 +390,8 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
             for cfo in scenario.cfo_grid:
                 for snr_db, scale in zip(scenario.snr_db_grid, map(math.sqrt, sigma2_grid)):
                     first_slot = -1
+                    # y and profile hold the last window's arrays until this window's exist: freeing
+                    # them first lets glibc trim the heap and fault it back in, window after window
                     for i, tau in enumerate(slots):
                         if i == len(noises):
                             noises.append(_Correlated(_unit_noise(rng, m, window), reference))

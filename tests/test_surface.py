@@ -332,7 +332,6 @@ READ_PRIVATE = {
     ("test_clustered_link_holds_one_tap_per_drawn_delay", "_link"): "a clustered link against the rays it draws",
     ("test_unit_noise_byte_identical_to_complex_division", "_unit_noise"): "its draws against a complex division",
     ("test_rejected_naming_a_key_or_finite_aggregates", "_EXPERIMENTS"): "the modes each experiment runs in",
-    ("test_kept_reference_spectra_follow_the_reference", "_reference_spectrum"): "that kept spectra are reused",
     ("test_next_fast_len_matches_scipy", "_next_fast_len"): "the FFT length rule against scipy's",
     ("solve_xi", "_validate_bits"): "the library's bits rule, so the oracle takes the same inputs",
     ("solve_clip_scale", "_validate_bits"): "the library's bits rule, so the oracle takes the same inputs",
