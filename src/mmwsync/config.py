@@ -79,7 +79,11 @@ class CellConfig:
     roots: tuple[int, int, int] = (25, 29, 34)
 
     def __post_init__(self):
-        _check_fields(self, "cell.", least={"radius_m": 0, "isd_m": 0, "min_distance_m": 0})
+        # 1 mm (under a carrier wavelength) to 1e7 m (past any cell): a drop's squared radius stays in
+        # [1e-6, 1e14], never 0 or inf, and its path gain, set by a length ratio >= ~1e-8, stays below
+        # 1e13 before shadowing, which would need a draw of hundreds of sigma to overflow it
+        _check_fields(self, "cell.", least={"radius_m": 1e-3, "isd_m": 1e-3, "min_distance_m": 0},
+                      most={"radius_m": 1e7, "isd_m": 1e7, "min_distance_m": 1e7})
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,10 @@ class Scenario:
         for root in self.cell.roots:
             if not 1 <= root < n_zc or math.gcd(root, n_zc) != 1:
                 raise ValueError(f"cell.roots must be in [1, {n_zc}) and coprime with {n_zc}, got {root}")
-        if not all(map(math.isfinite, self.cfo_grid)):
-            raise ValueError("cfo_grid must be finite (no NaN or inf)")
+        # the CFO ramp exp(j 2 pi eps n / N) has period N in eps, so a wider eps only aliases
+        if not all(2 * abs(eps) <= self.n_subcarriers for eps in self.cfo_grid):  # NaN fails it
+            raise ValueError(f"cfo_grid must lie within +-n_subcarriers / 2 in each entry, "
+                             f"got {list(self.cfo_grid)}")
         for b in self.adc_bits:
             if b != math.inf and not (1 <= b <= quantization.MAX_BITS and b == int(b)):  # NaN fails the range
                 raise ValueError(f"adc_bits must be integers in [1, {quantization.MAX_BITS}] or inf, got {b}")

@@ -2,7 +2,8 @@
 
 The receiver slides the stored unquantized reference symbol over the
 quantized per-antenna sample window, takes the joint (lag, antenna) argmax of
-the squared correlation magnitude, and reports the timing estimate.
+the squared correlation magnitude, and reports the timing estimate; judging
+it against the true timing is the caller's (``montecarlo``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class TrialOutcome:
     nu_hat: int
     b_hat: int
     peak_power: float
-    success: bool | None = None  # nu_hat equals the true timing, when one was given
 
 
 def _next_fast_len(n: int) -> int:
@@ -78,7 +78,7 @@ def correlator_operation_counts(n: int, t_ue: int, m_tot: int) -> tuple[int, int
     return lags * (n + 1), lags * (n - 1)
 
 
-def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutcome:
+def detect(profile: CorrelationProfile) -> TrialOutcome:
     """Joint argmax of |correlation|^2 over lag and antenna.
 
     The first lag holding the largest power wins, then the smallest antenna
@@ -94,24 +94,4 @@ def detect(profile: CorrelationProfile, nu_true: int | None = None) -> TrialOutc
     nu_hat = int(np.argmax(np.square(magnitude.max(axis=0))))
     power = np.square(magnitude[:, nu_hat])
     b_hat = int(np.argmax((power >= (1.0 - 1e-9) * power.max()) | np.isnan(power)))
-    return TrialOutcome(
-        nu_hat=nu_hat,
-        b_hat=b_hat,
-        peak_power=float(power[b_hat]),
-        success=None if nu_true is None else bool(nu_hat == nu_true),
-    )
-
-
-def timing_nmse(nu_true, nu_hat) -> float:
-    """Mean of |(nu_true - nu_hat) / nu_true|^2 over paired timing indices.
-
-    Every true position must be nonzero for the ratio to exist.
-    """
-    errors = []
-    for t, t_hat in zip(nu_true, nu_hat, strict=True):
-        if t == 0:
-            raise ValueError("timing NMSE undefined for true position 0")
-        errors.append(abs((t - t_hat) / t) ** 2)
-    if not errors:
-        raise ValueError("no outcomes")
-    return float(np.mean(errors))
+    return TrialOutcome(nu_hat=nu_hat, b_hat=b_hat, peak_power=float(power[b_hat]))

@@ -37,18 +37,20 @@ Conventions shared by all experiments:
   function of the burst lands in the mean, not the variance, so above about
   0 dB it departs from the Bussgang gamma the bound models (table in
   ROADMAP.md).
-* One ADC front end: ``_front_end`` alone builds a noisy window and takes
-  its AGC, and ``quantization.agc_scale`` scales it by 1/AGC; after that,
-  only the quantizer differs between arms.  In the sqnr experiment the arms
-  of one (trial, SNR, transmit vector) share one window.  A finite arm
-  correlates its ADC codes (``quantization.midrise_codes``) and rescales
-  the sums to the levels' (``levels_of_code_sums``).  Every window builds
-  its own arrays, and no value carries from one window or trial to the
-  next; the last window's arrays stay referenced until the next window's
-  exist (``_detection_chunk``).
-  An infinite-resolution timing or multicell arm builds no window: its
-  profile is assembled from the noise's and the burst's correlations
-  (``_infinite_profile``).
+* One ADC front end: ``_front_end`` alone builds a noisy window,
+  ``quantization.agc_rms`` takes its AGC and ``quantization.agc_scale``
+  scales it by 1/AGC; after that, only the quantizer differs between arms.
+  In the sqnr experiment the arms of one (trial, SNR, transmit vector)
+  share one window.  A finite arm correlates its ADC codes
+  (``quantization.midrise_codes``) and rescales the sums to the levels'
+  (``levels_of_code_sums``).  Every window builds its own arrays, and no
+  value carries from one window or trial to the next; the last window's
+  arrays stay referenced until the next window's exist
+  (``_detection_chunk``).  An infinite-resolution timing or multicell arm
+  builds no window: its profile is assembled from the noise's and the
+  burst's correlations (``_infinite_profile``).
+* ``detector`` never sees the true timing: ``_detection_chunk`` judges
+  each estimate against it, and ``timing_nmse`` is this module's.
 * Each synchronization attempt is one burst in an otherwise noise-only
   window of t_ue symbols (non-sync samples are modeled as noise).
 """
@@ -250,20 +252,10 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
 
 def _front_end(noise: np.ndarray, scale: float, burst: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """The ADC's input y, scale * noise with ``burst`` added from lag t, and
-    its per-row AGC rms, a column.
-
-    The AGC is checked as ``quantization.apply`` checks its input: a NaN or
-    inf sample makes its row's rms NaN or inf, so ``check_finite`` of the
-    AGC stands for it over the whole window, and the rms must then be
-    positive (``quantization.check_agc``).
-    """
+    its AGC rms column (``quantization.agc_rms``)."""
     y = scale * noise
     y[:, t : t + burst.shape[-1]] += burst
-    power = np.abs(y)  # squared in place: a second fresh array per window costs page faults
-    agc = np.sqrt(np.mean(np.square(power, out=power), axis=1) / 2.0)[:, None]
-    quantization.check_finite(agc)
-    quantization.check_agc(agc)
-    return y, agc
+    return y, quantization.agc_rms(y)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +341,19 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def timing_nmse(nu_true, nu_hat) -> float:
+    """Mean of |(nu_true - nu_hat) / nu_true|^2 over paired timing indices,
+    every true position nonzero for the ratio to exist."""
+    errors = []
+    for t, t_hat in zip(nu_true, nu_hat, strict=True):
+        if t == 0:
+            raise ValueError("timing NMSE undefined for true position 0")
+        errors.append(abs((t - t_hat) / t) ** 2)
+    if not errors:
+        raise ValueError("no outcomes")
+    return float(np.mean(errors))
+
+
 def _infinite_profile(burst: _Correlated, noise: _Correlated, scale: float, t: int) -> detector.CorrelationProfile:
     """The infinite-resolution profile of the burst placed at lag t in
     scale * unit noise.
@@ -403,23 +408,23 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
                             quantization.agc_scale(y, agc, out=y)
                             profile = detector.correlate(quantization.midrise_codes(adc, y, out=y), reference)
                             quantization.levels_of_code_sums(profile.values, adc, agc, reference_sum)
-                        out = detector.detect(profile, nu_true=t)
+                        out = detector.detect(profile)
                         if tau == slot:
                             serving = out
-                        if out.success and first_slot < 0:
+                        if out.nu_hat == t and first_slot < 0:
                             first_slot = tau
                         if first_slot >= 0 and tau >= slot:
                             break
                     row = {"method": method, "trial": trial, "slot": slot, "snr_db": snr_db, "cfo": cfo,
                            "bits": bits, "nu_true": t, "nu_hat": serving.nu_hat, "b_hat": serving.b_hat,
-                           "peak_power": serving.peak_power, "success": int(serving.success),
+                           "peak_power": serving.peak_power, "success": int(serving.nu_hat == t),
                            "first_success_slot": first_slot}
                     rows.append({key: row[key] for key in columns})
     return rows
 
 
 def _timing_stats(scenario: Scenario, sel: list[dict]) -> dict:
-    nmse = detector.timing_nmse([r["nu_true"] for r in sel], [r["nu_hat"] for r in sel])
+    nmse = timing_nmse([r["nu_true"] for r in sel], [r["nu_hat"] for r in sel])
     successes = sum(r["success"] for r in sel)
     lo, hi = wilson_interval(successes, len(sel))
     return {"nmse": nmse, "success_rate": successes / len(sel), "wilson_lo": lo, "wilson_hi": hi,

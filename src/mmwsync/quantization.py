@@ -1,9 +1,10 @@
 """Low-resolution ADC model and its quantization-MSE table.
 
 The ADC is a uniform midrise quantizer applied independently to the I and Q
-rails after AGC scaling.  ``midrise_codes`` gives each rail's output code and
-``apply`` its level; ``levels_of_code_sums`` turns a linear map of the codes,
-such as a correlation, into that map of the levels.
+rails after the AGC (``agc_rms``) scales them (``agc_scale``).
+``midrise_codes`` gives each rail's output code and ``apply`` its level;
+``levels_of_code_sums`` turns a linear map of the codes, such as a
+correlation, into that map of the levels.
 
 ``xi_for_bits`` is the minimum (Lloyd-Max) mean squared error of a b-bit
 scalar quantizer for a unit-variance Gaussian, the worst-case distortion the
@@ -92,6 +93,20 @@ def check_agc(agc_rms) -> None:
     """The AGC contract of ``apply``: every per-rail rms is positive (not NaN)."""
     if not np.all(np.asarray(agc_rms) > 0):
         raise ValueError("agc_rms must be positive")
+
+
+def agc_rms(samples: np.ndarray) -> np.ndarray:
+    """The AGC: each row's per-rail rms, sqrt(mean |samples|^2 / 2), as a column.
+
+    It is checked as ``apply`` checks its input: a NaN or inf sample makes
+    its row's rms NaN or inf, so ``check_finite`` of the rms stands for it
+    over the whole window, and the rms must then be positive (``check_agc``).
+    """
+    power = np.abs(samples)  # squared in place: a second fresh array per window costs page faults
+    rms = np.sqrt(np.mean(np.square(power, out=power), axis=1) / 2.0)[:, None]
+    check_finite(rms)
+    check_agc(rms)
+    return rms
 
 
 def _out_array(out: np.ndarray | None, shape: tuple) -> np.ndarray:

@@ -146,11 +146,11 @@ def detection_rows(scenario, experiment):
                         y = scale * noise
                         y[:, t : t + n] += burst(scenario, cells, plan.tx_vectors[tau], cfo)
                         profile = adc_output(bits, y, reference, lambda x, r: detector.correlate(x, r).values)
-                        outs[tau] = detector.detect(detector.CorrelationProfile(profile), nu_true=t)
+                        outs[tau] = detector.detect(detector.CorrelationProfile(profile))
                     serving = outs[slot]
                     row = {"method": method, "trial": trial, "slot": slot, "snr_db": snr_db, "cfo": cfo,
                            "bits": bits, "nu_true": t, "nu_hat": serving.nu_hat, "b_hat": serving.b_hat,
-                           "peak_power": serving.peak_power, "success": int(serving.success),
-                           "first_success_slot": next((tau for tau in slots if outs[tau].success), -1)}
+                           "peak_power": serving.peak_power, "success": int(serving.nu_hat == t),
+                           "first_success_slot": next((tau for tau in slots if outs[tau].nu_hat == t), -1)}
                     rows.append({key: row[key] for key in COLUMNS[experiment]})
     return rows

@@ -180,6 +180,12 @@ class TestParseConfig:
             ("yes: 1\n", "unknown configuration key 'True'"),
             ("1: 2\n", "unknown configuration key '1'"),
             ("sector:\n  null: 0\n", "unknown configuration key 'sector.None'"),
+            # each ran until a NaN or an OverflowError deep in a trial; 1.0e+308 is a float in YAML 1.1
+            ("cfo_grid: [1.0e+308]\n", "cfo_grid"),
+            ("cfo_grid: [0.0, -256.5]\n", "cfo_grid"),
+            ("mode: multi_ue_cell\ncell:\n  radius_m: 1.0e+160\n", "cell.radius_m"),
+            ("mode: multi_cell\ncell:\n  isd_m: 1.0e+200\n", "cell.isd_m"),
+            ("mode: multi_ue_cell\ncell:\n  radius_m: 1.0e-300\n  min_distance_m: 0\n", "cell.radius_m"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -202,6 +208,7 @@ class TestParseConfig:
             "radius_negative_multi_cell", "isd_negative", "search_budget_short_one_chain", "n_rf_huge",
             "repeated_key", "repeated_section", "repeated_section_key", "repeated_nested_key", "recursive_alias",
             "bool_section_key", "bool_key", "int_key", "null_section_key",
+            "cfo_huge", "cfo_past_half_grid", "radius_huge", "isd_huge", "radius_tiny",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
@@ -223,6 +230,9 @@ class TestParseConfig:
 
     def test_snr_floor_parses(self, tmp_path):
         assert cli.parse_config(write(tmp_path, "snr_db_grid: [-3000.0]\n")).snr_db_grid == (-3000.0,)
+
+    def test_cfo_at_half_the_grid_parses(self, tmp_path):
+        assert cli.parse_config(write(tmp_path, "cfo_grid: [-256.0, 256.0]\n")).cfo_grid == (-256.0, 256.0)
 
     def test_infinite_bits_parse(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, "adc_bits: [2, .inf]\n"))

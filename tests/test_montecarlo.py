@@ -322,6 +322,29 @@ class TestTimingExperiment:
         assert agg["success_rate"] == 1.0
 
 
+class TestTimingNmse:
+    def test_all_exact(self):
+        assert mc.timing_nmse([10] * 5, [10] * 5) == 0.0
+
+    def test_single_trial_value(self):
+        assert mc.timing_nmse([100], [90]) == pytest.approx(0.01)
+
+    def test_uses_stored_truth(self):
+        assert mc.timing_nmse([100, 200], [90, 200]) == pytest.approx(0.005)
+
+    def test_zero_truth_rejected(self):
+        with pytest.raises(ValueError):
+            mc.timing_nmse([0], [5])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            mc.timing_nmse([], [])
+
+    def test_unpaired_rejected(self):
+        with pytest.raises(ValueError):
+            mc.timing_nmse([5, 6], [5])
+
+
 class TestMulticellExperiment:
     def test_smoke_and_access_probabilities(self):
         s = Scenario(
@@ -418,9 +441,22 @@ def names_a_key(exc: ValueError) -> bool:
     return any(re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", str(exc)) for key in CONFIG_KEYS)
 
 
+def log_uniform(lo: float = -323.0, hi: float = 308.0):
+    """Positive floats whose exponent is uniform on [lo, hi]; by default the
+    whole float range, subnormals included."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
 @st.composite
 def small_configs(draw) -> dict:
-    """Scenario keyword arguments of a small array and grid; some break a rule across fields."""
+    """Scenario keyword arguments of a small array and grid; some break a rule across fields.
+
+    The cell lengths come from the whole float range or, as often, from the
+    accepted one, so that odd but accepted cells run; ``cell`` holds them as
+    keyword arguments, since ``CellConfig`` itself rejects a length.
+    """
+    length = log_uniform(*draw(st.sampled_from(((-323.0, 308.0), (-3.0, 7.0)))))
+    cfo = st.just(0.0) | log_uniform() | log_uniform().map(lambda e: -e)
     return dict(
         mode=draw(st.sampled_from(("single_ue", "multi_ue_cell", "multi_cell"))),
         n_subcarriers=draw(st.integers(64, 128)),  # 64 breaks "longer than waveform.CP_LENGTH"
@@ -435,10 +471,12 @@ def small_configs(draw) -> dict:
         # +inf is a noiseless point, which the sqnr experiment rejects
         snr_db_grid=tuple(draw(st.lists(st.floats(-5000.0, 1000.0) | st.just(math.inf), min_size=1, max_size=2,
                                         unique=True))),
+        cfo_grid=draw(st.just((0.0,)) | st.lists(cfo, min_size=1, max_size=2, unique=True).map(tuple)),
         trials=draw(st.integers(1, 2)),
         inner_repeats=draw(st.integers(2, 8)),
         seed=draw(st.integers(0, 2**32 - 1)),
         channel=ChannelConfig(regime=draw(st.sampled_from(("flat", "clustered")))),
+        cell={"radius_m": draw(length), "isd_m": draw(length), "min_distance_m": draw(st.just(0.0) | length)},
     )
 
 
@@ -455,10 +493,19 @@ class TestAcceptedScenariosRun:
     @example(config=FLOOR | {"mode": "multi_cell", "snr_db_grid": (math.inf,)})
     @example(config=FLOOR | {"adc_bits": (math.inf,)})  # no arm has an ADC model
     @example(config=FLOOR | {"mode": "multi_cell", "adc_bits": (math.inf,)})
-    @settings(max_examples=100, deadline=None)
+    # each was accepted, then stopped deep in a trial on a NaN or an OverflowError
+    @example(config=FLOOR | {"cfo_grid": (1e308,)})
+    @example(config=FLOOR | {"mode": "multi_ue_cell", "cell": {"radius_m": 1e160}})
+    @example(config=FLOOR | {"mode": "multi_cell", "cell": {"isd_m": 1e200}})
+    @example(config=FLOOR | {"mode": "multi_ue_cell", "cell": {"radius_m": 1e-300, "min_distance_m": 0.0}})
+    # the accepted extremes: CFO at half the grid, the shortest and longest cells
+    @example(config=FLOOR | {"cfo_grid": (-32.5, 32.5)})
+    @example(config=FLOOR | {"mode": "multi_ue_cell", "cell": {"radius_m": 1e-3, "min_distance_m": 0.0}})
+    @example(config=FLOOR | {"mode": "multi_cell", "cell": {"isd_m": 1e7, "min_distance_m": 1e-300}})
+    @settings(max_examples=250, deadline=None)  # about a third of the drawn scenarios are accepted
     def test_rejected_naming_a_key_or_finite_aggregates(self, config):
         try:
-            scenario = Scenario(**config)
+            scenario = Scenario(**config | {"cell": CellConfig(**config.get("cell", {}))})
         except ValueError as exc:
             assert names_a_key(exc), exc
             return

@@ -210,6 +210,28 @@ class TestXiForBits:
                 reject(bits)
 
 
+class TestAgcRms:
+    def test_column_of_row_rail_rms(self):
+        rng = np.random.default_rng(11)
+        y = (rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))) * [[0.5], [1.0], [2.0], [1e-3]]
+        rms = quantization.agc_rms(y)
+        assert rms.shape == (4, 1)
+        assert rms.tobytes() == np.sqrt(np.mean(np.abs(y) ** 2, axis=1) / 2)[:, None].tobytes()
+
+    @pytest.mark.parametrize(("bad", "message"), [(np.nan, "samples must be finite"),
+                                                  (np.inf, "samples must be finite"),
+                                                  (None, "agc_rms must be positive")],
+                             ids=["nan", "inf", "zero_row"])
+    def test_nonfinite_sample_or_silent_row_rejected(self, bad, message):
+        y = np.ones((3, 8), np.complex128)
+        if bad is None:
+            y[1] = 0.0
+        else:
+            y[2, 5] = bad
+        with pytest.raises(ValueError, match=message):
+            quantization.agc_rms(y)
+
+
 class TestApply:
     def test_one_bit_is_sign_quantization(self):
         adc = AdcModel(bits=1)
