@@ -5,7 +5,9 @@ taps H_j at integer delays d_j in samples; ``build_channel`` samples
 H[l] = A_rx @ diag(g[:, l]) @ A_tx^H, g[r, l] = beta_r * p(l - tau_r), at the
 delays 0 .. tap_count - 1, p being the pulse at symbol spacing.  Propagation
 realizes the circular-convolution burst model: the sync symbol occupies ``n``
-consecutive samples of an otherwise noise-only window.
+consecutive samples of an otherwise noise-only window.  A trial's links draw
+here: a neighbour's shadowing (``neighbour_geometry``) before its
+``draw_link``, and ``sum_bursts`` adds the cells' bursts.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .waveform import CP_LENGTH
 
 
 @dataclass(frozen=True)
@@ -171,6 +175,13 @@ def propagate(
     return y
 
 
+def sum_bursts(links, tx_vector: np.ndarray, cfo: float, window_len: int) -> np.ndarray:
+    """Every link's noiseless ``propagate`` burst from lag 0, summed in link
+    order; ``links`` holds one (channel, sync time samples) pair per cell."""
+    first, *rest = (propagate(ch, samples, tx_vector, 0.0, cfo, 0, window_len) for ch, samples in links)
+    return sum(rest, first)
+
+
 @dataclass(frozen=True)
 class CellLayout:
     """BS positions in meters, the coverage radius and each cell's sequence root."""
@@ -248,6 +259,17 @@ def pathloss_amp_gain(distance_m: float, reference_m: float, shadow_db: float = 
     return float((10.0 ** (power_db / 20.0))[0])
 
 
+def neighbour_geometry(rng: np.random.Generator, centre: np.ndarray, ue_position: np.ndarray,
+                       reference_m: float) -> tuple[float, float]:
+    """A neighbour's AoD to the UE from its sector boresight, which faces the
+    central cell at the origin, and its amplitude gain; it draws the shadowing."""
+    vec = ue_position - centre
+    aod = math.atan2(vec[1], vec[0]) - math.atan2(-centre[1], -centre[0])
+    aod = (aod + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to [-pi, pi)
+    shadow = rng.normal(0.0, SHADOWING_SIGMA_DB)
+    return aod, pathloss_amp_gain(float(np.hypot(vec[0], vec[1])), reference_m, shadow)
+
+
 # Clustered multipath: cluster count, rays per cluster, per-ray angle spread
 # (radians) and mean excess cluster delay (samples).
 N_CLUSTERS = 3
@@ -288,3 +310,25 @@ def clustered_paths(rng: np.random.Generator, center_az: float, aoa_center: floa
         aoa=aoa,
         delays=delays,
     )
+
+
+def draw_link(rng: np.random.Generator, regime: str, geom_tx: ArrayGeometry, geom_rx: ArrayGeometry,
+              aod_az: float, amp: float) -> BeamSpaceChannel:
+    """One cell's link to the UE: one tap per distinct delay of its rays, gains scaled by ``amp``.
+
+    The AoA is drawn first, then the flat ray's phase or the clustered rays.
+    Rays at or past ``CP_LENGTH`` are dropped.  Delays are integers, where
+    the pulse is a Kronecker delta, so a tap holds exactly the rays at its
+    delay: each group is built at delay 0, where the pulse is exactly 1.
+    """
+    aoa = rng.uniform(-np.pi / 2, np.pi / 2)
+    if regime == "flat":
+        paths = single_path(aod_az, aoa, np.exp(2j * np.pi * rng.random()))
+    else:
+        paths = clustered_paths(rng, center_az=aod_az, aoa_center=aoa)
+    delays = np.unique(paths.delays[paths.delays < CP_LENGTH]).astype(np.int64)
+    taps = []
+    for at in (paths.delays == d for d in delays):
+        group = PathSet(amp * paths.gains[at], paths.aod_az[at], paths.aoa[at], np.zeros(at.sum()))
+        taps.append(build_channel(group, geom_tx, geom_rx, 1).taps[0])
+    return BeamSpaceChannel(np.stack(taps), delays)

@@ -21,15 +21,15 @@ Conventions shared by all experiments:
   depends on neither the quantization MSE nor the noise variance
   (``slot_beam_plans``).
 * One draw rule.  Every random number of a trial comes from one generator
-  spawned from (seed, trial index), in one order: the links ``_trials``
-  draws (the UE drop the mode implies, the serving link and, in
-  ``multi_cell``, the six interfering links), the burst timing (timing,
-  multicell), then the noise: an (inner_repeats, N) block (sqnr), or one
-  (m_tot, window) window per slot visited (timing, multicell), drawn when
-  the slot is first visited.  Timing visits the serving slot alone; no
-  multicell window past the furthest slot any arm or SNR visits is drawn.
-  Every arm and SNR of a trial share its channel, timing and noise, so
-  comparisons are paired (common random numbers).
+  spawned from (seed, trial index), in one order: the UE drop the mode
+  implies, each cell's ``channel.draw_link`` (in ``multi_cell`` each of the
+  six neighbours after its ``channel.neighbour_geometry``), the burst
+  timing (timing, multicell), then the noise: an (inner_repeats, N) block
+  (sqnr), or one (m_tot, window) window per slot visited (timing,
+  multicell), drawn when the slot is first visited.  Timing visits the
+  serving slot alone; no multicell window past the furthest slot any arm
+  or SNR visits is drawn.  Every arm and SNR of a trial share its channel,
+  timing and noise, so comparisons are paired (common random numbers).
 * ``sqnr_db_sample`` is |mean|^2 / var of one trial's zero-lag
   correlations over ``inner_repeats`` noise draws, the channel and the sync
   sequence held fixed, at the antenna ``detector.detect`` picks on the
@@ -144,28 +144,6 @@ def serving_slot(anchors: np.ndarray, az: float) -> int:
     return int(np.argmin((anchors - az) ** 2))
 
 
-def _link(scenario: Scenario, rng: np.random.Generator, aod_az: float, amp: float) -> channel.BeamSpaceChannel:
-    """One cell's link to the UE: one tap per distinct delay of its rays, gains scaled by ``amp``.
-
-    The AoA is drawn first, then the flat ray's phase or the clustered rays.
-    Rays at or past ``CP_LENGTH`` are dropped.  Delays are integers, where
-    the pulse is a Kronecker delta, so a tap holds exactly the rays at its
-    delay: each group is built at delay 0, where the pulse is exactly 1.
-    """
-    aoa = rng.uniform(-np.pi / 2, np.pi / 2)
-    if scenario.channel.regime == "flat":
-        paths = channel.single_path(aod_az, aoa, np.exp(2j * np.pi * rng.random()))
-    else:
-        paths = channel.clustered_paths(rng, center_az=aod_az, aoa_center=aoa)
-    geom_tx, geom_rx = bs_geometry(scenario), channel.ArrayGeometry("ula", scenario.m_tot)
-    delays = np.unique(paths.delays[paths.delays < waveform.CP_LENGTH]).astype(np.int64)
-    taps = []
-    for at in (paths.delays == d for d in delays):
-        group = channel.PathSet(amp * paths.gains[at], paths.aod_az[at], paths.aoa[at], np.zeros(at.sum()))
-        taps.append(channel.build_channel(group, geom_tx, geom_rx, 1).taps[0])
-    return channel.BeamSpaceChannel(np.stack(taps), delays)
-
-
 def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """CN(0, 1) samples; the real parts are drawn before the imaginary ones."""
     shape = (rows, cols)
@@ -219,6 +197,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     reference = waveforms[0].time_samples
     az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
     anchors = optimizer.build_anchor_grid(scenario.t_bs, (az_lo, az_hi))
+    geom_tx, geom_rx = bs_geometry(scenario), channel.ArrayGeometry("ula", scenario.m_tot)
     for trial in range(trial_lo, trial_hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,)))
         if scenario.mode == "single_ue":
@@ -229,22 +208,18 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
         slot = serving_slot(anchors, aod)
         links = []
         for i, centre in enumerate(layout.centers):
-            if i:  # a neighbour, its sector's boresight facing the central cell
-                vec = ue_pos - centre
-                aod = math.atan2(vec[1], vec[0]) - math.atan2(-centre[1], -centre[0])
-                aod = (aod + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to [-pi, pi)
-                shadow = rng.normal(0.0, channel.SHADOWING_SIGMA_DB)
-                amp = channel.pathloss_amp_gain(float(np.hypot(vec[0], vec[1])), layout.cell_radius_m, shadow)
-            links.append((_link(scenario, rng, aod, amp), waveforms[i]))
+            if i:
+                aod, amp = channel.neighbour_geometry(rng, centre, ue_pos, layout.cell_radius_m)
+            links.append((channel.draw_link(rng, scenario.channel.regime, geom_tx, geom_rx, aod, amp),
+                          waveforms[i].time_samples))
         memo: dict = {}
 
         # the defaults bind this trial's links, so a kept burst never sees a later trial's
         def burst(tx_vec: np.ndarray, cfo: float = 0.0, links=links, memo=memo) -> _Correlated:
             key = (tx_vec.tobytes(), cfo)
             if key not in memo:
-                first, *rest = (channel.propagate(ch, wf.time_samples, tx_vec, 0.0, cfo, 0,
-                                                  scenario.n_subcarriers) for ch, wf in links)
-                memo[key] = _Correlated(sum(rest, first), reference, pad=reference.shape[0] - 1)
+                memo[key] = _Correlated(channel.sum_bursts(links, tx_vec, cfo, scenario.n_subcarriers), reference,
+                                        pad=reference.shape[0] - 1)
             return memo[key]
 
         yield trial, rng, slot, reference, burst

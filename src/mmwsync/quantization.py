@@ -99,12 +99,15 @@ def agc_rms(samples: np.ndarray) -> np.ndarray:
     """The AGC: each row's per-rail rms, sqrt(mean |samples|^2 / 2), as a column.
 
     It is checked as ``apply`` checks its input: a NaN or inf sample makes
-    its row's rms NaN or inf, so ``check_finite`` of the rms stands for it
-    over the whole window, and the rms must then be positive (``check_agc``).
+    its row's rms NaN or inf, so the samples are checked only once the rms
+    is not finite, and a finite window whose |samples|^2 overflows is
+    rejected as such.  The rms must then be positive (``check_agc``).
     """
     power = np.abs(samples)  # squared in place: a second fresh array per window costs page faults
     rms = np.sqrt(np.mean(np.square(power, out=power), axis=1) / 2.0)[:, None]
-    check_finite(rms)
+    if not np.all(np.isfinite(rms)):
+        check_finite(samples)
+        raise ValueError("the window's power overflows the float range")
     check_agc(rms)
     return rms
 

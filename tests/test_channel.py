@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwsync import channel
+from mmwsync import channel, waveform
 from mmwsync.channel import ArrayGeometry, PathSet, RaisedCosinePulse
 
 
@@ -248,6 +248,17 @@ class TestGeometryAndDrops:
         assert g1 == g2
         assert channel.pathloss_amp_gain(150.0, 150.0) == pytest.approx(1.0)
 
+    def test_neighbour_seen_from_its_boresight_with_the_drawn_shadowing(self):
+        layout = channel.hex_layout(500.0, 20.0, (25, 29, 34))
+        for centre in layout.centers[1:]:
+            rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+            aod, amp = channel.neighbour_geometry(rng, centre, np.zeros(2), layout.cell_radius_m)
+            shadow = twin.normal(0.0, channel.SHADOWING_SIGMA_DB)
+            # a UE at the central BS lies on every neighbour's boresight, one ISD away
+            assert aod == 0.0
+            assert amp == pytest.approx(channel.pathloss_amp_gain(500.0, layout.cell_radius_m, shadow), rel=1e-12)
+            assert rng.random() == twin.random()  # the shadowing is its one draw
+
     def test_hex_layout_neighbor_roots_distinct(self):
         layout = channel.hex_layout(500.0, roots=(25, 29, 34))
         assert layout.centers.shape == (7, 2)
@@ -267,3 +278,54 @@ class TestGeometryAndDrops:
         assert np.all(ps.delays >= 0)
         # leading cluster is sample-aligned at zero delay
         assert np.all(ps.delays[:4] == 0.0)
+
+
+class TestDrawLink:
+    ULA32 = ArrayGeometry("ula", 32)
+
+    def rank_one_sum(self, paths, rays, amp):
+        """The tap the rays ``rays`` make together, summed ray by ray."""
+        sv = channel.steering_vector
+        return sum(np.outer(sv(ULA4, paths.aoa[r]) * (amp * paths.gains[r]),
+                            np.conj(sv(self.ULA32, paths.aod_az[r]))) for r in rays)
+
+    def fixed_rays(self, monkeypatch, delays):
+        n = len(delays)
+        paths = PathSet(gains=np.exp(1j * np.arange(n)), aod_az=np.linspace(-0.5, 0.5, n),
+                        aoa=np.linspace(0.4, -0.4, n), delays=np.array(delays, dtype=float))
+        monkeypatch.setattr(channel, "clustered_paths", lambda rng, center_az, aoa_center: paths)
+        return paths, channel.draw_link(np.random.default_rng(5), "clustered", self.ULA32, ULA4, 0.3, 0.5)
+
+    def test_flat_link_is_one_tap_of_the_drawn_ray(self):
+        ch = channel.draw_link(np.random.default_rng(5), "flat", self.ULA32, ULA4, 0.3, 0.5)
+        rng = np.random.default_rng(5)
+        aoa = rng.uniform(-np.pi / 2, np.pi / 2)
+        want = channel.build_channel(channel.single_path(0.3, aoa, 0.5 * np.exp(2j * np.pi * rng.random())),
+                                     self.ULA32, ULA4, 1)
+        np.testing.assert_array_equal(ch.delays, [0])
+        np.testing.assert_array_equal(ch.taps, want.taps)
+
+    def test_clustered_link_holds_one_tap_per_drawn_delay(self):
+        ch = channel.draw_link(np.random.default_rng(5), "clustered", self.ULA32, ULA4, 0.3, 0.5)
+        rng = np.random.default_rng(5)
+        drawn = channel.clustered_paths(rng, 0.3, rng.uniform(-np.pi / 2, np.pi / 2))
+        assert drawn.delays.max() < waveform.CP_LENGTH
+        np.testing.assert_array_equal(ch.delays, np.unique(drawn.delays))
+        assert ch.taps.shape == (len(ch.delays), 4, 32)
+        for d, tap in zip(ch.delays, ch.taps):
+            # no other ray leaks in; einsum rounds its products otherwise than a ray-by-ray sum
+            want = self.rank_one_sum(drawn, np.flatnonzero(drawn.delays == d), 0.5)
+            np.testing.assert_allclose(tap, want, rtol=0, atol=1e-15)
+
+    def test_clusters_at_one_delay_share_one_tap(self, monkeypatch):
+        paths, ch = self.fixed_rays(monkeypatch, [0, 9, 0, 9, 9])
+        np.testing.assert_array_equal(ch.delays, [0, 9])
+        np.testing.assert_allclose(ch.taps[0], self.rank_one_sum(paths, [0, 2], 0.5), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ch.taps[1], self.rank_one_sum(paths, [1, 3, 4], 0.5), rtol=0, atol=1e-15)
+
+    def test_rays_at_or_past_the_cyclic_prefix_are_dropped(self, monkeypatch):
+        cp = waveform.CP_LENGTH
+        paths, ch = self.fixed_rays(monkeypatch, [0, cp - 1, cp, cp + 16])
+        np.testing.assert_array_equal(ch.delays, [0, cp - 1])
+        np.testing.assert_allclose(ch.taps[0], self.rank_one_sum(paths, [0], 0.5), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ch.taps[1], self.rank_one_sum(paths, [1], 0.5), rtol=0, atol=1e-15)

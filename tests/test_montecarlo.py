@@ -208,58 +208,6 @@ class TestModes:
             run(scenario, workers=workers)
 
 
-class TestLink:
-    CLUSTERED = Scenario(m_tot=4, channel=ChannelConfig("clustered"))
-    ULA32, ULA4 = mc.channel.ArrayGeometry("ula", 32), mc.channel.ArrayGeometry("ula", 4)
-
-    def rank_one_sum(self, paths, rays, amp):
-        """The tap the rays ``rays`` make together, summed ray by ray."""
-        sv = mc.channel.steering_vector
-        return sum(np.outer(sv(self.ULA4, paths.aoa[r]) * (amp * paths.gains[r]),
-                            np.conj(sv(self.ULA32, paths.aod_az[r]))) for r in rays)
-
-    def fixed_rays(self, monkeypatch, delays):
-        n = len(delays)
-        paths = mc.channel.PathSet(gains=np.exp(1j * np.arange(n)), aod_az=np.linspace(-0.5, 0.5, n),
-                                   aoa=np.linspace(0.4, -0.4, n), delays=np.array(delays, dtype=float))
-        monkeypatch.setattr(mc.channel, "clustered_paths", lambda rng, center_az, aoa_center: paths)
-        return paths, mc._link(self.CLUSTERED, np.random.default_rng(5), 0.3, 0.5)
-
-    def test_flat_link_is_one_tap_of_the_drawn_ray(self):
-        ch = mc._link(Scenario(m_tot=4), np.random.default_rng(5), 0.3, 0.5)
-        rng = np.random.default_rng(5)
-        aoa = rng.uniform(-np.pi / 2, np.pi / 2)
-        want = mc.channel.build_channel(mc.channel.single_path(0.3, aoa, 0.5 * np.exp(2j * np.pi * rng.random())),
-                                        self.ULA32, self.ULA4, 1)
-        np.testing.assert_array_equal(ch.delays, [0])
-        np.testing.assert_array_equal(ch.taps, want.taps)
-
-    def test_clustered_link_holds_one_tap_per_drawn_delay(self):
-        ch = mc._link(self.CLUSTERED, np.random.default_rng(5), 0.3, 0.5)
-        rng = np.random.default_rng(5)
-        drawn = mc.channel.clustered_paths(rng, 0.3, rng.uniform(-np.pi / 2, np.pi / 2))
-        assert drawn.delays.max() < mc.waveform.CP_LENGTH
-        np.testing.assert_array_equal(ch.delays, np.unique(drawn.delays))
-        assert ch.taps.shape == (len(ch.delays), 4, 32)
-        for d, tap in zip(ch.delays, ch.taps):
-            # no other ray leaks in; einsum rounds its products otherwise than a ray-by-ray sum
-            want = self.rank_one_sum(drawn, np.flatnonzero(drawn.delays == d), 0.5)
-            np.testing.assert_allclose(tap, want, rtol=0, atol=1e-15)
-
-    def test_clusters_at_one_delay_share_one_tap(self, monkeypatch):
-        paths, ch = self.fixed_rays(monkeypatch, [0, 9, 0, 9, 9])
-        np.testing.assert_array_equal(ch.delays, [0, 9])
-        np.testing.assert_allclose(ch.taps[0], self.rank_one_sum(paths, [0, 2], 0.5), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(ch.taps[1], self.rank_one_sum(paths, [1, 3, 4], 0.5), rtol=0, atol=1e-15)
-
-    def test_rays_at_or_past_the_cyclic_prefix_are_dropped(self, monkeypatch):
-        cp = mc.waveform.CP_LENGTH
-        paths, ch = self.fixed_rays(monkeypatch, [0, cp - 1, cp, cp + 16])
-        np.testing.assert_array_equal(ch.delays, [0, cp - 1])
-        np.testing.assert_allclose(ch.taps[0], self.rank_one_sum(paths, [0], 0.5), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(ch.taps[1], self.rank_one_sum(paths, [1], 0.5), rtol=0, atol=1e-15)
-
-
 class TestSqnrExperiment:
     def test_infinite_snr_rejected_before_any_trial(self, monkeypatch):
         def no_search(*args):

@@ -231,6 +231,10 @@ class TestAgcRms:
         with pytest.raises(ValueError, match=message):
             quantization.agc_rms(y)
 
+    def test_finite_window_whose_power_overflows_rejected_as_such(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="power overflows the float range"):
+            quantization.agc_rms(np.full((2, 8), 3e154 + 0j))
+
 
 class TestApply:
     def test_one_bit_is_sign_quantization(self):

@@ -327,9 +327,6 @@ def test_tests_patch_only_the_listed_private_names():
 # (the function that calls or reads, the private name) -> what it checks that no public name shows.  A
 # function that patches a name may read it too (to wrap the original); its PATCHED_PRIVATE entry covers that.
 READ_PRIVATE = {
-    ("fixed_rays", "_link"): "a link built from planted rays: one tap per distinct delay",
-    ("test_flat_link_is_one_tap_of_the_drawn_ray", "_link"): "a flat link against the ray it draws",
-    ("test_clustered_link_holds_one_tap_per_drawn_delay", "_link"): "a clustered link against the rays it draws",
     ("test_unit_noise_byte_identical_to_complex_division", "_unit_noise"): "its draws against a complex division",
     ("test_rejected_naming_a_key_or_finite_aggregates", "_EXPERIMENTS"): "the modes each experiment runs in",
     ("test_next_fast_len_matches_scipy", "_next_fast_len"): "the FFT length rule against scipy's",
