@@ -1,13 +1,13 @@
 """Steering vectors, multipath delay-tap beam-space channels, and cell geometry.
 
 Angles are radians measured from array boresight.  A delay-tap channel holds
-taps H_j at integer delays d_j in samples; ``build_channel`` samples
-H[l] = A_rx @ diag(g[:, l]) @ A_tx^H, g[r, l] = beta_r * p(l - tau_r), at the
-delays 0 .. tap_count - 1, p being the pulse at symbol spacing.  Propagation
-realizes the circular-convolution burst model: the sync symbol occupies ``n``
-consecutive samples of an otherwise noise-only window.  A trial's links draw
-here: a neighbour's shadowing (``neighbour_geometry``) before its
-``draw_link``, and ``sum_bursts`` adds the cells' bursts.
+taps H_j = A_rx @ diag(g_j) @ A_tx^H at integer delays d_j in samples.  In a
+trial's link (``draw_link``) g_j[r] is ray r's gain at its own delay and 0
+elsewhere; ``build_channel`` samples the pulse, g_l[r] = beta_r * p(l - tau_r).
+Propagation realizes the circular-convolution burst model: the sync symbol
+occupies ``n`` consecutive samples of an otherwise noise-only window.  A
+trial's links draw here: a neighbour's shadowing (``neighbour_geometry``)
+before its ``draw_link``, and ``sum_bursts`` adds the cells' bursts.
 """
 
 from __future__ import annotations
@@ -126,14 +126,16 @@ def build_channel(
         raise ValueError("tap_count must be >= 1")
     if pulse is None:
         pulse = RaisedCosinePulse()
+    g = paths.gains[None, :] * pulse(np.arange(tap_count)[:, None] - paths.delays[None, :])
+    isi = cp_length is not None and bool(np.any(paths.delays > cp_length))
+    return BeamSpaceChannel(taps=_taps(paths, g, geom_tx, geom_rx), delays=np.arange(tap_count), isi_warning=isi)
+
+
+def _taps(paths: PathSet, g: np.ndarray, geom_tx: ArrayGeometry, geom_rx: ArrayGeometry) -> np.ndarray:
+    """taps[l] = A_rx @ diag(g[l]) @ A_tx^H: ray r weighs g[l, r] in tap l, (L, m_tot, n_tot)."""
     a_tx = np.stack([steering_vector(geom_tx, az) for az in paths.aod_az], axis=1)  # (n_tot, R)
     a_rx = np.stack([steering_vector(geom_rx, aoa) for aoa in paths.aoa], axis=1)  # (m_tot, R)
-    l_idx = np.arange(tap_count)[:, None]
-    g = paths.gains[None, :] * pulse(l_idx - paths.delays[None, :])  # (L, R)
-    # taps[l] = a_rx @ diag(g[l]) @ a_tx^H
-    taps = np.einsum("mr,lr,nr->lmn", a_rx, g, np.conj(a_tx))
-    isi = cp_length is not None and bool(np.any(paths.delays > cp_length))
-    return BeamSpaceChannel(taps=np.ascontiguousarray(taps), delays=np.arange(tap_count), isi_warning=isi)
+    return np.ascontiguousarray(np.einsum("mr,lr,nr->lmn", a_rx, g, np.conj(a_tx)))
 
 
 def propagate(
@@ -175,10 +177,10 @@ def propagate(
     return y
 
 
-def sum_bursts(links, tx_vector: np.ndarray, cfo: float, window_len: int) -> np.ndarray:
-    """Every link's noiseless ``propagate`` burst from lag 0, summed in link
-    order; ``links`` holds one (channel, sync time samples) pair per cell."""
-    first, *rest = (propagate(ch, samples, tx_vector, 0.0, cfo, 0, window_len) for ch, samples in links)
+def sum_bursts(links, tx_vector: np.ndarray, cfo: float) -> np.ndarray:
+    """Every link's noiseless ``propagate`` burst, as long as its sync samples,
+    summed in link order; ``links`` holds one (channel, sync time samples) pair per cell."""
+    first, *rest = (propagate(ch, samples, tx_vector, 0.0, cfo, 0, len(samples)) for ch, samples in links)
     return sum(rest, first)
 
 
@@ -317,9 +319,9 @@ def draw_link(rng: np.random.Generator, regime: str, geom_tx: ArrayGeometry, geo
     """One cell's link to the UE: one tap per distinct delay of its rays, gains scaled by ``amp``.
 
     The AoA is drawn first, then the flat ray's phase or the clustered rays.
-    Rays at or past ``CP_LENGTH`` are dropped.  Delays are integers, where
-    the pulse is a Kronecker delta, so a tap holds exactly the rays at its
-    delay: each group is built at delay 0, where the pulse is exactly 1.
+    Rays at or past ``CP_LENGTH`` are dropped.  Delays are integer samples,
+    so a tap holds exactly the rays at its delay, each weighed by its own
+    gain, and no pulse is sampled.
     """
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     if regime == "flat":
@@ -327,8 +329,5 @@ def draw_link(rng: np.random.Generator, regime: str, geom_tx: ArrayGeometry, geo
     else:
         paths = clustered_paths(rng, center_az=aod_az, aoa_center=aoa)
     delays = np.unique(paths.delays[paths.delays < CP_LENGTH]).astype(np.int64)
-    taps = []
-    for at in (paths.delays == d for d in delays):
-        group = PathSet(amp * paths.gains[at], paths.aod_az[at], paths.aoa[at], np.zeros(at.sum()))
-        taps.append(build_channel(group, geom_tx, geom_rx, 1).taps[0])
-    return BeamSpaceChannel(np.stack(taps), delays)
+    g = np.where(paths.delays[None, :] == delays[:, None], amp * paths.gains[None, :], 0.0)  # (taps, rays)
+    return BeamSpaceChannel(_taps(paths, g, geom_tx, geom_rx), delays)

@@ -181,12 +181,12 @@ class _Correlated:
 def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     """The draws every experiment shares, trial by trial.
 
-    Yields ``(trial, rng, slot, reference, burst)``: the trial's generator,
+    Yields ``(trial, rng, slot, reference, links)``: the trial's generator,
     left where the links end, the serving slot, the serving cell's reference
-    samples and ``burst(tx_vec, cfo=0.0)``.  The UE drop is a uniform sector
-    draw in ``single_ue`` and ``channel.drop_users`` in the cell modes, where
-    ``multi_cell`` adds one interfering link per neighbour.  ``burst`` sums
-    every cell's clean burst once per distinct transmit vector and CFO.
+    samples and one (channel, sync samples) pair per cell, the serving cell
+    first, for ``channel.sum_bursts``.  The UE drop is a uniform sector draw
+    in ``single_ue`` and ``channel.drop_users`` in the cell modes, where
+    ``multi_cell`` adds one interfering link per neighbour.
     """
     cell = scenario.cell
     if scenario.mode == "multi_cell":
@@ -212,17 +212,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
                 aod, amp = channel.neighbour_geometry(rng, centre, ue_pos, layout.cell_radius_m)
             links.append((channel.draw_link(rng, scenario.channel.regime, geom_tx, geom_rx, aod, amp),
                           waveforms[i].time_samples))
-        memo: dict = {}
-
-        # the defaults bind this trial's links, so a kept burst never sees a later trial's
-        def burst(tx_vec: np.ndarray, cfo: float = 0.0, links=links, memo=memo) -> _Correlated:
-            key = (tx_vec.tobytes(), cfo)
-            if key not in memo:
-                memo[key] = _Correlated(channel.sum_bursts(links, tx_vec, cfo, scenario.n_subcarriers), reference,
-                                        pad=reference.shape[0] - 1)
-            return memo[key]
-
-        yield trial, rng, slot, reference, burst
+        yield trial, rng, slot, reference, links
 
 
 def _front_end(noise: np.ndarray, scale: float, burst: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +236,7 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     mean, not the variance (see ``sqnr_db_sample`` in the module notes).
     A finite arm correlates its codes, as "One ADC front end" there says."""
     rows = []
-    for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
+    for trial, rng, slot, reference, links in _trials(scenario, trial_lo, trial_hi):
         conj_reference = np.conj(reference)
         reference_sum = conj_reference.sum()
         noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
@@ -256,7 +246,7 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
         for i, (_, _, adc, tx_vectors) in enumerate(arms):
             key = tx_vectors[slot].tobytes()
             if key not in vectors:
-                clean = burst(tx_vectors[slot]).samples
+                clean = channel.sum_bursts(links, tx_vectors[slot], 0.0)
                 b_hat = detector.detect(detector.CorrelationProfile((clean @ conj_reference)[:, None])).b_hat
                 vectors[key] = (clean[b_hat], [])
             vectors[key][1].append((i, adc))
@@ -356,16 +346,18 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
     Only the serving slot is visited, or with ``sweep`` the frame's slots
     from 0 until the first success at or after it.  The i-th slot visited
     reads the trial's i-th noise window, drawn on its first visit and shared
-    by every arm, CFO and SNR.  A finite-resolution arm's window is built,
-    AGC-scaled and coded in place, then correlated.
+    by every arm, CFO and SNR; the cells' burst is summed once per distinct
+    transmit vector and CFO (``bursts``).  A finite-resolution arm's window
+    is built, AGC-scaled and coded in place, then correlated.
     """
     m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
     rows = []
-    for trial, rng, slot, reference, burst in _trials(scenario, trial_lo, trial_hi):
+    for trial, rng, slot, reference, links in _trials(scenario, trial_lo, trial_hi):
         reference_sum = np.conj(reference).sum()
         t = int(rng.integers(1, scenario.n_subcarriers * (scenario.t_ue - 1), endpoint=True))
         slots = range(scenario.t_bs) if sweep else (slot,)
         noises: list[_Correlated] = []
+        bursts: dict = {}
         for method, bits, adc, tx_vectors in arms:
             for cfo in scenario.cfo_grid:
                 for snr_db, scale in zip(scenario.snr_db_grid, map(math.sqrt, sigma2_grid)):
@@ -375,7 +367,11 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
                     for i, tau in enumerate(slots):
                         if i == len(noises):
                             noises.append(_Correlated(_unit_noise(rng, m, window), reference))
-                        sent = burst(tx_vectors[tau], cfo)
+                        key = (tx_vectors[tau].tobytes(), cfo)
+                        if key not in bursts:
+                            bursts[key] = _Correlated(channel.sum_bursts(links, tx_vectors[tau], cfo), reference,
+                                                      pad=reference.shape[0] - 1)
+                        sent = bursts[key]
                         if adc is None:
                             profile = _infinite_profile(sent, noises[i], scale, t)
                         else:

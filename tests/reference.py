@@ -33,19 +33,23 @@ def rail_codes(adc, scaled):
 
 def link(scenario, rng, aod, amp):
     """One cell's link: the AoA, then a flat ray's phase or the clustered rays;
-    one tap per distinct delay below the cyclic prefix, holding that delay's rays."""
+    one tap per distinct delay below the cyclic prefix, the sum over that
+    delay's rays of amp * gain * a_rx(AoA) a_tx(AoD)^H, a(az)[m] = exp(-j pi m sin(az))."""
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     if scenario.channel.regime == "flat":
         paths = channel.single_path(aod, aoa, np.exp(2j * np.pi * rng.random()))
     else:
         paths = channel.clustered_paths(rng, center_az=aod, aoa_center=aoa)
-    geom_tx, geom_rx = mc.bs_geometry(scenario), channel.ArrayGeometry("ula", scenario.m_tot)
+
+    def steering(n, azimuths):  # (n, rays)
+        return np.exp(-1j * np.pi * np.arange(n)[:, None] * np.sin(azimuths)[None, :])
+
     delays = sorted({d for d in paths.delays.tolist() if d < waveform.CP_LENGTH})
     taps = []
     for d in delays:
         at = paths.delays == d
-        group = channel.PathSet(amp * paths.gains[at], paths.aod_az[at], paths.aoa[at], np.zeros(at.sum()))
-        taps.append(channel.build_channel(group, geom_tx, geom_rx, 1).taps[0])
+        a_tx, a_rx = steering(scenario.n_tot, paths.aod_az[at]), steering(scenario.m_tot, paths.aoa[at])
+        taps.append(np.einsum("mr,r,nr->mn", a_rx, amp * paths.gains[at], np.conj(a_tx)))
     return channel.BeamSpaceChannel(np.stack(taps), np.array(delays, dtype=np.int64))
 
 

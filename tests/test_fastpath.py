@@ -255,15 +255,14 @@ def test_noiseless_agc_runs_on_finite_resolution_windows_only(monkeypatch, run, 
     assert 0 < calls["agc_scale"] == calls["midrise_codes"] < calls["detect"]
 
 
-@pytest.mark.parametrize(
-    "run, scenario",
-    [
-        (mc.run_sqnr_experiment, SQNR),
-        (mc.run_timing_experiment, CFO_TIMING),
-        (mc.run_multicell_experiment, MULTICELL),
-    ],
-    ids=["sqnr", "timing", "multicell"],
-)
+ONE_PER_EXPERIMENT = [
+    (mc.run_sqnr_experiment, SQNR),
+    (mc.run_timing_experiment, CFO_TIMING),
+    (mc.run_multicell_experiment, MULTICELL),
+]
+
+
+@pytest.mark.parametrize("run, scenario", ONE_PER_EXPERIMENT, ids=["sqnr", "timing", "multicell"])
 def test_one_propagate_per_distinct_input(monkeypatch, run, scenario):
     original = channel.propagate
     held, inputs = [], []
@@ -277,6 +276,18 @@ def test_one_propagate_per_distinct_input(monkeypatch, run, scenario):
     run(scenario)
     assert inputs
     assert len(inputs) == len(set(inputs))
+
+
+@pytest.mark.parametrize("run, scenario", ONE_PER_EXPERIMENT, ids=["sqnr", "timing", "multicell"])
+def test_no_experiment_samples_the_pulse(monkeypatch, run, scenario):
+    """Links hold integer ray delays, so no experiment goes through the dense,
+    pulse-shaped ``build_channel`` or evaluates the pulse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an experiment sampled the pulse-shaped channel")
+
+    monkeypatch.setattr(channel, "build_channel", refuse)
+    monkeypatch.setattr(channel.RaisedCosinePulse, "__call__", refuse)
+    assert run(scenario).rows
 
 
 SQNR_ARMS = Scenario(
