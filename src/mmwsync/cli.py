@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,14 +49,6 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        if value == math.inf:
-            return "inf"
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, scenario_hash: str, seed: int, rows: list[dict]) -> None:
     """The header comment, then one column per key of the rows, in key order."""
     columns = tuple(rows[0])
@@ -66,7 +57,7 @@ def _write_csv(path: Path, scenario_hash: str, seed: int, rows: list[dict]) -> N
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+            writer.writerow([row[c] for c in columns])
 
 
 def write_outputs(summary: StatSummary, experiment: str, out_dir: Path) -> list[Path]:

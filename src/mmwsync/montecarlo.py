@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -155,27 +155,17 @@ def _unit_noise(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Correlated:
-    """Samples of one trial and their correlation against the reference.
-
-    The correlation is computed on first use and then shared by every arm
-    that sees the same samples.  ``pad`` zeros on both sides extend it to
-    every lag at which the samples overlap the reference: a burst of n
-    samples gets lags -(n - 1) .. n - 1.
-    """
-
-    samples: np.ndarray
-    reference: np.ndarray
-    pad: int = 0
-
-    @cached_property
-    def correlation(self) -> np.ndarray:
-        x = quantization.check_finite(self.samples)
-        if self.pad:
-            x = np.zeros((x.shape[0], x.shape[1] + 2 * self.pad), dtype=np.complex128)
-            x[:, self.pad : -self.pad] = self.samples
-        return detector.correlate(x, self.reference).values
+def _lags(memo: dict, key, samples: np.ndarray, reference: np.ndarray, pad: int = 0) -> np.ndarray:
+    """``memo[key]``, set on first read to the checked samples' correlation
+    against the reference with ``pad`` zeros on both sides: a burst of n
+    samples padded by n - 1 gets every lag -(n - 1) .. n - 1 it overlaps at."""
+    if key not in memo:
+        x = quantization.check_finite(samples)
+        if pad:
+            x = np.zeros((x.shape[0], x.shape[1] + 2 * pad), dtype=np.complex128)
+            x[:, pad:-pad] = samples
+        memo[key] = detector.correlate(x, reference).values
+    return memo[key]
 
 
 def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
@@ -297,8 +287,6 @@ def run_sqnr_experiment(scenario: Scenario, workers: int = 1) -> StatSummary:
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval of a success rate."""
     z = 1.96
-    if n == 0:
-        return (0.0, 1.0)
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -319,23 +307,22 @@ def timing_nmse(nu_true, nu_hat) -> float:
     return float(np.mean(errors))
 
 
-def _infinite_profile(burst: _Correlated, noise: _Correlated, scale: float, t: int) -> detector.CorrelationProfile:
-    """The infinite-resolution profile of the burst placed at lag t in
-    scale * unit noise.
+def _infinite_profile(noise_lags, burst_lags, scale: float, t: int, n: int) -> detector.CorrelationProfile:
+    """The infinite-resolution profile of a burst placed at lag t in
+    scale * unit noise, for a reference of n samples.
 
     Detection is linear there, so the profile is assembled as
-    scale * C(noise) + C(burst) from correlations each computed once per
-    trial, with no window, AGC or ADC (at +inf dB the scale is 0).  The
-    scale and both correlations' samples are checked as
+    scale * C(noise) + C(burst) from the unit noise window's correlation and
+    the burst's at lags -(n - 1) .. n - 1 (``_lags``), with no window, AGC
+    or ADC (at +inf dB the scale is 0).  The scale is checked as
     ``quantization.apply`` checks its input.
     """
     quantization.check_finite(scale)
-    values = scale * noise.correlation
-    # C(burst) column j is the window lag t - (n - 1) + j
-    n = noise.reference.shape[0]
+    values = scale * noise_lags
+    # burst column j is the window lag t - (n - 1) + j
     lo = max(t - (n - 1), 0)
     hi = min(t + n, values.shape[1])
-    values[:, lo:hi] += burst.correlation[:, lo - t + n - 1 : hi - t + n - 1]
+    values[:, lo:hi] += burst_lags[:, lo - t + n - 1 : hi - t + n - 1]
     return detector.CorrelationProfile(values)
 
 
@@ -348,16 +335,18 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
     reads the trial's i-th noise window, drawn on its first visit and shared
     by every arm, CFO and SNR; the cells' burst is summed once per distinct
     transmit vector and CFO (``bursts``).  A finite-resolution arm's window
-    is built, AGC-scaled and coded in place, then correlated.
+    is built, AGC-scaled and coded in place, then correlated.  An infinite-
+    resolution arm reads their correlations from ``noise_lags[i]`` and
+    ``burst_lags[key]``, each taken on its first read (``_lags``).
     """
     m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
     rows = []
     for trial, rng, slot, reference, links in _trials(scenario, trial_lo, trial_hi):
+        n = reference.shape[0]
         reference_sum = np.conj(reference).sum()
         t = int(rng.integers(1, scenario.n_subcarriers * (scenario.t_ue - 1), endpoint=True))
         slots = range(scenario.t_bs) if sweep else (slot,)
-        noises: list[_Correlated] = []
-        bursts: dict = {}
+        noises, bursts, noise_lags, burst_lags = [], {}, {}, {}
         for method, bits, adc, tx_vectors in arms:
             for cfo in scenario.cfo_grid:
                 for snr_db, scale in zip(scenario.snr_db_grid, map(math.sqrt, sigma2_grid)):
@@ -366,16 +355,16 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
                     # them first lets glibc trim the heap and fault it back in, window after window
                     for i, tau in enumerate(slots):
                         if i == len(noises):
-                            noises.append(_Correlated(_unit_noise(rng, m, window), reference))
+                            noises.append(_unit_noise(rng, m, window))
                         key = (tx_vectors[tau].tobytes(), cfo)
                         if key not in bursts:
-                            bursts[key] = _Correlated(channel.sum_bursts(links, tx_vectors[tau], cfo), reference,
-                                                      pad=reference.shape[0] - 1)
-                        sent = bursts[key]
+                            bursts[key] = channel.sum_bursts(links, tx_vectors[tau], cfo)
                         if adc is None:
-                            profile = _infinite_profile(sent, noises[i], scale, t)
+                            profile = _infinite_profile(_lags(noise_lags, i, noises[i], reference),
+                                                        _lags(burst_lags, key, bursts[key], reference, n - 1),
+                                                        scale, t, n)
                         else:
-                            y, agc = _front_end(noises[i].samples, scale, sent.samples, t)
+                            y, agc = _front_end(noises[i], scale, bursts[key], t)
                             quantization.agc_scale(y, agc, out=y)
                             profile = detector.correlate(quantization.midrise_codes(adc, y, out=y), reference)
                             quantization.levels_of_code_sums(profile.values, adc, agc, reference_sum)

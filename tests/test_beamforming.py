@@ -80,7 +80,7 @@ class TestCompositeBeamGain:
         assert abs(beamforming.composite_beam_gain(bs, a)) <= 4 * math.sqrt(8) + 1e-9
 
 
-class TestPrecoder:
+class TestEffectiveTxVector:
     def test_effective_vector_stacks_scaled_codewords(self):
         cb = beamforming.dft_codebook(4, 2)
         bs = BeamSet(codebook=cb, indices=(1, 6, 3))

@@ -345,6 +345,13 @@ class TestRun:
         assert "cfo_grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_write_outputs_writes_each_value_as_its_text(self, tmp_path):
+        rows = [{"method": "proposed", "trial": 3, "bits": math.inf, "snr_db": -7.5, "rate": np.float64(0.25)}]
+        summary = montecarlo.StatSummary(rows=rows, aggregates=rows, meta={"scenario_hash": "h", "seed": 1})
+        cli.write_outputs(summary, "timing", tmp_path)
+        lines = (tmp_path / "timing_samples.csv").read_text().splitlines()
+        assert lines[1:] == ["method,trial,bits,snr_db,rate", "proposed,3,inf,-7.5,0.25"]
+
     def test_bad_config_nonzero_exit(self, tmp_path):
         path = write(tmp_path, "bogus_key: 1\n")
         assert cli.run(cli.RunConfig(str(path), "sqnr", str(tmp_path / "x"))) == 1

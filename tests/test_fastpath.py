@@ -501,6 +501,41 @@ def test_multicell_trial_draws_only_the_windows_it_visits(monkeypatch, scenario)
     assert min(counts) < scenario.t_bs
 
 
+def correlated_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of each array ``detector.correlate`` is handed, in call order."""
+    original, shapes = detector.correlate, []
+
+    def counted(received, reference):
+        shapes.append(np.shape(received))
+        return original(received, reference)
+
+    monkeypatch.setattr(detector, "correlate", counted)
+    return shapes
+
+
+def test_timing_trial_correlates_each_infinite_input_once(monkeypatch):
+    """Per trial of the benchmark's timing sweep: one window per finite arm and
+    SNR (2 methods x 5 SNRs), then once the noise window and once each
+    method's zero-padded burst that the infinite-resolution arms share."""
+    scenario = replace(cli.parse_config(ROOT / "bench/scenarios/timing_snr_sweep.yaml"), trials=3)
+    shapes = correlated_shapes(monkeypatch)
+    mc.run_timing_experiment(scenario)
+    n = mc.sync_waveform(scenario).time_samples.shape[0]
+    window, burst = (scenario.m_tot, scenario.n_subcarriers * scenario.t_ue), (scenario.m_tot, 3 * n - 2)
+    assert len(shapes) == 13 * scenario.trials
+    assert (shapes.count(window), shapes.count(burst)) == (11 * scenario.trials, 2 * scenario.trials)
+
+
+@pytest.mark.parametrize("bits", [(2.0, 4.0), (2.0, math.inf)], ids=["finite", "with_inf"])
+def test_only_an_infinite_arm_correlates_a_burst(monkeypatch, bits):
+    scenario = replace(MULTICELL, adc_bits=bits)
+    shapes = correlated_shapes(monkeypatch)
+    mc.run_multicell_experiment(scenario)
+    n = mc.sync_waveform(scenario).time_samples.shape[0]
+    assert shapes
+    assert ((scenario.m_tot, 3 * n - 2) in shapes) == (math.inf in bits)
+
+
 @pytest.mark.parametrize("run, scenario", WINDOW_SCENARIOS[::3], ids=WINDOW_IDS[::3])
 def test_one_adc_model_per_arm_per_run(monkeypatch, run, scenario):
     original = quantization.AdcModel

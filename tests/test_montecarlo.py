@@ -293,6 +293,23 @@ class TestTimingNmse:
             mc.timing_nmse([5, 6], [5])
 
 
+class TestWilsonInterval:
+    def test_eight_of_ten(self):
+        assert mc.wilson_interval(8, 10) == pytest.approx((0.49016, 0.94332), abs=5e-6)
+
+    def test_no_successes_reach_zero(self):
+        lo, hi = mc.wilson_interval(0, 10)
+        assert lo == 0.0 < hi
+
+    def test_all_successes_reach_one(self):
+        lo, hi = mc.wilson_interval(10, 10)
+        assert lo < hi == 1.0
+
+    def test_half_is_symmetric_about_one_half(self):
+        lo, hi = mc.wilson_interval(5, 10)
+        assert lo + hi == pytest.approx(1.0, abs=1e-15)
+
+
 class TestMulticellExperiment:
     def test_smoke_and_access_probabilities(self):
         s = Scenario(

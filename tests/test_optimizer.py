@@ -60,7 +60,7 @@ class TestAnchorGrid:
             optimizer.build_anchor_grid(0, AZ_SECTOR)
 
 
-class TestSelectSingleBeam:
+class TestSelectFromGainsOneChain:
     """Single-stream selection: the one-chain search on a full-array codebook."""
 
     def test_anchor_on_beam_direction(self):
@@ -100,7 +100,7 @@ class TestSelectSingleBeam:
             )
 
 
-class TestSelectMultiBeam:
+class TestSelectFromGainsNRfChains:
     def test_singleton_codebook(self):
         cb = beamforming.dft_codebook(4, 1)
         single = beamforming.Codebook(codewords=cb.codewords[:1])

@@ -76,7 +76,7 @@ class TestGenerateZc:
             waveform.generate_zc(0, 0)
 
 
-class TestMapToGrid:
+class TestMakeSyncWaveformGrid:
     """The grid step of make_sync_waveform: the sequence on the central band, DC punctured."""
 
     def test_band_indices_512(self):
@@ -105,7 +105,7 @@ class TestMapToGrid:
             waveform.make_sync_waveform(34, 63, 63, 0)
 
 
-class TestModulate:
+class TestMakeSyncWaveformTimeSamples:
     """The time-domain step of make_sync_waveform: unitary IDFT and cyclic prefix."""
 
     def test_single_dc_bin_gives_constant(self):
