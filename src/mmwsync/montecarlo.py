@@ -307,7 +307,8 @@ def timing_nmse(nu_true, nu_hat) -> float:
     return float(np.mean(errors))
 
 
-def _infinite_profile(noise_lags, burst_lags, scale: float, t: int, n: int) -> detector.CorrelationProfile:
+def _infinite_profile(noise_lags: np.ndarray, burst_lags: np.ndarray, scale: float, t: int,
+                      n: int) -> detector.CorrelationProfile:
     """The infinite-resolution profile of a burst placed at lag t in
     scale * unit noise, for a reference of n samples.
 
