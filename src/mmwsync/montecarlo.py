@@ -20,16 +20,11 @@ Conventions shared by all experiments:
   slot is searched once for every ADC resolution: the bound's maximizer
   depends on neither the quantization MSE nor the noise variance
   (``slot_beam_plans``).
-* One draw rule.  Every random number of a trial comes from one generator
-  spawned from (seed, trial index), in one order: the UE drop the mode
-  implies, each cell's ``channel.draw_link`` (in ``multi_cell`` each of the
-  six neighbours after its ``channel.neighbour_geometry``), the burst
-  timing (timing, multicell), then the noise: an (inner_repeats, N) block
-  (sqnr), or one (m_tot, window) window per slot visited (timing,
-  multicell), drawn when the slot is first visited.  Timing visits the
-  serving slot alone; no multicell window past the furthest slot any arm
-  or SNR visits is drawn.  Every arm and SNR of a trial share its channel,
-  timing and noise, so comparisons are paired (common random numbers).
+* One draw rule, stated once in ``_trials``, the only function that
+  draws: every random number of a trial comes from one generator spawned
+  from (seed, trial index), concern by concern, in the order drop, links,
+  timing, noise.  Every arm and SNR of a trial share its channel, timing
+  and noise, so comparisons are paired (common random numbers).
 * ``sqnr_db_sample`` is |mean|^2 / var of one trial's zero-lag
   correlations over ``inner_repeats`` noise draws, the channel and the sync
   sequence held fixed, at the antenna ``detector.detect`` picks on the
@@ -59,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -168,17 +163,25 @@ def _lags(memo: dict, key, samples: np.ndarray, reference: np.ndarray, pad: int 
     return memo[key]
 
 
-def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
-    """The draws every experiment shares, trial by trial.
+def _trials(scenario: Scenario, trial_lo: int, trial_hi: int, timed: bool):
+    """Every random number of each trial: the one statement of the draw rule.
 
-    Yields ``(trial, rng, slot, reference, links)``: the trial's generator,
-    left where the links end, the serving slot, the serving cell's reference
-    samples and one (channel, sync samples) pair per cell, the serving cell
-    first, for ``channel.sum_bursts``.  The UE drop is a uniform sector draw
-    in ``single_ue`` and ``channel.drop_users`` in the cell modes, where
-    ``multi_cell`` adds one interfering link per neighbour.
+    A trial draws from one generator, ``SeedSequence(seed, spawn_key=(trial,))``,
+    one concern after another.  Drop: the UE's, a uniform sector draw in
+    ``single_ue`` and ``channel.drop_users`` in the cell modes.  Links: each
+    cell's ``channel.draw_link``, the serving cell's first, each ``multi_cell``
+    neighbour's after its ``channel.neighbour_geometry``.  Timing: the burst's
+    lag nu, if ``timed`` (timing, multicell).  Noise: ``noise(i)``, the i-th
+    CN(0, 1) window, (m_tot, N t_ue) if ``timed`` and the sqnr (inner_repeats,
+    N) block if not, drawn on its first read; the chunks read windows in index
+    order, so a trial draws only the windows some arm or SNR visits.
+
+    Yields ``(trial, slot, reference, links, nu, noise)``: the serving slot,
+    the serving cell's reference samples, one (channel, sync samples) pair per
+    cell, the serving cell's first, for ``channel.sum_bursts``, nu (None if
+    not ``timed``) and ``noise``.
     """
-    cell = scenario.cell
+    cell, n = scenario.cell, scenario.n_subcarriers
     if scenario.mode == "multi_cell":
         layout = channel.hex_layout(cell.isd_m, cell.min_distance_m, cell.roots)
     else:
@@ -188,6 +191,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
     az_lo, az_hi = (math.radians(a) for a in scenario.sector.azimuth_deg)
     anchors = optimizer.build_anchor_grid(scenario.t_bs, (az_lo, az_hi))
     geom_tx, geom_rx = bs_geometry(scenario), channel.ArrayGeometry("ula", scenario.m_tot)
+    shape = (scenario.m_tot, n * scenario.t_ue) if timed else (scenario.inner_repeats, n)
     for trial in range(trial_lo, trial_hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(trial,)))
         if scenario.mode == "single_ue":
@@ -202,7 +206,8 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int):
                 aod, amp = channel.neighbour_geometry(rng, centre, ue_pos, layout.cell_radius_m)
             links.append((channel.draw_link(rng, scenario.channel.regime, geom_tx, geom_rx, aod, amp),
                           waveforms[i].time_samples))
-        yield trial, rng, slot, reference, links
+        nu = int(rng.integers(1, n * (scenario.t_ue - 1), endpoint=True)) if timed else None
+        yield trial, slot, reference, links, nu, cache(lambda i, rng=rng: _unit_noise(rng, *shape))
 
 
 def _front_end(noise: np.ndarray, scale: float, burst: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +231,9 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
     mean, not the variance (see ``sqnr_db_sample`` in the module notes).
     A finite arm correlates its codes, as "One ADC front end" there says."""
     rows = []
-    for trial, rng, slot, reference, links in _trials(scenario, trial_lo, trial_hi):
+    for trial, slot, reference, links, _, noise in _trials(scenario, trial_lo, trial_hi, False):
         conj_reference = np.conj(reference)
         reference_sum = conj_reference.sum()
-        noise_unit = _unit_noise(rng, scenario.inner_repeats, scenario.n_subcarriers)
         # per transmit vector: its burst at the antenna detect picks on the noiseless
         # zero-lag profile, and the (index, adc) of every arm that sends it
         vectors: dict = {}
@@ -243,7 +247,7 @@ def _sqnr_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial_hi: 
         for snr_db, sigma2 in zip(scenario.snr_db_grid, sigma2_grid):
             z = np.empty((len(arms), scenario.inner_repeats), np.complex128)
             for sent, members in vectors.values():
-                y, agc = _front_end(noise_unit, math.sqrt(sigma2), sent, 0)
+                y, agc = _front_end(noise(0), math.sqrt(sigma2), sent, 0)
                 scaled = quantization.agc_scale(y, agc)
                 for i, adc in members:
                     if adc is None:
@@ -333,21 +337,19 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
 
     Only the serving slot is visited, or with ``sweep`` the frame's slots
     from 0 until the first success at or after it.  The i-th slot visited
-    reads the trial's i-th noise window, drawn on its first visit and shared
-    by every arm, CFO and SNR; the cells' burst is summed once per distinct
-    transmit vector and CFO (``bursts``).  A finite-resolution arm's window
-    is built, AGC-scaled and coded in place, then correlated.  An infinite-
-    resolution arm reads their correlations from ``noise_lags[i]`` and
-    ``burst_lags[key]``, each taken on its first read (``_lags``).
+    reads ``noise(i)``, shared by every arm, CFO and SNR; the cells' burst is
+    summed once per distinct transmit vector and CFO (``bursts``).  A
+    finite-resolution arm's window is built, AGC-scaled and coded in place,
+    then correlated.  An infinite-resolution arm reads their correlations
+    from ``noise_lags[i]`` and ``burst_lags[key]``, each taken on its first
+    read (``_lags``).
     """
-    m, window = scenario.m_tot, scenario.n_subcarriers * scenario.t_ue
     rows = []
-    for trial, rng, slot, reference, links in _trials(scenario, trial_lo, trial_hi):
+    for trial, slot, reference, links, t, noise in _trials(scenario, trial_lo, trial_hi, True):
         n = reference.shape[0]
         reference_sum = np.conj(reference).sum()
-        t = int(rng.integers(1, scenario.n_subcarriers * (scenario.t_ue - 1), endpoint=True))
         slots = range(scenario.t_bs) if sweep else (slot,)
-        noises, bursts, noise_lags, burst_lags = [], {}, {}, {}
+        bursts, noise_lags, burst_lags = {}, {}, {}
         for method, bits, adc, tx_vectors in arms:
             for cfo in scenario.cfo_grid:
                 for snr_db, scale in zip(scenario.snr_db_grid, map(math.sqrt, sigma2_grid)):
@@ -355,17 +357,15 @@ def _detection_chunk(scenario: Scenario, arms, sigma2_grid, trial_lo: int, trial
                     # y and profile hold the last window's arrays until this window's exist: freeing
                     # them first lets glibc trim the heap and fault it back in, window after window
                     for i, tau in enumerate(slots):
-                        if i == len(noises):
-                            noises.append(_unit_noise(rng, m, window))
                         key = (tx_vectors[tau].tobytes(), cfo)
                         if key not in bursts:
                             bursts[key] = channel.sum_bursts(links, tx_vectors[tau], cfo)
                         if adc is None:
-                            profile = _infinite_profile(_lags(noise_lags, i, noises[i], reference),
+                            profile = _infinite_profile(_lags(noise_lags, i, noise(i), reference),
                                                         _lags(burst_lags, key, bursts[key], reference, n - 1),
                                                         scale, t, n)
                         else:
-                            y, agc = _front_end(noises[i], scale, bursts[key], t)
+                            y, agc = _front_end(noise(i), scale, bursts[key], t)
                             quantization.agc_scale(y, agc, out=y)
                             profile = detector.correlate(quantization.midrise_codes(adc, y, out=y), reference)
                             quantization.levels_of_code_sums(profile.values, adc, agc, reference_sum)
@@ -444,10 +444,10 @@ def _run(experiment: str, scenario: Scenario, workers: int) -> StatSummary:
     ``snr_db_grid`` are built once and passed to every chunk.  The trials
     split into min(workers, trials) contiguous chunks of near-equal length,
     one per process; a single chunk runs in this process.  The rows are
-    identical for any worker count: each trial draws from its own generator,
-    ``SeedSequence(seed, spawn_key=(trial,))``, and nothing carries from one
-    trial to the next.  Each aggregate row is a point of the experiment's
-    keys, in order of first appearance, and its statistics.
+    identical for any worker count: each trial draws from its own generator
+    (``_trials``), and nothing carries from one trial to the next.  Each
+    aggregate row is a point of the experiment's keys, in order of first
+    appearance, and its statistics.
     """
     modes, chunk_fn, keys, stats = _EXPERIMENTS[experiment]
     if scenario.mode not in modes:

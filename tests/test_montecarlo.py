@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import math
 import re
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,52 @@ class TestReproducibility:
         a = mc.run_timing_experiment(s)
         b = mc.run_timing_experiment(s)
         assert a.rows == b.rows
+
+
+GENERATOR_METHODS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+
+
+def drawing_functions(source: str) -> list[str]:
+    """The top-level functions of ``source`` that call a ``Generator`` method
+    or ``_unit_noise``, or name ``np.random``, in order of definition."""
+    def draws(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call):
+            func = node.func
+            return (isinstance(func, ast.Attribute) and func.attr in GENERATOR_METHODS
+                    or isinstance(func, ast.Name) and func.id == "_unit_noise")
+        return isinstance(node, ast.Attribute) and node.attr == "random"
+
+    return [func.name for func in ast.parse(source).body
+            if isinstance(func, ast.FunctionDef) and any(map(draws, ast.walk(func)))]
+
+
+def nu_per_trial(scenario: Scenario) -> list[int]:
+    """The true burst timing of each trial of a timing run, in trial order."""
+    return list({r["trial"]: r["nu_true"] for r in mc.run_timing_experiment(scenario).rows}.values())
+
+
+NU_SCENARIO = Scenario(trials=6, t_bs=8, adc_bits=(2.0,), snr_db_grid=(0.0,), seed=70)
+
+
+class TestDrawRule:
+    def test_only_trials_draws(self):
+        """``_trials`` draws every random number of a trial, ``_unit_noise``
+        being the noise's draw primitive; the experiment chunks hold no generator."""
+        assert drawing_functions(Path(mc.__file__).read_text()) == ["_unit_noise", "_trials"]
+
+    @pytest.mark.parametrize("change", [{"m_tot": 4}, {"n_rf": 2}, {"t_bs": 2}, {"adc_bits": (1.0, math.inf)}],
+                             ids=["m_tot", "n_rf", "t_bs", "adc_bits"])
+    def test_timing_nu_ignores_the_arrays_and_the_arms(self, change):
+        assert nu_per_trial(replace(NU_SCENARIO, **change)) == nu_per_trial(NU_SCENARIO)
+
+    @pytest.mark.xfail(strict=True, reason="one generator draws the drop and the links before nu, so a clustered "
+                                           "link or a cell drop moves nu (ROADMAP item 7)")
+    def test_regime_and_mode_share_nu(self):
+        # seed 70, trials 0-5: nu = 2615, 3167, 3030, 208, 2642, 2665 flat and 470, 713, 1450, 3065,
+        # 3702, 1063 clustered
+        flat = nu_per_trial(NU_SCENARIO)
+        assert nu_per_trial(replace(NU_SCENARIO, channel=ChannelConfig("clustered"))) == flat
+        assert nu_per_trial(replace(NU_SCENARIO, mode="multi_ue_cell")) == flat
 
 
 class TestModes:
