@@ -227,30 +227,23 @@ PATHLOSS_EXPONENT = 3.2
 SHADOWING_SIGMA_DB = 8.0
 
 
-@dataclass(frozen=True)
-class UserDrop:
-    """One placed user with its geometry-derived large-scale gain.
-
-    ``amp_gain`` is a linear amplitude scaling referenced to the cell edge
-    (``pathloss_amp_gain``), so a UE at ``cell_radius_m`` with zero
-    shadowing has gain 1.
-    """
-
-    position: np.ndarray  # (2,), meters
-    azimuth: float  # AoD seen from the serving BS
-    amp_gain: float
-
-
-def drop_users(layout: CellLayout, rng: np.random.Generator, sector_halfwidth: float) -> UserDrop:
+def drop_users(layout: CellLayout, rng: np.random.Generator,
+               sector_halfwidth: float) -> tuple[np.ndarray, float, float]:
     """Uniformly place one user in the sector wedge of the layout's first
     cell, min-distance respected; the radius is drawn first, then the
-    azimuth, then the shadowing."""
+    azimuth, then the shadowing.
+
+    Returns the user's (2,) position in metres, its AoD seen from the
+    serving BS, and its amplitude gain, referenced to the cell edge
+    (``pathloss_amp_gain``): a UE at ``cell_radius_m`` with zero shadowing
+    has gain 1.
+    """
     r_min, r_max = layout.min_distance_m, layout.cell_radius_m
     radius = math.sqrt(rng.uniform(r_min**2, r_max**2))
     azimuth = rng.uniform(-sector_halfwidth, sector_halfwidth)
     position = layout.centers[0] + radius * np.array([math.cos(azimuth), math.sin(azimuth)])
     shadow_db = rng.normal(0.0, SHADOWING_SIGMA_DB)
-    return UserDrop(position, azimuth, pathloss_amp_gain(radius, r_max, shadow_db))
+    return position, azimuth, pathloss_amp_gain(radius, r_max, shadow_db)
 
 
 def pathloss_amp_gain(distance_m: float, reference_m: float, shadow_db: float = 0.0) -> float:

@@ -56,7 +56,8 @@ class SectorConfig:
     azimuth_deg: tuple[float, float] = (-60.0, 60.0)
 
     def __post_init__(self):
-        _check_fields(self, "sector.")
+        # a ULA sees sin(az) alone, so past +-90 deg (its visible region) a sector folds back on itself
+        _check_fields(self, "sector.", least={"azimuth_deg": -90.0}, most={"azimuth_deg": 90.0})
         lo, hi = self.azimuth_deg
         if not lo < hi:
             raise ValueError(f"sector.azimuth_deg must be two increasing angles, got {(lo, hi)}")

@@ -197,8 +197,7 @@ def _trials(scenario: Scenario, trial_lo: int, trial_hi: int, timed: bool):
         if scenario.mode == "single_ue":
             ue_pos, aod, amp = None, rng.uniform(az_lo, az_hi), 1.0
         else:
-            drop = channel.drop_users(layout, rng, sector_halfwidth=az_hi)
-            ue_pos, aod, amp = drop.position, drop.azimuth, drop.amp_gain
+            ue_pos, aod, amp = channel.drop_users(layout, rng, sector_halfwidth=az_hi)
         slot = serving_slot(anchors, aod)
         links = []
         for i, centre in enumerate(layout.centers):

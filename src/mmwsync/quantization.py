@@ -2,9 +2,9 @@
 
 The ADC is a uniform midrise quantizer applied independently to the I and Q
 rails after the AGC (``agc_rms``) scales them (``agc_scale``).
-``midrise_codes`` gives each rail's output code and ``apply`` its level;
-``levels_of_code_sums`` turns a linear map of the codes, such as a
-correlation, into that map of the levels.
+``midrise_codes`` gives each rail's output code, and ``levels_of_code_sums``
+turns a linear map of the codes, such as a correlation, into that map of the
+levels: the one level rule, which ``apply`` runs with the identity map.
 
 ``xi_for_bits`` is the minimum (Lloyd-Max) mean squared error of a b-bit
 scalar quantizer for a unit-variance Gaussian, the worst-case distortion the
@@ -162,7 +162,7 @@ def midrise_codes(adc: AdcModel, scaled: np.ndarray, out: np.ndarray | None = No
 def levels_of_code_sums(sums: np.ndarray, adc: AdcModel, agc_rms: float | np.ndarray,
                         reference_sum: complex) -> None:
     """Turns ``sums``, a linear map L of ``midrise_codes`` output, in place into
-    L of the levels: (L(codes) + 0.5 (1 + j) L(1)) * step * agc_rms, equal in
+    L of the levels: (L(codes) + 0.5 (1 + j) L(1)) * (step * agc_rms), equal in
     exact arithmetic over samples that share one AGC rms (only the rounding
     order differs).  ``reference_sum`` is L(1); for a correlation against
     conj(r) it is sum(conj(r)) at every lag where the reference lies inside
@@ -173,19 +173,16 @@ def levels_of_code_sums(sums: np.ndarray, adc: AdcModel, agc_rms: float | np.nda
 
 
 def apply(adc: AdcModel, samples: np.ndarray, agc_rms: float | np.ndarray) -> np.ndarray:
-    """Quantize a complex stream into a new array: scale by 1/agc_rms,
-    midrise per rail, rescale.
+    """Quantize a complex stream into a new array of its levels:
+    ``agc_scale``, ``midrise_codes``, then ``levels_of_code_sums`` of the
+    identity map (L(1) = 1), (codes + 0.5 (1 + j)) * (step * agc_rms).
 
     ``samples`` meet ``check_finite`` and ``agc_rms`` meets ``check_agc``: the
     positive per-rail rms the AGC normalizes to (scalar or broadcastable).
-    The scaling is a multiply by 1/agc_rms (``agc_scale``).
     """
     samples = check_finite(samples)
     check_agc(agc_rms)
     scaled = agc_scale(samples, agc_rms)
     out = midrise_codes(adc, scaled, out=scaled)
-    rails = out.reshape(-1).view(np.float64)
-    rails += 0.5
-    rails *= adc.step
-    out *= agc_rms
+    levels_of_code_sums(out, adc, agc_rms, 1.0)
     return out

@@ -64,13 +64,12 @@ def draw_links(scenario, trial):
     if scenario.mode == "single_ue":
         aod, amp = rng.uniform(az_lo, az_hi), 1.0
     else:
-        drop = channel.drop_users(layout, rng, sector_halfwidth=az_hi)
-        aod, amp = drop.azimuth, drop.amp_gain
+        ue_pos, aod, amp = channel.drop_users(layout, rng, sector_halfwidth=az_hi)
     slot = mc.serving_slot(optimizer.build_anchor_grid(scenario.t_bs, (az_lo, az_hi)), aod)
     cells = []
     for centre, root in zip(layout.centers, layout.roots):
         if cells:  # a neighbour, its sector's boresight facing the central cell
-            x, y = drop.position - centre
+            x, y = ue_pos - centre
             aod = math.atan2(y, x) - math.atan2(-centre[1], -centre[0])
             aod = (aod + math.pi) % (2.0 * math.pi) - math.pi
             shadow = rng.normal(0.0, channel.SHADOWING_SIGMA_DB)

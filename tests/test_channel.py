@@ -230,17 +230,17 @@ class TestGeometryAndDrops:
         layout = channel.single_cell_layout(150.0, 20.0, 34)
         rng = np.random.default_rng(42)
         for _ in range(200):
-            drop = channel.drop_users(layout, rng, math.radians(60.0))
-            assert 20.0 <= math.hypot(*drop.position) <= 150.0
-            assert abs(drop.azimuth) <= math.radians(60.0)
+            position, azimuth, _ = channel.drop_users(layout, rng, math.radians(60.0))
+            assert 20.0 <= math.hypot(*position) <= 150.0
+            assert abs(azimuth) <= math.radians(60.0)
 
     def test_same_seed_same_drop(self):
         layout = channel.single_cell_layout(150.0, 20.0, 34)
         a_rng, b_rng = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(10):
-            a, b = (channel.drop_users(layout, rng, math.radians(60.0)) for rng in (a_rng, b_rng))
-            np.testing.assert_array_equal(a.position, b.position)
-            assert (a.azimuth, a.amp_gain) == (b.azimuth, b.amp_gain)
+            (a_pos, *a), (b_pos, *b) = (channel.drop_users(layout, rng, math.radians(60.0)) for rng in (a_rng, b_rng))
+            np.testing.assert_array_equal(a_pos, b_pos)
+            assert a == b
 
     def test_identical_distance_identical_pathloss(self):
         g1 = channel.pathloss_amp_gain(75.0, 150.0)

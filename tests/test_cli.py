@@ -186,6 +186,9 @@ class TestParseConfig:
             ("mode: multi_ue_cell\ncell:\n  radius_m: 1.0e+160\n", "cell.radius_m"),
             ("mode: multi_cell\ncell:\n  isd_m: 1.0e+200\n", "cell.isd_m"),
             ("mode: multi_ue_cell\ncell:\n  radius_m: 1.0e-300\n  min_distance_m: 0\n", "cell.radius_m"),
+            # a ULA sees sin(az) alone: past +-90 deg anchors alias (at +-120 deg, those at -105 and -75)
+            ("sector:\n  azimuth_deg: [-120, 120]\n", "sector.azimuth_deg"),
+            ("sector:\n  azimuth_deg: [60, 90.5]\n", "sector.azimuth_deg"),
         ],
         ids=[
             "adc_bits", "cfo_grid", "inner_repeats", "cp_length",
@@ -209,6 +212,7 @@ class TestParseConfig:
             "repeated_key", "repeated_section", "repeated_section_key", "repeated_nested_key", "recursive_alias",
             "bool_section_key", "bool_key", "int_key", "null_section_key",
             "cfo_huge", "cfo_past_half_grid", "radius_huge", "isd_huge", "radius_tiny",
+            "sector_past_visible_region", "sector_edge_past_90",
         ],
     )
     def test_rejected_at_parse_naming_key(self, tmp_path, text, key):
@@ -233,6 +237,10 @@ class TestParseConfig:
 
     def test_cfo_at_half_the_grid_parses(self, tmp_path):
         assert cli.parse_config(write(tmp_path, "cfo_grid: [-256.0, 256.0]\n")).cfo_grid == (-256.0, 256.0)
+
+    def test_sector_at_the_visible_region_parses(self, tmp_path):
+        text = "mode: multi_ue_cell\nsector:\n  azimuth_deg: [-90, 90]\n"
+        assert cli.parse_config(write(tmp_path, text)).sector.azimuth_deg == (-90, 90)
 
     def test_infinite_bits_parse(self, tmp_path):
         scenario = cli.parse_config(write(tmp_path, "adc_bits: [2, .inf]\n"))

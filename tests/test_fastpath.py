@@ -32,7 +32,7 @@ def direct_correlation(received: np.ndarray, reference: np.ndarray) -> np.ndarra
 def midrise_formula(adc, samples, agc_rms):
     """Per-rail quantizer written out rail by rail."""
     scaled = np.asarray(samples, dtype=np.complex128) / agc_rms
-    return (rail_codes(adc, scaled) + (0.5 + 0.5j)) * adc.step * agc_rms
+    return (rail_codes(adc, scaled) + (0.5 + 0.5j)) * (adc.step * agc_rms)
 
 
 class TestCorrelate:
@@ -137,7 +137,7 @@ class TestMidriseCodes:
             top, bottom, complex(half - 1, -half), complex(-half, half - 1)]
         zeros = scaled[4, :4].view(np.float64)  # the scaling keeps some signed zeros, not all
         assert not zeros.any() and set(np.signbit(zeros).tolist()) == {True, False}
-        levels = (want + (0.5 + 0.5j)) * adc.step * rms
+        levels = (want + (0.5 + 0.5j)) * (adc.step * rms)
         assert quantization.apply(adc, y, rms).tobytes() == levels.tobytes()
 
 

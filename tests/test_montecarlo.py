@@ -466,9 +466,15 @@ def small_configs(draw) -> dict:
 
     The cell lengths come from the whole float range or, as often, from the
     accepted one, so that odd but accepted cells run; ``cell`` holds them as
-    keyword arguments, since ``CellConfig`` itself rejects a length.
+    keyword arguments, since ``CellConfig`` itself rejects a length.  The
+    sector's angles come the same way from every float or from [-90, 90],
+    and half the time as the symmetric pair the cell modes need; ``sector``
+    holds them as keyword arguments too, for the same reason.
     """
     length = log_uniform(*draw(st.sampled_from(((-323.0, 308.0), (-3.0, 7.0)))))
+    angle = draw(st.sampled_from((st.floats(), st.floats(-90.0, 90.0))))
+    hi = draw(angle)
+    sector = (-abs(hi), abs(hi)) if draw(st.booleans()) else (draw(angle), hi)
     cfo = st.just(0.0) | log_uniform() | log_uniform().map(lambda e: -e)
     return dict(
         mode=draw(st.sampled_from(("single_ue", "multi_ue_cell", "multi_cell"))),
@@ -490,6 +496,7 @@ def small_configs(draw) -> dict:
         seed=draw(st.integers(0, 2**32 - 1)),
         channel=ChannelConfig(regime=draw(st.sampled_from(("flat", "clustered")))),
         cell={"radius_m": draw(length), "isd_m": draw(length), "min_distance_m": draw(st.just(0.0) | length)},
+        sector={"azimuth_deg": sector},
     )
 
 
@@ -511,14 +518,16 @@ class TestAcceptedScenariosRun:
     @example(config=FLOOR | {"mode": "multi_ue_cell", "cell": {"radius_m": 1e160}})
     @example(config=FLOOR | {"mode": "multi_cell", "cell": {"isd_m": 1e200}})
     @example(config=FLOOR | {"mode": "multi_ue_cell", "cell": {"radius_m": 1e-300, "min_distance_m": 0.0}})
-    # the accepted extremes: CFO at half the grid, the shortest and longest cells
+    # the accepted extremes: CFO at half the grid, the shortest and longest cells, the widest sector
     @example(config=FLOOR | {"cfo_grid": (-32.5, 32.5)})
     @example(config=FLOOR | {"mode": "multi_ue_cell", "cell": {"radius_m": 1e-3, "min_distance_m": 0.0}})
     @example(config=FLOOR | {"mode": "multi_cell", "cell": {"isd_m": 1e7, "min_distance_m": 1e-300}})
-    @settings(max_examples=250, deadline=None)  # about a third of the drawn scenarios are accepted
+    @example(config=FLOOR | {"mode": "multi_ue_cell", "sector": {"azimuth_deg": (-90.0, 90.0)}})
+    @settings(max_examples=700, deadline=None)  # about a tenth of the drawn scenarios are accepted
     def test_rejected_naming_a_key_or_finite_aggregates(self, config):
         try:
-            scenario = Scenario(**config | {"cell": CellConfig(**config.get("cell", {}))})
+            scenario = Scenario(**config | {"cell": CellConfig(**config.get("cell", {})),
+                                            "sector": SectorConfig(**config.get("sector", {}))})
         except ValueError as exc:
             assert names_a_key(exc), exc
             return

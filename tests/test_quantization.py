@@ -298,6 +298,20 @@ class TestApply:
             quantization.apply(AdcModel(bits=bits), np.ones((2, 4), complex), agc)
 
     @pytest.mark.parametrize("bits", [1, 2, 16])
+    @pytest.mark.parametrize("agc", ["scalar", "row", "column"])
+    def test_levels_are_the_experiments_rescale_of_the_codes(self, bits, agc):
+        # apply's levels are the codes rescaled by the rule every experiment runs on its code sums,
+        # here over the identity map, whose L(1) is 1
+        adc = AdcModel(bits=bits)
+        rng = np.random.default_rng(11)
+        x = 3.0 * (rng.standard_normal((16, 640)) + 1j * rng.standard_normal((16, 640)))
+        axis = {"row": 1, "column": 0}.get(agc)
+        rms = 1.3 if axis is None else np.sqrt(np.mean(np.abs(x) ** 2, axis=axis, keepdims=True) / 2.0)
+        want = quantization.midrise_codes(adc, quantization.agc_scale(x, rms))
+        quantization.levels_of_code_sums(want, adc, rms, 1.0)
+        assert quantization.apply(adc, x, rms).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2, 16])
     @pytest.mark.parametrize("agc", ["scalar", "row"])
     def test_out_byte_identical_to_allocating_call(self, bits, agc):
         # agc_scale then midrise_codes, each written to a buffer or over its
@@ -308,7 +322,7 @@ class TestApply:
         x = 3.0 * (rng.standard_normal((16, 640)) + 1j * rng.standard_normal((16, 640)))
         rms = 1.3 if agc == "scalar" else np.sqrt(np.mean(np.abs(x) ** 2, axis=1) / 2.0)[:, None]
         want = quantization.midrise_codes(adc, quantization.agc_scale(x, rms))
-        assert ((want + (0.5 + 0.5j)) * adc.step * rms).tobytes() == quantization.apply(adc, x, rms).tobytes()
+        assert ((want + (0.5 + 0.5j)) * (adc.step * rms)).tobytes() == quantization.apply(adc, x, rms).tobytes()
         kept = x.copy()
         buf = np.full_like(x, np.nan)
         assert quantization.agc_scale(x, rms, out=buf) is buf
@@ -343,7 +357,7 @@ class TestApply:
         buf = np.empty_like(scaled)
 
         def levels(codes):
-            return (codes + (0.5 + 0.5j)) * adc.step * rms
+            return (codes + (0.5 + 0.5j)) * (adc.step * rms)
 
         for got in (quantization.midrise_codes(adc, scaled),
                     quantization.midrise_codes(adc, scaled, out=buf)):

@@ -25,7 +25,10 @@ in ``tests/`` do not count:
 
 Matching is by name alone, so a name used anywhere counts everywhere: the
 scans miss some dead code, but never name live code.  ``EXEMPT`` holds the
-names that stay for now, each with its reason.
+names that stay for now, each with its reason.  ``BENCH_ONLY`` holds the
+names that the first two scans find used in ``bench/`` and nowhere else in
+the program, each with the bench code that uses it: the benchmark alone
+keeps them, so a name added that only the benchmark calls fails the check.
 
 Two more scans read ``tests/``: a patch, call or read of a private library
 name checks how the program is built, not what it computes.
@@ -49,6 +52,22 @@ EXEMPT = {
         "criterion 5 in tests/test_acceptance.py reads bound.noise_var",
     "beamforming.composite_beam_gain":
         "the brute-force oracle of criterion 5 in tests/test_acceptance.py calls it",
+}
+
+# the name -> "file: code" of the bench code that alone keeps it used
+BENCH_ONLY = {
+    "channel.RaisedCosinePulse": "bench/microbench.py: chan.RaisedCosinePulse(0.25)",
+    "channel.RaisedCosinePulse(rolloff)": "bench/microbench.py: chan.RaisedCosinePulse(0.25)",
+    "channel.build_channel": "bench/microbench.py: chan.build_channel(paths, geom_tx, geom_rx, TAPS, pulse, CP)",
+    "channel.build_channel(pulse)": "bench/microbench.py: chan.build_channel(paths, geom_tx, geom_rx, TAPS, pulse, CP)",
+    "channel.build_channel(cp_length)":
+        "bench/microbench.py: chan.build_channel(paths, geom_tx, geom_rx, TAPS, pulse, CP)",
+    "channel.propagate(rng)": "bench/microbench.py: chan.propagate(ch, x, tx, 0.0, 0.0, 0, N, rng)",
+    "quantization.apply": "bench/microbench.py: quant.apply(adc, window, agc)",
+    "quantization.xi_for_bits": "bench/run.py: self.pkg.quantization.xi_for_bits(int(bits))",
+    "quantization._XI": "bench/run.py: self.pkg.quantization.xi_for_bits(int(bits))",  # through its body
+    "quantization.AdcModel.clip_scale": "bench/microbench.py: inside = np.abs(u) <= adc.clip_scale",
+    "waveform.SyncWaveform.samples_with_cp": "bench/microbench.py: wf.samples_with_cp",
 }
 
 
@@ -118,9 +137,9 @@ def unreferenced_definitions(library: dict[str, str], bench: list[str]) -> list[
     return [f"{module}.{name}" for module, name in sorted(dead)]
 
 
-def _program_definitions() -> list[str]:
+def _program_definitions(bench: list[Path] = BENCH) -> list[str]:
     library = {path.stem: path.read_text() for path in LIBRARY}
-    return unreferenced_definitions(library, [path.read_text() for path in BENCH])
+    return unreferenced_definitions(library, [path.read_text() for path in bench])
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +290,9 @@ def unused_members(library: dict[str, str], program: list[str]) -> list[str]:
     return found
 
 
-def _program_members() -> list[str]:
+def _program_members(program: list[Path] = PROGRAM) -> list[str]:
     library = {path.stem: path.read_text() for path in LIBRARY}
-    return unused_members(library, [path.read_text() for path in PROGRAM])
+    return unused_members(library, [path.read_text() for path in program])
 
 
 def test_every_public_definition_has_a_program_caller():
@@ -289,6 +308,15 @@ def test_every_field_property_and_defaulted_parameter_is_used():
 def test_every_exemption_is_still_needed():
     stale = set(EXEMPT) - set(_program_definitions()) - set(_program_members())
     assert not stale, "exempted but used, or gone: " + ", ".join(sorted(stale))
+
+
+def test_what_only_bench_keeps_used_is_listed_with_its_bench_code():
+    found = ((set(_program_definitions(bench=[])) - set(_program_definitions()))
+             | (set(_program_members(program=LIBRARY)) - set(_program_members())))
+    assert sorted(found) == sorted(BENCH_ONLY)
+    for name, use in BENCH_ONLY.items():
+        path, code = use.split(": ", 1)
+        assert code in (ROOT / path).read_text(), name
 
 
 # (the function that patches, the private name) -> what the patch sees that no public name shows
